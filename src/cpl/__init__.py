@@ -5,121 +5,26 @@ The pipeline: parse a scene script, validate it against the derivation
 algebra and cross-rule consistency, then derive the downstream structures:
 the co-occurrence frequency grid with its clustering, the nested concept
 forest with uni-directional links and process cycles, the ensemble-backed
-process hierarchy, and memory-vote predictions.
+process hierarchy, and memory-vote predictions.  The package exports the
+pipeline's entry points; everything else lives in its submodule.
 """
 
-from .ast import (
-    Amount,
-    Chain,
-    ConceptId,
-    Quantity,
-    Relation,
-    RelationKind,
-    ResultTerm,
-    Rule,
-    Scene,
-    Span,
-    derive_result,
-    is_reverse_pair,
-    normalize_relation,
-)
-from .check import (
-    RelationStore,
-    check_all,
-    check_scene,
-    scene_contradictions,
-    validate_rule,
-)
-from .forest import (
-    CrossLink,
-    Cycle,
-    CycleReport,
-    Occurrence,
-    OccurrenceForest,
-    UniLink,
-    build_forest,
-    cross_links,
-    extract_cycles,
-    nested_notation,
-)
-from .grid import (
-    Clustering,
-    FrequencyGrid,
-    build_grid,
-    cluster_scene,
-    primary_clusters,
-    secondary_links,
-)
-from .hierarchy import (
-    Ensemble,
-    Hierarchy,
-    HierarchyBuild,
-    build_ensemble,
-    build_hierarchy,
-    select_root,
-)
-from .memory import (
-    MemoryStore,
-    Prediction,
-    cross_reference,
-    load_memory_dir,
-    predict,
-    save_scene,
-)
-from .parser import Diagnostic, ParseResult, format_scene, parse_scene
+from .check import check_all
+from .forest import build_forest, extract_cycles, nested_notation
+from .grid import cluster_scene
+from .hierarchy import build_ensemble, build_hierarchy
+from .parser import parse_scene
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Amount",
-    "Chain",
-    "Clustering",
-    "ConceptId",
-    "CrossLink",
-    "Cycle",
-    "CycleReport",
-    "Diagnostic",
-    "Ensemble",
-    "FrequencyGrid",
-    "Hierarchy",
-    "HierarchyBuild",
-    "MemoryStore",
-    "Occurrence",
-    "OccurrenceForest",
-    "ParseResult",
-    "Prediction",
-    "Quantity",
-    "Relation",
-    "RelationKind",
-    "RelationStore",
-    "ResultTerm",
-    "Rule",
-    "Scene",
-    "Span",
-    "UniLink",
     "build_ensemble",
     "build_forest",
-    "build_grid",
     "build_hierarchy",
     "check_all",
-    "check_scene",
     "cluster_scene",
-    "cross_links",
-    "cross_reference",
-    "derive_result",
     "extract_cycles",
-    "format_scene",
-    "is_reverse_pair",
-    "load_memory_dir",
     "nested_notation",
-    "normalize_relation",
     "parse_scene",
-    "predict",
-    "primary_clusters",
-    "save_scene",
-    "scene_contradictions",
-    "secondary_links",
-    "select_root",
-    "validate_rule",
     "__version__",
 ]

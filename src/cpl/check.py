@@ -22,6 +22,7 @@ from .ast import (
     derive_result,
     split_result,
 )
+from .graph import strongly_connected
 from .parser import Diagnostic, error
 
 
@@ -149,46 +150,13 @@ def _cites(rules: list[Rule]) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _strongly_connected(edges: dict[tuple[str, str], list[Rule]]) -> list[list[str]]:
-    """Tarjan over the edge set; deterministic via sorted adjacency."""
+def _cycles(edges: dict[tuple[str, str], list[Rule]]) -> list[list[str]]:
+    """Components of two or more concepts that the edges close a cycle
+    through, members sorted."""
     adjacency: dict[str, list[str]] = {}
     for child, parent in edges:
         adjacency.setdefault(child, []).append(parent)
-        adjacency.setdefault(parent, [])
-    for node in adjacency:
-        adjacency[node].sort()
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    components: list[list[str]] = []
-
-    def visit(node: str) -> None:
-        index[node] = low[node] = counter[0]
-        counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        for nxt in adjacency[node]:
-            if nxt not in index:
-                visit(nxt)
-                low[node] = min(low[node], low[nxt])
-            elif nxt in on_stack:
-                low[node] = min(low[node], index[nxt])
-        if low[node] == index[node]:
-            component = []
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                component.append(member)
-                if member == node:
-                    break
-            components.append(component)
-
-    for node in sorted(adjacency):
-        if node not in index:
-            visit(node)
-    return [sorted(c) for c in components if len(c) > 1]
+    return [c for c in strongly_connected(adjacency) if len(c) > 1]
 
 
 def scene_contradictions(scene: Scene) -> list[Contradiction]:
@@ -217,7 +185,7 @@ def scene_contradictions(scene: Scene) -> list[Contradiction]:
                     f"'{child} < {parent}' ({_cites(sub_rules)[0]}) contradicts "
                     f"the association '{a} - {b}' ({_cites(assoc_rules)[0]})"))
 
-    for component in _strongly_connected(store.sub_edges):
+    for component in _cycles(store.sub_edges):
         if len(component) < 3:
             continue  # two-cycles already reported as reversed-sub
         rules: list[Rule] = []
@@ -229,7 +197,7 @@ def scene_contradictions(scene: Scene) -> list[Contradiction]:
             "sub-concept relations form a cycle through "
             f"{', '.join(component)} ({', '.join(_cites(rules))})"))
 
-    for component in _strongly_connected(store.contained_edges):
+    for component in _cycles(store.contained_edges):
         rules = []
         for edge, edge_rules in sorted(store.contained_edges.items()):
             if edge[0] in component and edge[1] in component:

@@ -45,6 +45,9 @@ def _load_scene(path: str):
     except OSError as exc:
         sys.stderr.write(f"cpl: cannot read {path}: {exc.strerror}\n")
         return None, EXIT_FAILURE
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"cpl: cannot read {path}: {exc}\n")
+        return None, EXIT_FAILURE
     result = parse_scene(source)
     if result.scene is None:
         _emit_diagnostics(path, result.diagnostics)
@@ -100,8 +103,7 @@ def _cmd_cluster(args) -> int:
         return code
     freq, clustering = grid.cluster_scene(scene)
     lines = []
-    ordered = sorted(clustering.clusters, key=lambda c: (-len(c), sorted(c)[0]))
-    for cluster in ordered:
+    for cluster in grid.ordered_clusters(clustering.clusters):
         lines.append("cluster: " + ", ".join(sorted(cluster)))
     for a, b, count in clustering.secondary_links:
         lines.append(f"link: {a} - {b} ({count})")

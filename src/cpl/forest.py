@@ -24,6 +24,7 @@ from itertools import combinations
 
 from .ast import RelationKind, Rule, Scene, is_reverse_pair
 from .check import RelationStore
+from .graph import reachable, simple_cycles
 
 
 @dataclass(eq=False)
@@ -146,22 +147,12 @@ def build_forest(scene: Scene) -> OccurrenceForest:
 
     # Promote whatever the edges cannot reach (mixed relation cycles have no
     # entry point); the choice is by name so rule order cannot matter.
-    def closure(start: list[str]) -> set[str]:
-        seen = set(start)
-        changed = True
-        while changed:
-            changed = False
-            for parent, child in merged:
-                if parent in seen and child not in seen:
-                    seen.add(child)
-                    changed = True
-        return seen
-
-    while True:
-        unreachable = sorted(set(used) - closure(root_names))
-        if not unreachable:
-            break
-        name = unreachable[0]
+    children: dict[str, list[str]] = {}
+    for parent, child in merged:
+        children.setdefault(parent, []).append(child)
+    reached = reachable(children, root_names)
+    while unreachable := set(used) - reached:
+        name = min(unreachable)
         if root_name is not None:
             key = (root_name, name)
             merged.setdefault(key, _Edge(root_name, name, False, "root"))
@@ -169,6 +160,7 @@ def build_forest(scene: Scene) -> OccurrenceForest:
                 order.append(key)
         else:
             root_names.append(name)
+        reached |= reachable(children, [name])
 
     # Layer concepts outward from the roots; a concept's primary placement is
     # its first non-containment edge from an already layered parent, keeping
@@ -330,22 +322,6 @@ def reverse_pairs(scene: Scene) -> list[tuple[Rule, Rule]]:
     return pairs
 
 
-def _simple_cycles(adjacency: dict[str, set[str]]) -> list[tuple[str, ...]]:
-    """All simple cycles of a small digraph, each rooted at its smallest
-    member."""
-    cycles: list[tuple[str, ...]] = []
-    for start in sorted(adjacency):
-        stack: list[tuple[str, tuple[str, ...]]] = [(start, (start,))]
-        while stack:
-            node, path = stack.pop()
-            for nxt in sorted(adjacency.get(node, ())):
-                if nxt == start and len(path) >= 2:
-                    cycles.append(path)
-                elif nxt > start and nxt not in path:
-                    stack.append((nxt, path + (nxt,)))
-    return cycles
-
-
 def _pair_cycles(pair: tuple[Rule, Rule]) -> list[Cycle]:
     adjacency: dict[str, set[str]] = {}
     outputs = {rule.outputs[0].name for rule in pair}
@@ -356,7 +332,7 @@ def _pair_cycles(pair: tuple[Rule, Rule]) -> list[Cycle]:
             adjacency.setdefault(b, set())
     cites = tuple(sorted(rule.cite for rule in pair))
     found = []
-    for walk in _simple_cycles(adjacency):
+    for walk in simple_cycles(adjacency):
         anchors = [i for i, name in enumerate(walk) if name in outputs]
         if anchors:
             pivot = min(anchors, key=lambda i: walk[i])

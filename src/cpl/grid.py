@@ -221,11 +221,14 @@ def to_json(grid: FrequencyGrid, clustering: Clustering) -> str:
         "format_version": 1,
         "concepts": list(grid.concepts),
         "counts": [list(row) for row in grid.counts],
-        "clusters": [sorted(cluster) for cluster in _ordered(clustering.clusters)],
+        "clusters": [sorted(cluster)
+                     for cluster in ordered_clusters(clustering.clusters)],
         "secondary_links": [list(link) for link in clustering.secondary_links],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _ordered(clusters: tuple[tuple[str, ...], ...]) -> list[tuple[str, ...]]:
+def ordered_clusters(
+        clusters: tuple[tuple[str, ...], ...]) -> list[tuple[str, ...]]:
+    """Largest cluster first, ties by smallest member name."""
     return sorted(clusters, key=lambda c: (-len(c), sorted(c)[0]))

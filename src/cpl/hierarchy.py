@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import graph
 from .ast import Rule, Scene, derive_result, is_reverse_pair
 from .grid import FrequencyGrid, build_grid
 from .parser import Diagnostic, error
@@ -26,20 +27,16 @@ from .parser import Diagnostic, error
 
 @dataclass(frozen=True)
 class Ensemble:
-    """One node per used concept; symmetric pair weights."""
+    """One node per used concept; pair weights are the grid's counts."""
 
     concepts: tuple[str, ...]
-    weights: tuple[tuple[frozenset[str], int], ...]
+    grid: FrequencyGrid
 
     def weight(self, a: str, b: str) -> int:
-        key = frozenset((a, b))
-        for pair, value in self.weights:
-            if pair == key:
-                return value
-        return 0
+        return self.grid.count(a, b)
 
     def strength(self, name: str) -> int:
-        return sum(value for pair, value in self.weights if name in pair)
+        return self.grid.strength(name)
 
 
 @dataclass(frozen=True)
@@ -64,33 +61,19 @@ class Hierarchy:
     def children(self, name: str) -> tuple[str, ...]:
         return tuple(child for parent, child in self.edges if parent == name)
 
-    def is_acyclic(self) -> bool:
-        adjacency: dict[str, list[str]] = {n: [] for n in self.nodes}
+    def _adjacency(self) -> dict[str, list[str]]:
+        adjacency: dict[str, list[str]] = {name: [] for name in self.nodes}
         for parent, child in self.edges:
             adjacency[parent].append(child)
-        state: dict[str, int] = {}
+        return adjacency
 
-        def visit(node: str) -> bool:
-            state[node] = 1
-            for nxt in adjacency[node]:
-                mark = state.get(nxt)
-                if mark == 1 or (mark is None and not visit(nxt)):
-                    return False
-            state[node] = 2
-            return True
-
-        return all(state.get(n) == 2 or visit(n) for n in self.nodes)
+    def is_acyclic(self) -> bool:
+        """No edge returns to where it started; a self-edge is a cycle."""
+        return all(parent != child for parent, child in self.edges) and all(
+            len(c) == 1 for c in graph.strongly_connected(self._adjacency()))
 
     def reachable_from_root(self) -> set[str]:
-        seen = {self.root}
-        frontier = [self.root]
-        while frontier:
-            node = frontier.pop()
-            for child in self.children(node):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
+        return graph.reachable(self._adjacency(), [self.root])
 
 
 @dataclass(frozen=True)
@@ -104,11 +87,7 @@ def build_ensemble(scene: Scene, grid: FrequencyGrid | None = None) -> Ensemble:
     """One node per concept a rule mentions, weighted by the grid counts."""
     if grid is None:
         grid = build_grid(scene)
-    concepts = tuple(c.name for c in scene.used_concepts())
-    weights = tuple(sorted(
-        ((pair, count) for pair, count in grid.pair_counts().items()),
-        key=lambda item: tuple(sorted(item[0]))))
-    return Ensemble(concepts, weights)
+    return Ensemble(tuple(c.name for c in scene.used_concepts()), grid)
 
 
 def select_root(ensemble: Ensemble) -> str:
@@ -140,21 +119,9 @@ class _Builder:
         self.node_set = {root}
         self.edges: list[tuple[str, str]] = []
         self.edge_set: set[tuple[str, str]] = set()
+        self.children: dict[str, list[str]] = {}
         self.depth = {root: 0}
         self.trace: list[TraceEvent] = []
-
-    def _creates_cycle(self, parent: str, child: str) -> bool:
-        frontier = [child]
-        seen = set()
-        while frontier:
-            node = frontier.pop()
-            if node == parent:
-                return True
-            for a, b in self.edges:
-                if a == node and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        return False
 
     def add_node(self, name: str, depth: int, cite: str) -> None:
         self.nodes.append(name)
@@ -165,10 +132,11 @@ class _Builder:
     def add_edge(self, parent: str, child: str, cite: str) -> None:
         if (parent, child) in self.edge_set:
             return
-        if self._creates_cycle(parent, child):
+        if parent in graph.reachable(self.children, [child]):
             return  # a link back toward the root would fold the DAG shut
         self.edges.append((parent, child))
         self.edge_set.add((parent, child))
+        self.children.setdefault(parent, []).append(child)
         self.trace.append(TraceEvent("edge", cite, (parent, child)))
 
     def insert_path(self, path: tuple[str, ...], cite: str) -> bool:

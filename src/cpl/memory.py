@@ -91,7 +91,15 @@ def load_memory_dir(path: str | Path) -> MemoryStore:
     directory = Path(path)
     for file in sorted(directory.glob("*.json")):
         payload = json.loads(file.read_text(encoding="utf-8"))
-        store.store_scene(payload["id"], payload["features"])
+        if not isinstance(payload, dict):
+            raise ValueError(f"{file.name}: top level is not an object")
+        scene_id, features = payload["id"], payload["features"]
+        if not isinstance(scene_id, str):
+            raise ValueError(f"{file.name}: id is not a string")
+        if not (isinstance(features, list)
+                and all(isinstance(f, str) for f in features)):
+            raise ValueError(f"{file.name}: features is not a list of strings")
+        store.store_scene(scene_id, features)
     return store
 
 

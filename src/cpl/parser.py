@@ -461,13 +461,6 @@ def parse_scene(source: str) -> ParseResult:
     return ParseResult(scene, ())
 
 
-def parse_scene_or_raise(source: str) -> Scene:
-    result = parse_scene(source)
-    if result.scene is None:
-        raise ValueError("\n".join(str(d) for d in result.diagnostics))
-    return result.scene
-
-
 def _format_chain(chain: Chain) -> str:
     text = ".".join(c.short() for c in chain.elements)
     if chain.quantity is not None and chain.quantity.total is not None:

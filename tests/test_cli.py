@@ -35,6 +35,16 @@ def test_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.cpl"
+    path.write_bytes("scene Caf\xe9 {}\n".encode("latin-1"))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cpl: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -134,6 +144,17 @@ def test_predict_missing_memory(capsys, tmp_path):
         "--input", "Pot")
     assert code == 2
     assert "not a directory" in err
+
+
+def test_predict_malformed_memory(capsys, tmp_path):
+    (tmp_path / "s1.json").write_text('{"id": "s1", "features": "Pot"}',
+                                      encoding="utf-8")
+    code, out, err = run(
+        capsys, "predict", "--memory", str(tmp_path), "--input", "Pot")
+    assert code == 2
+    assert out == ""
+    assert err == (f"cpl: cannot load memory from {tmp_path}: "
+                   "s1.json: features is not a list of strings\n")
 
 
 def test_color_toggle(capsys, scenes_dir, monkeypatch):

@@ -107,6 +107,18 @@ def test_memory_dir_round_trip(tmp_path):
     }
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('[{"id": "s1", "features": ["Pot"]}]', "top level is not an object"),
+    ('{"id": 7, "features": ["Pot"]}', "id is not a string"),
+    ('{"id": "s1", "features": "Pot"}', "features is not a list of strings"),
+    ('{"id": "s1", "features": ["Pot", 3]}', "features is not a list of strings"),
+])
+def test_malformed_memory_file_rejected(tmp_path, text, reason):
+    (tmp_path / "bad.json").write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=reason):
+        load_memory_dir(tmp_path)
+
+
 @given(st.integers(0, 10**9))
 def test_votes_match_oracle(seed):
     rng = random.Random(seed)
