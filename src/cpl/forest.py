@@ -38,17 +38,6 @@ class Occurrence:
     contained: bool = False
     children: list["Occurrence"] = field(default_factory=list)
 
-    def path_from_root(self) -> tuple[str, ...]:
-        names: list[str] = []
-        node: Occurrence | None = self
-        while node is not None:
-            names.append(node.concept)
-            node = node.parent
-        return tuple(reversed(names))
-
-    def depth(self) -> int:
-        return len(self.path_from_root()) - 1
-
 
 @dataclass
 class OccurrenceForest:
@@ -116,13 +105,11 @@ def build_forest(scene: Scene) -> OccurrenceForest:
     # Merge duplicate parent/child pairs: position of the first mention wins,
     # a non-containment mention overrides the containment flag.
     merged: dict[tuple[str, str], _Edge] = {}
-    order: list[tuple[str, str]] = []
     noncontained_at: dict[tuple[str, str], int] = {}
     for idx, edge in enumerate(raw):
         key = (edge.parent, edge.child)
         if key not in merged:
             merged[key] = edge
-            order.append(key)
         elif merged[key].contained and not edge.contained:
             merged[key] = _Edge(edge.parent, edge.child, False, merged[key].origin)
         if not edge.contained and key not in noncontained_at:
@@ -137,10 +124,8 @@ def build_forest(scene: Scene) -> OccurrenceForest:
     if root_name is not None:
         for name in used:
             if name != root_name and name not in with_parent:
-                key = (root_name, name)
-                merged.setdefault(key, _Edge(root_name, name, False, "root"))
-                if key not in order:
-                    order.append(key)
+                merged.setdefault(
+                    (root_name, name), _Edge(root_name, name, False, "root"))
         root_names = [root_name]
     else:
         root_names = [n for n in used if n not in with_parent]
@@ -154,10 +139,8 @@ def build_forest(scene: Scene) -> OccurrenceForest:
     while unreachable := set(used) - reached:
         name = min(unreachable)
         if root_name is not None:
-            key = (root_name, name)
-            merged.setdefault(key, _Edge(root_name, name, False, "root"))
-            if key not in order:
-                order.append(key)
+            merged.setdefault(
+                (root_name, name), _Edge(root_name, name, False, "root"))
         else:
             root_names.append(name)
         reached |= reachable(children, [name])
@@ -165,11 +148,12 @@ def build_forest(scene: Scene) -> OccurrenceForest:
     # Layer concepts outward from the roots; a concept's primary placement is
     # its first non-containment edge from an already layered parent, keeping
     # the primary parent chain acyclic by construction.
+    position = {key: i for i, key in enumerate(merged)}
     primary_edge: dict[str, tuple[str, str]] = {}
     layered = set(root_names)
     while True:
         additions: dict[str, list[tuple[str, str]]] = {}
-        for key in order:
+        for key in merged:
             parent, child = key
             if parent in layered and child not in layered:
                 additions.setdefault(child, []).append(key)
@@ -178,8 +162,8 @@ def build_forest(scene: Scene) -> OccurrenceForest:
         for child, keys in additions.items():
             ranked = sorted(keys, key=lambda k: (
                 merged[k].contained,
-                noncontained_at.get(k, len(raw) + order.index(k)),
-                order.index(k)))
+                noncontained_at.get(k, len(raw) + position[k]),
+                position[k]))
             primary_edge[child] = ranked[0]
         layered.update(additions)
 
@@ -192,7 +176,7 @@ def build_forest(scene: Scene) -> OccurrenceForest:
         occurrences[name].append(occ)
         roots.append(occ)
 
-    pending = list(order)
+    pending = list(merged)
     while pending:
         progress = False
         still: list[tuple[str, str]] = []
@@ -220,19 +204,30 @@ def nested_notation(forest: OccurrenceForest, sort_children: bool = False) -> st
     """Parenthesized view of the forest; children follow placement order, or
     name order when sorted output is requested."""
 
-    def render(occ: Occurrence) -> str:
-        children = occ.children
-        if sort_children:
-            children = sorted(children, key=lambda c: c.concept)
-        if not children:
-            return occ.concept
-        inner = ", ".join(render(child) for child in children)
-        return f"{occ.concept}({inner})"
+    parts: list[str] = []
+    stack: list[Occurrence | str] = []
 
-    roots = forest.roots
-    if sort_children:
-        roots = sorted(roots, key=lambda occ: occ.concept)
-    return ", ".join(render(occ) for occ in roots)
+    def push(occs: list[Occurrence]) -> None:
+        """Stack siblings and their separators so they pop in order."""
+        if sort_children:
+            occs = sorted(occs, key=lambda occ: occ.concept)
+        for index, occ in enumerate(reversed(occs)):
+            if index:
+                stack.append(", ")
+            stack.append(occ)
+
+    push(forest.roots)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif not item.children:
+            parts.append(item.concept)
+        else:
+            parts.append(f"{item.concept}(")
+            stack.append(")")
+            push(item.children)
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -313,12 +308,27 @@ def process_edges(scene: Scene) -> tuple[dict[tuple[str, str], tuple[str, ...]],
 
 
 def reverse_pairs(scene: Scene) -> list[tuple[Rule, Rule]]:
-    pairs = []
+    """Every (earlier, later) pair of rules that reverse each other, in
+    scene order of the earlier rule, then of the later one.
+
+    Rules are hashed by (output, source, chain tail); a rule's partners can
+    only sit under the key with output and source swapped.
+    """
     rules = scene.rules
-    for i, a in enumerate(rules):
-        for b in rules[i + 1:]:
-            if is_reverse_pair(a, b):
-                pairs.append((a, b))
+    shaped: dict[int, tuple[str, str, tuple[str, ...]]] = {}
+    buckets: dict[tuple[str, str, tuple[str, ...]], list[int]] = {}
+    for index, rule in enumerate(rules):
+        if len(rule.outputs) == 1 and len(rule.inputs) == 1:
+            chain = rule.inputs[0]
+            key = (rule.outputs[0].name, chain.source.name,
+                   tuple(c.name for c in chain.elements[1:]))
+            shaped[index] = key
+            buckets.setdefault(key, []).append(index)
+    pairs = []
+    for i, (output, source, tail) in shaped.items():
+        for j in buckets.get((source, output, tail), ()):
+            if j > i and is_reverse_pair(rules[i], rules[j]):
+                pairs.append((rules[i], rules[j]))
     return pairs
 
 
@@ -488,21 +498,23 @@ def forest_to_dot(forest: OccurrenceForest) -> str:
     """One subgraph per tree; same-concept cross links drawn dashed."""
     ids: dict[int, str] = {}
     lines = ["digraph concept_forest {", "  node [shape=box];"]
-    counter = [0]
-
-    def visit(occ: Occurrence, indent: str) -> None:
-        ids[id(occ)] = node_id = f"n{counter[0]}"
-        counter[0] += 1
-        lines.append(f'{indent}{node_id} [label="{occ.concept}"];')
-        for child in occ.children:
-            visit(child, indent)
-            style = " [style=dotted]" if child.contained else ""
-            lines.append(f"{indent}{node_id} -> {ids[id(child)]}{style};")
-
     for index, root in enumerate(forest.roots):
         lines.append(f"  subgraph cluster_{index} {{")
         lines.append(f'    label="{root.concept}";')
-        visit(root, "    ")
+        # (occurrence, None) numbers and labels the occurrence; (child,
+        # parent id) draws the link once the child's subtree is written.
+        stack: list[tuple[Occurrence, str | None]] = [(root, None)]
+        while stack:
+            occ, parent_id = stack.pop()
+            if parent_id is not None:
+                style = " [style=dotted]" if occ.contained else ""
+                lines.append(f"    {parent_id} -> {ids[id(occ)]}{style};")
+                continue
+            ids[id(occ)] = node_id = f"n{len(ids)}"
+            lines.append(f'    {node_id} [label="{occ.concept}"];')
+            for child in reversed(occ.children):
+                stack.append((child, node_id))
+                stack.append((child, None))
         lines.append("  }")
     for concept in forest.multi_occurrence_concepts():
         occs = forest.occurrences[concept]

@@ -10,7 +10,7 @@ the diagonal stays empty.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .ast import Scene
@@ -23,14 +23,19 @@ class FrequencyGrid:
 
     concepts: tuple[str, ...]
     counts: tuple[tuple[int, ...], ...]
+    _position: dict[str, int] = field(
+        init=False, compare=False, repr=False)
 
-    def index(self, name: str) -> int:
-        return self.concepts.index(name)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_position", {
+            name: i for i, name in enumerate(self.concepts)})
 
     def count(self, a: str, b: str) -> int:
-        if a == b or a not in self.concepts or b not in self.concepts:
+        i = self._position.get(a)
+        j = self._position.get(b)
+        if a == b or i is None or j is None:
             return 0
-        return self.counts[self.index(a)][self.index(b)]
+        return self.counts[i][j]
 
     def pair_counts(self) -> dict[frozenset[str], int]:
         """Nonzero cells as an order-free mapping."""
@@ -42,9 +47,8 @@ class FrequencyGrid:
         return pairs
 
     def strength(self, name: str) -> int:
-        if name not in self.concepts:
-            return 0
-        return sum(self.counts[self.index(name)])
+        i = self._position.get(name)
+        return 0 if i is None else sum(self.counts[i])
 
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
@@ -56,12 +60,6 @@ class Clustering:
 
     clusters: tuple[tuple[str, ...], ...]
     secondary_links: tuple[tuple[str, str, int], ...] = ()
-
-    def cluster_of(self, name: str) -> tuple[str, ...]:
-        for cluster in self.clusters:
-            if name in cluster:
-                return cluster
-        raise KeyError(name)
 
 
 def build_grid(scene: Scene) -> FrequencyGrid:
@@ -85,16 +83,6 @@ def build_grid(scene: Scene) -> FrequencyGrid:
     return FrequencyGrid(tuple(order), tuple(tuple(row) for row in matrix))
 
 
-def _outside_mass(grid: FrequencyGrid, pair: tuple[str, str]) -> int:
-    a, b = pair
-    return sum(
-        grid.count(member, other)
-        for member in pair
-        for other in grid.concepts
-        if other not in pair
-    )
-
-
 def primary_clusters(grid: FrequencyGrid) -> Clustering:
     """Greedy clustering by strongest counts.
 
@@ -107,20 +95,26 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
     Whatever is left stays a singleton.
     """
     names = grid.concepts
-    best: dict[str, int] = {
-        name: max((grid.count(name, other) for other in names if other != name),
-                  default=0)
-        for name in names
+    # Nonzero counts off the diagonal, both levels in concept order.
+    neighbours: dict[str, dict[str, int]] = {
+        a: {b: count for j, (b, count) in enumerate(zip(names, row))
+            if count and i != j}
+        for i, (a, row) in enumerate(zip(names, grid.counts))
     }
+    best = {name: max(near.values(), default=0)
+            for name, near in neighbours.items()}
 
     mutual = [
         (a, b)
         for i, a in enumerate(names)
-        for b in names[i + 1:]
-        if grid.count(a, b) > 0 and grid.count(a, b) == best[a] == best[b]
+        for b, count in neighbours[a].items()
+        if grid._position[b] > i and count == best[a] == best[b]
     ]
     mutual.sort(key=lambda pair: (
-        -grid.count(*pair), _outside_mass(grid, pair), tuple(sorted(pair))))
+        -grid.count(*pair),
+        grid.strength(pair[0]) + grid.strength(pair[1])
+        - 2 * grid.count(*pair),
+        tuple(sorted(pair))))
 
     clusters: list[list[str]] = []
     membership: dict[str, int] = {}
@@ -135,13 +129,10 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
     def gate(target: str) -> int:
         """Best count the target holds toward its own cluster or the
         unclustered concepts."""
-        scope = [
-            other for other in names
-            if other != target
-            and (other not in membership
-                 or membership.get(other) == membership.get(target))
-        ]
-        return max((grid.count(target, other) for other in scope), default=0)
+        return max((
+            count for other, count in neighbours[target].items()
+            if other not in membership
+            or membership[other] == membership.get(target)), default=0)
 
     while True:
         candidates: list[tuple[int, str, str]] = []
@@ -149,10 +140,8 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
             if name in membership:
                 continue
             partners = [
-                (other, grid.count(name, other))
-                for other in names
-                if other != name and other not in seeded
-                and grid.count(name, other) > 0
+                (other, count) for other, count in neighbours[name].items()
+                if other not in seeded
             ]
             if not partners:
                 continue

@@ -20,7 +20,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import graph
-from .ast import Rule, Scene, derive_result, is_reverse_pair
+from .ast import Rule, Scene, derive_result
+# Unused here, but perfbench/tracing.py counts calls by rebinding this name.
+from .ast import is_reverse_pair  # noqa: F401
+from .forest import reverse_pairs
 from .grid import FrequencyGrid, build_grid
 from .parser import Diagnostic, error
 
@@ -83,11 +86,10 @@ class HierarchyBuild:
     diagnostics: tuple[Diagnostic, ...]
 
 
-def build_ensemble(scene: Scene, grid: FrequencyGrid | None = None) -> Ensemble:
+def build_ensemble(scene: Scene) -> Ensemble:
     """One node per concept a rule mentions, weighted by the grid counts."""
-    if grid is None:
-        grid = build_grid(scene)
-    return Ensemble(tuple(c.name for c in scene.used_concepts()), grid)
+    return Ensemble(tuple(c.name for c in scene.used_concepts()),
+                    build_grid(scene))
 
 
 def select_root(ensemble: Ensemble) -> str:
@@ -100,15 +102,13 @@ def select_root(ensemble: Ensemble) -> str:
 
 def _repeat_rules(scene: Scene) -> set[int]:
     """Ordinals of rules that reverse an earlier, non-repeat rule."""
+    # Positions by identity: equal rules compare equal.
+    position = {id(rule): index for index, rule in enumerate(scene.rules)}
     repeats: set[int] = set()
-    rules = scene.rules
-    for j, later in enumerate(rules):
-        for i in range(j):
-            if rules[i].ordinal in repeats:
-                continue
-            if is_reverse_pair(rules[i], later):
-                repeats.add(later.ordinal)
-                break
+    for earlier, later in sorted(reverse_pairs(scene),
+                                 key=lambda pair: position[id(pair[1])]):
+        if earlier.ordinal not in repeats:
+            repeats.add(later.ordinal)
     return repeats
 
 
@@ -116,7 +116,6 @@ class _Builder:
     def __init__(self, root: str):
         self.root = root
         self.nodes: list[str] = [root]
-        self.node_set = {root}
         self.edges: list[tuple[str, str]] = []
         self.edge_set: set[tuple[str, str]] = set()
         self.children: dict[str, list[str]] = {}
@@ -125,7 +124,6 @@ class _Builder:
 
     def add_node(self, name: str, depth: int, cite: str) -> None:
         self.nodes.append(name)
-        self.node_set.add(name)
         self.depth[name] = depth
         self.trace.append(TraceEvent("node", cite, (name,)))
 
@@ -145,15 +143,15 @@ class _Builder:
         Returns False when no concept of the path exists yet; such paths
         wait until another rule gives them an anchor.
         """
-        if not any(name in self.node_set for name in path):
+        if not any(name in self.depth for name in path):
             return False
         head = self.depth.get(path[0])
         tail = self.depth.get(path[-1])
         if tail is not None and (head is None or tail < head):
             path = tuple(reversed(path))
         for a, b in zip(path, path[1:]):
-            a_known = a in self.node_set
-            b_known = b in self.node_set
+            a_known = a in self.depth
+            b_known = b in self.depth
             if a_known and b_known:
                 self.add_edge(a, b, cite)
             elif a_known:

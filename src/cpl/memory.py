@@ -45,7 +45,6 @@ class RankedFeature:
 @dataclass(frozen=True)
 class Prediction:
     ranked: tuple[RankedFeature, ...]
-    legal: frozenset[str] | None = None
 
 
 def cross_reference(store: MemoryStore, input_features) -> dict[str, int]:
@@ -82,7 +81,7 @@ def predict(store: MemoryStore, input_features, legal=None, k: int = 1) -> Predi
         RankedFeature(feature, count, feature not in inputs)
         for feature, count in candidates[:k]
     )
-    return Prediction(ranked, legal_set)
+    return Prediction(ranked)
 
 
 def load_memory_dir(path: str | Path) -> MemoryStore:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from cpl.ast import (
     Amount,
@@ -115,6 +116,39 @@ def make_scene(rng: random.Random, name: str = "Generated") -> Scene:
         make_rule(rng, entities, ordinal, labeled)
         for ordinal in range(1, rng.randint(0, 6) + 1))
     return Scene(name, tuple(entities), root, rules)
+
+
+def make_reverse_scene(rng: random.Random) -> Scene:
+    """A generated scene plus single-chain rules, some re-stated with output
+    and source swapped, some repeated as equal copies (kept ordinal or a
+    fresh one), all in shuffled order."""
+    scene = make_scene(rng)
+    entities = list(scene.entities)
+    rules = list(scene.rules)
+    ordinal = len(rules)
+
+    def simple(output, chain) -> Rule:
+        nonlocal ordinal
+        ordinal += 1
+        chains = (Chain(tuple(chain)),)
+        return Rule(f"p{ordinal}", (output,), chains,
+                    correct_results((output,), chains), (), ordinal=ordinal)
+
+    for _ in range(rng.randint(0, 8)):
+        output, source = rng.sample(entities, 2)
+        tail = [rng.choice(entities) for _ in range(rng.randint(1, 2))]
+        rules.append(simple(output, [source, *tail]))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            rules.append(simple(source, [output, *tail]))
+    for _ in range(rng.randint(0, 3)):
+        if rules:
+            copy = rng.choice(rules)
+            if rng.random() < 0.5:
+                ordinal += 1
+                copy = replace(copy, ordinal=ordinal)
+            rules.append(replace(copy))
+    rng.shuffle(rules)
+    return Scene(scene.name, scene.entities, scene.root, tuple(rules))
 
 
 def corrupt_results(rng: random.Random, rule: Rule) -> Rule:

@@ -1,13 +1,16 @@
 """Scenes deeper than the interpreter's recursion limit."""
 
+import pytest
+
 from cpl.check import check_all
+from cpl.cli import main
 from cpl.hierarchy import build_ensemble, build_hierarchy
 from cpl.parser import parse_scene
 
 DEPTH = 1500
 
 
-def deep_chain_scene(depth: int):
+def deep_chain_source(depth: int) -> str:
     """``C00000 < C00001 < ...``: a sub-concept chain ``depth`` links long
     whose names sort in chain order, two links placed by each rule, all
     rules sharing the output ``X``."""
@@ -20,7 +23,11 @@ def deep_chain_scene(depth: int):
         lines.append(
             f"    r{i}: X + {c}.{b}.{a} -> X.{a}.{b}.{c} where {a} < {b} < {c};")
     lines.extend(["  }", "}"])
-    result = parse_scene("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def deep_chain_scene(depth: int):
+    result = parse_scene(deep_chain_source(depth))
     assert result.scene is not None, result.diagnostics
     return result.scene
 
@@ -34,3 +41,18 @@ def test_deep_sub_concept_chain():
     assert hierarchy.is_acyclic()
     assert hierarchy.reachable_from_root() == set(hierarchy.nodes)
     assert len(hierarchy.nodes) == DEPTH + 2
+
+
+@pytest.mark.parametrize("flags", [[], ["--sorted"], ["--dot"]])
+def test_deep_chain_trees_cli(capsys, tmp_path, flags):
+    path = tmp_path / "deep.cpl"
+    path.write_text(deep_chain_source(DEPTH), encoding="utf-8")
+    assert main(["trees", str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    chain = "(".join(f"C{i:05d}" for i in range(DEPTH, -1, -1)) + ")" * DEPTH
+    if flags == ["--dot"]:
+        assert out.count(" -> ") == DEPTH
+    elif flags == ["--sorted"]:
+        assert out == f"{chain}, X\n"
+    else:
+        assert out == f"X, {chain}\n"

@@ -3,6 +3,7 @@ import re
 
 from hypothesis import given, strategies as st
 
+import oracles
 from cpl.ast import Scene
 from cpl.forest import (
     build_forest,
@@ -11,10 +12,11 @@ from cpl.forest import (
     forest_to_dot,
     forest_to_json,
     nested_notation,
+    reverse_pairs,
 )
 from cpl.parser import parse_scene
 
-from genhelpers import make_scene
+from genhelpers import make_reverse_scene, make_scene
 
 GOLDEN_NOTATION = ("Kitchen(Cupboard(Pot), Cooker(Hob(Heat)), "
                   "Pot(Water, Egg, Heat), Tap(Water))")
@@ -245,3 +247,12 @@ def test_json_export_shape(cooking_scene):
     assert payload["format_version"] == 1
     assert payload["roots"][0]["concept"] == "Kitchen"
     assert {tuple(c["concepts"]) for c in payload["cycles"]} == GOLDEN_CYCLES
+
+
+@given(st.integers(0, 10**9))
+def test_reverse_pairs_match_all_pairs_scan(seed):
+    scene = make_reverse_scene(random.Random(seed))
+    # Identity, not equality: equal copies of a rule are different rules.
+    got = [(id(a), id(b)) for a, b in reverse_pairs(scene)]
+    want = [(id(a), id(b)) for a, b in oracles.reverse_pairs(scene)]
+    assert got == want

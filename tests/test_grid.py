@@ -3,8 +3,10 @@ from itertools import combinations
 
 from hypothesis import given, strategies as st
 
+import oracles
 from cpl.ast import Scene
 from cpl.grid import (
+    FrequencyGrid,
     build_grid,
     cluster_scene,
     primary_clusters,
@@ -162,3 +164,30 @@ def test_clustering_is_a_partition_and_deterministic(seed):
     assert sorted(flat) == sorted(grid.concepts)
     assert len(flat) == len(set(flat))
     assert primary_clusters(grid) == clustering
+
+
+@st.composite
+def symmetric_grids(draw, max_concepts=10):
+    """Symmetric grids with an empty diagonal and counts small enough that
+    ties are common."""
+    size = draw(st.integers(0, max_concepts))
+    names = draw(st.permutations([f"k{i}" for i in range(size)]))
+    cells = [[0] * size for _ in range(size)]
+    for i, j in combinations(range(size), 2):
+        cells[i][j] = cells[j][i] = draw(st.integers(0, 3))
+    return FrequencyGrid(tuple(names), tuple(tuple(row) for row in cells))
+
+
+@given(symmetric_grids())
+def test_clustering_matches_linear_scan(grid):
+    assert primary_clusters(grid) == oracles.primary_clusters(grid)
+
+
+@given(symmetric_grids())
+def test_lookups_match_linear_scan(grid):
+    names = list(grid.concepts) + ["absent"]
+    for a in names:
+        assert grid.strength(a) == sum(
+            oracles.grid_count(grid, a, b) for b in names)
+        for b in names:
+            assert grid.count(a, b) == oracles.grid_count(grid, a, b)

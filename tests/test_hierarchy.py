@@ -1,11 +1,14 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from cpl.ast import Scene
 from cpl.hierarchy import (
+    _repeat_rules,
     build_ensemble,
     build_hierarchy,
     hierarchy_to_dot,
@@ -14,7 +17,7 @@ from cpl.hierarchy import (
 )
 from cpl.parser import parse_scene
 
-from genhelpers import make_scene
+from genhelpers import make_reverse_scene, make_scene
 
 GOLDEN_EDGES = {
     ("Pot", "Water"),
@@ -181,3 +184,20 @@ def test_json_round_trips_trace(cooking_scene):
     assert ["Pot", "Water"] in payload["edges"]
     assert payload["strengths"]["Pot"] == 12
     assert len(payload["trace"]) == len(build.trace)
+
+
+@given(st.integers(0, 10**9))
+def test_repeat_rules_match_earlier_rule_scan(seed):
+    scene = make_reverse_scene(random.Random(seed))
+    assert _repeat_rules(scene) == oracles.repeat_rules(scene)
+
+
+def test_repeat_rules_walk_by_later_position():
+    # r4 shares r2's ordinal, and reverses r1 only after r3 reverses r2, so
+    # taking the pairs in earlier-rule order would skip r3.
+    rules = scene_of(
+        "scene S { entities { A; B; C; P; Q; } rules {"
+        " r1: A + B.C -> A.C.B; r2: P + Q.C -> P.C.Q;"
+        " r3: Q + P.C -> Q.C.P; r4: B + A.C -> B.C.A; } }").rules
+    scene = Scene("S", (), None, rules[:3] + (replace(rules[3], ordinal=2),))
+    assert _repeat_rules(scene) == oracles.repeat_rules(scene) == {2, 3}
