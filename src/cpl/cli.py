@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 clean, 1 diagnostics reported, 2 parse or usage failure.
+Exit codes: 0 clean, 1 diagnostics reported, 2 parse or usage failure
+(including ``-k`` below 1 and an ``--out`` file that cannot be written).
 Identical inputs produce byte-identical output; diagnostics go to stderr,
 results to stdout or to the file named by --out.
 """
@@ -66,11 +67,19 @@ def _load_checked_scene(path: str):
     return scene, None
 
 
+class _CannotWrite(Exception):
+    """The --out file could not be written; main reports it and exits 2."""
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CannotWrite(
+            f"cpl: cannot write {out}: {exc.strerror}\n") from exc
 
 
 def _cmd_check(args) -> int:
@@ -168,6 +177,9 @@ def _parse_feature_list(raw: str) -> list[str]:
 
 
 def _cmd_predict(args) -> int:
+    if args.k < 1:
+        sys.stderr.write(f"cpl: -k must be at least 1, got {args.k}\n")
+        return EXIT_FAILURE
     if not Path(args.memory).is_dir():
         sys.stderr.write(f"cpl: {args.memory} is not a directory\n")
         return EXIT_FAILURE
@@ -229,7 +241,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_FAILURE if exc.code not in (0, None) else 0
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _CannotWrite as exc:
+        sys.stderr.write(str(exc))
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ Concrete grammar (ASCII, LL):
     rel       := IDENT (("<" | ">" | "-" | "in") IDENT)+
     qty       := IDENT | NUMBER | IDENT "-" IDENT | NUMBER "-" NUMBER
 
-Identifiers are letters, digits and underscores, starting with a letter.
-``#`` starts a comment that runs to the end of the line.  Relation chains
+Identifiers are ASCII letters, digits and underscores, starting with a
+letter.  Spaces, tabs and carriage returns are blanks.  ``#`` starts a
+comment that runs to the end of the line.  Positions are 1-based lines and
+columns that count characters, so a tab is one column.  Relation chains
 (``A - B < C``) desugar left-associatively into pairwise relations.  Scripts
 may refer to a concept by its declared name or its alias.
 """
@@ -26,6 +28,7 @@ may refer to a concept by its declared name or its alias.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .ast import (
@@ -42,9 +45,6 @@ from .ast import (
 )
 
 KEYWORDS = frozenset({"scene", "entities", "root", "rules", "as", "where", "in"})
-
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,8 @@ class _Abort(Exception):
         self.diagnostic = diagnostic
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+class Token(namedtuple("Token", "kind text line column")):
+    __slots__ = ()
 
     @property
     def span(self) -> Span:
@@ -102,51 +98,44 @@ _PUNCT = {
     ".": "DOT",
 }
 
+# One match per token, after the blanks before it; the group that matched
+# tells its kind.  The end-of-input group takes a comment on the last line
+# with it, so EOF sits where that comment starts.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:"
+    r"(\n)"                      # 1 newline
+    r"|((?:#[^\n]*)?\Z)"         # 2 end of input
+    r"|(#[^\n]*)"                # 3 comment
+    r"|(->|[{}();:,+\-<>^.])"    # 4 punctuation
+    r"|([A-Za-z][A-Za-z0-9_]*)"  # 5 identifier
+    r"|([0-9]+)"                 # 6 number
+    r"|(.))")                    # 7 any other character
+
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    # tuple.__new__ builds a Token in C; calling Token() would run the
+    # namedtuple's Python-level __new__, about a third of each token's cost.
+    new = tuple.__new__
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastindex
+        if group == 1:
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if group == 3:
             continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("->", i):
-            tokens.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            tokens.append(Token("IDENT", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(Token("NUMBER", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise _Abort(Diagnostic("error", f"unexpected character {ch!r}", line, col))
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+        column = m.start(group) - line_start + 1
+        if group == 2:  # always the last match
+            tokens.append(new(Token, ("EOF", "", line, column)))
+            return tokens
+        text = m[group]
+        if group == 7:
+            raise _Abort(Diagnostic(
+                "error", f"unexpected character {text!r}", line, column))
+        kind = _PUNCT.get(text) or ("IDENT" if group == 5 else "NUMBER")
+        tokens.append(new(Token, (kind, text, line, column)))
 
 
 @dataclass(frozen=True)
@@ -172,7 +161,9 @@ class _Parser:
     # token helpers
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # In range: EOF ends the list, advance() never passes it, and
+        # peek(1) is only asked after an IDENT.
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -181,11 +172,13 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             shown = tok.text if tok.kind != "EOF" else "end of input"
             raise _Abort(error(f"expected {what}, found {shown!r}", tok.span))
-        return self.advance()
+        if kind != "EOF":
+            self.pos += 1
+        return tok
 
     def expect_keyword(self, word: str) -> Token:
         tok = self.peek()
@@ -377,7 +370,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return int(tok.text)
+            try:
+                return int(tok.text)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise _Abort(error(
+                    f"number has too many digits ({len(tok.text)})",
+                    tok.span)) from None
         if tok.kind == "IDENT":
             self.advance()
             return tok.text

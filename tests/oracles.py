@@ -6,13 +6,19 @@ recursive acyclicity test as they stood before the traversals moved into
 ``cpl.graph``.  The scene-fact oracles are the grid's clustering over
 linearly scanned counts and the all-pairs reverse-rule scans of the forest
 and the hierarchy, as they stood before those facts were looked up by key.
-They recurse and rescan freely, so use them on small inputs only.
+The tokenizer oracle is the character loop that scanned ``.cpl`` text
+before the one-pass regex tokenizer.  They recurse and rescan freely, so
+use them on small inputs only.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
+
 from cpl.ast import is_reverse_pair
 from cpl.grid import Clustering, FrequencyGrid
+from cpl.parser import _PUNCT, Diagnostic, _Abort
 
 
 def strongly_connected(edges) -> list[list[str]]:
@@ -234,3 +240,64 @@ def repeat_rules(scene) -> set[int]:
                 repeats.add(later.ordinal)
                 break
     return repeats
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_NUMBER_RE = re.compile(r"[0-9]+")
+
+
+def tokenize(source: str) -> list[Token]:
+    """One loop iteration per character; a comment does not advance the
+    column.  Raises ``cpl.parser._Abort`` on a character no token starts
+    with."""
+    tokens: list[Token] = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if source.startswith("->", i):
+            tokens.append(Token("ARROW", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _PUNCT:
+            tokens.append(Token(_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        m = _IDENT_RE.match(source, i)
+        if m:
+            tokens.append(Token("IDENT", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        m = _NUMBER_RE.match(source, i)
+        if m:
+            tokens.append(Token("NUMBER", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        raise _Abort(Diagnostic("error", f"unexpected character {ch!r}", line, col))
+    tokens.append(Token("EOF", "", line, col))
+    return tokens

@@ -122,6 +122,18 @@ def test_out_writes_file(tmp_path, capsys, cooking_path):
     assert target.read_text(encoding="utf-8").startswith(",Pot,")
 
 
+def test_out_unwritable_is_usage_failure(tmp_path, capsys, cooking_path):
+    cases = (
+        ("trees", tmp_path / "missing" / "x", "No such file or directory"),
+        ("grid", tmp_path, "Is a directory"))
+    for cmd, target, reason in cases:
+        code, out, err = run(
+            capsys, cmd, str(cooking_path), "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"cpl: cannot write {target}: {reason}\n"
+
+
 def test_predict_from_memory_dir(capsys, scenes_dir):
     code, out, _ = run(
         capsys, "predict", "--memory", str(scenes_dir / "memory_demo"),
@@ -136,6 +148,16 @@ def test_predict_with_legal(capsys, scenes_dir):
         "--input", "Pot,Water", "--legal", "Egg,Salt", "-k", "2")
     assert code == 0
     assert out == "Egg 2 future\nSalt 2 future\n"
+
+
+def test_predict_k_below_one_is_usage_failure(capsys, scenes_dir):
+    for k in ("0", "-2"):
+        code, out, err = run(
+            capsys, "predict", "--memory", str(scenes_dir / "memory_demo"),
+            "--input", "Pot", "-k", k)
+        assert code == 2
+        assert out == ""
+        assert err == f"cpl: -k must be at least 1, got {k}\n"
 
 
 def test_predict_missing_memory(capsys, tmp_path):

@@ -1,11 +1,26 @@
 import random
+from pathlib import Path
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cpl.ast import Amount, Quantity, RelationKind
-from cpl.parser import format_scene, parse_scene
+from cpl.parser import _Abort, format_scene, parse_scene, tokenize
 
+import oracles
 from genhelpers import make_scene
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
+BUNDLED = [path.read_text(encoding="utf-8")
+           for path in sorted(SCENES.glob("*.cpl"))]
+
+# Pieces of source text: every punctuation mark and "->", comment and line
+# marks, a form feed (not a blank), digits run into letters, and letters
+# outside ASCII (not identifier characters).
+PIECES = [*"{}();:,+-<>^.", "->", "#", "\n", "\r", "\t", "\f", " ", "0",
+          "42", "7x", "a", "Zq_9", "_", "\u00e9", "\u03a9", "scene", "in"]
+SOURCE_TEXT = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=40).map("".join),
+    st.text(max_size=40))
 
 MINI = """
 scene Mini {
@@ -140,6 +155,56 @@ def test_diagnostics_inside_source_bounds():
     for diag in diags(text):
         assert 1 <= diag.line <= len(lines)
         assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1
+
+
+@st.composite
+def mutated_scene(draw):
+    """A bundled scene with up to four slices replaced by pieces."""
+    text = draw(st.sampled_from(BUNDLED))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 12)))
+        text = text[:start] + draw(st.sampled_from(PIECES + [""])) + text[end:]
+    return text
+
+
+@settings(max_examples=200)
+@given(st.one_of(SOURCE_TEXT, mutated_scene()))
+def test_parse_never_raises_and_diagnostics_stay_inside(text):
+    result = parse_scene(text)
+    assert (result.scene is None) == bool(result.diagnostics)
+    lines = text.split("\n")
+    for diag in result.diagnostics:
+        assert 1 <= diag.line <= len(lines)
+        assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1
+
+
+def test_overlong_number_is_a_diagnostic():
+    digits = "9" * 5000  # past the interpreter's int conversion limit
+    text = ("scene S { entities { A; B; C; } rules {"
+            f" A + B.C({digits}) -> A.C.B; }} }}")
+    (diag,) = diags(text)
+    assert diag.message == "number has too many digits (5000)"
+    assert (diag.line, diag.column) == (1, text.index(digits) + 1)
+
+
+def scan(tokenizer, text):
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenizer(text)]
+    except _Abort as abort:
+        return abort.diagnostic
+
+
+@settings(max_examples=300)
+@given(SOURCE_TEXT)
+def test_tokenize_matches_character_loop(text):
+    assert scan(tokenize, text) == scan(oracles.tokenize, text)
+
+
+def test_comment_at_end_keeps_eof_at_its_start():
+    text = "scene S  # no newline"
+    assert scan(tokenize, text)[-1] == ("EOF", "", 1, 10)
+    assert scan(tokenize, text) == scan(oracles.tokenize, text)
 
 
 def test_empty_rules_block_allowed():
