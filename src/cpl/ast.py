@@ -7,7 +7,10 @@ source concept and ends at the effector.  The derivation algebra below turns
 the left-hand side of such a rule into its expected result terms.
 
 Everything here is immutable after construction; source spans are carried
-for diagnostics but excluded from equality.
+for diagnostics but excluded from equality.  A record is a NamedTuple
+unless a field is excluded from equality or derived; only then is it a
+frozen dataclass, whose generated methods make both the import and each
+construction slower.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """1-based source position; length counts characters."""
 
     line: int = 0
@@ -76,8 +79,7 @@ class Relation:
         return f"{self.left.short()} {_SURFACE[self.kind]} {self.right.short()}"
 
 
-@dataclass(frozen=True)
-class Amount:
+class Amount(NamedTuple):
     """A dimensionless amount: a symbol, a number, or a difference a - b."""
 
     first: int | str
@@ -116,8 +118,7 @@ class Quantity:
     span: Span = field(default=_NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """An input chain: source first, measured effector last, length >= 2."""
 
     elements: tuple[ConceptId, ...]
@@ -132,8 +133,7 @@ class Chain:
         return self.elements[-1]
 
 
-@dataclass(frozen=True)
-class ResultTerm:
+class ResultTerm(NamedTuple):
     """A declared result term; ``qtys`` aligns an optional amount with each
     element (the leading element never carries one)."""
 

@@ -10,8 +10,8 @@ sub-concept or containment relations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .ast import (
     Quantity,
@@ -26,16 +26,18 @@ from .graph import strongly_connected
 from .parser import Diagnostic, error
 
 
-@dataclass
 class RelationStore:
     """All relations of a scene merged, with the rules that declared them.
 
     Duplicate declarations across rules are legal and merged silently.
     """
 
-    sub_edges: dict[tuple[str, str], list[Rule]] = field(default_factory=dict)
-    assoc_edges: dict[frozenset[str], list[Rule]] = field(default_factory=dict)
-    contained_edges: dict[tuple[str, str], list[Rule]] = field(default_factory=dict)
+    __slots__ = ("sub_edges", "assoc_edges", "contained_edges")
+
+    def __init__(self) -> None:
+        self.sub_edges: dict[tuple[str, str], list[Rule]] = {}
+        self.assoc_edges: dict[frozenset[str], list[Rule]] = {}
+        self.contained_edges: dict[tuple[str, str], list[Rule]] = {}
 
     @classmethod
     def from_scene(cls, scene: Scene) -> "RelationStore":
@@ -61,8 +63,7 @@ class RelationStore:
         return frozenset((a, b)) in self.assoc_edges
 
 
-@dataclass(frozen=True)
-class Contradiction:
+class Contradiction(NamedTuple):
     """A structured consistency violation; rendered into a Diagnostic."""
 
     kind: str  # "reversed-sub", "sub-vs-assoc", "sub-cycle", "containment-cycle"

@@ -19,28 +19,30 @@ association, and climb back up.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .ast import RelationKind, Rule, Scene, is_reverse_pair
 from .check import RelationStore
 from .graph import reachable, simple_cycles
 
 
-@dataclass(eq=False)
 class Occurrence:
     """One placement of a concept; at most one parent, children in
-    placement order."""
+    placement order.  Occurrences compare by identity."""
 
-    concept: str
-    parent: "Occurrence | None"
-    origin: str
-    contained: bool = False
-    children: list["Occurrence"] = field(default_factory=list)
+    __slots__ = ("concept", "parent", "origin", "contained", "children")
+
+    def __init__(self, concept: str, parent: Occurrence | None, origin: str,
+                 contained: bool = False) -> None:
+        self.concept = concept
+        self.parent = parent
+        self.origin = origin
+        self.contained = contained
+        self.children: list[Occurrence] = []
 
 
-@dataclass
-class OccurrenceForest:
+class OccurrenceForest(NamedTuple):
     roots: list[Occurrence]
     occurrences: dict[str, list[Occurrence]]
     primary: dict[str, Occurrence]
@@ -50,8 +52,7 @@ class OccurrenceForest:
             name for name, occs in self.occurrences.items() if len(occs) > 1))
 
 
-@dataclass(frozen=True)
-class _Edge:
+class _Edge(NamedTuple):
     parent: str
     child: str
     contained: bool
@@ -230,8 +231,7 @@ def nested_notation(forest: OccurrenceForest, sort_children: bool = False) -> st
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class CrossLink:
+class CrossLink(NamedTuple):
     """Two occurrences of one concept under different parents."""
 
     concept: str
@@ -252,8 +252,7 @@ def cross_links(forest: OccurrenceForest) -> tuple[CrossLink, ...]:
     return tuple(links)
 
 
-@dataclass(frozen=True)
-class UniLink:
+class UniLink(NamedTuple):
     """Entry path into a process: a tree descent connected across to
     another occurrence of the same concept, or to the concept's role in a
     cycle."""
@@ -266,8 +265,7 @@ class UniLink:
         return f"{', '.join(self.source_path)} -> {', '.join(self.target_path)}"
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A closed concept walk; the starting concept is not repeated."""
 
     concepts: tuple[str, ...]
@@ -279,8 +277,7 @@ class Cycle:
         return f"{walk}  [{', '.join(self.rules)}]"
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     uni_links: tuple[UniLink, ...]
     cycles: tuple[Cycle, ...]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .ast import Scene
 
@@ -54,8 +55,7 @@ class FrequencyGrid:
         return sum(sum(row) for row in self.counts)
 
 
-@dataclass(frozen=True)
-class Clustering:
+class Clustering(NamedTuple):
     """A partition of the grid concepts plus the cross-cluster count links."""
 
     clusters: tuple[tuple[str, ...], ...]

@@ -16,8 +16,8 @@ follows the ensemble update of its concept pair.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import graph
 from .ast import Rule, Scene, derive_result
@@ -28,8 +28,7 @@ from .grid import FrequencyGrid, build_grid
 from .parser import Diagnostic, error
 
 
-@dataclass(frozen=True)
-class Ensemble:
+class Ensemble(NamedTuple):
     """One node per used concept; pair weights are the grid's counts."""
 
     concepts: tuple[str, ...]
@@ -42,8 +41,7 @@ class Ensemble:
         return self.grid.strength(name)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One construction step; ``kind`` is "ensemble", "node" or "edge"."""
 
     kind: str
@@ -52,8 +50,7 @@ class TraceEvent:
     weight: int = 0
 
 
-@dataclass(frozen=True)
-class Hierarchy:
+class Hierarchy(NamedTuple):
     root: str
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -79,8 +76,7 @@ class Hierarchy:
         return graph.reachable(self._adjacency(), [self.root])
 
 
-@dataclass(frozen=True)
-class HierarchyBuild:
+class HierarchyBuild(NamedTuple):
     hierarchy: Hierarchy
     trace: tuple[TraceEvent, ...]
     diagnostics: tuple[Diagnostic, ...]

@@ -10,8 +10,8 @@ optionally restricted to what is legal in the current situation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 
 class MemoryStore:
@@ -35,15 +35,13 @@ class MemoryStore:
         self._entries[scene_id] = feature_set
 
 
-@dataclass(frozen=True)
-class RankedFeature:
+class RankedFeature(NamedTuple):
     feature: str
     votes: int
     future: bool  # present in memory, absent from the current input
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     ranked: tuple[RankedFeature, ...]
 
 

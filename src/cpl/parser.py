@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     Amount,
@@ -47,8 +47,7 @@ from .ast import (
 KEYWORDS = frozenset({"scene", "entities", "root", "rules", "as", "where", "in"})
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A positioned parser or checker message."""
 
     severity: str  # "error" or "warning"
@@ -138,8 +137,7 @@ def tokenize(source: str) -> list[Token]:
         tokens.append(new(Token, (kind, text, line, column)))
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     """Outcome of a parse: the scene when clean, otherwise the diagnostics."""
 
     scene: Scene | None
@@ -323,22 +321,21 @@ class _Parser:
         return Rule(label, tuple(outputs), tuple(chains), tuple(terms),
                     tuple(relations), ordinal=ordinal, span=start.span)
 
-    def parse_chain(self) -> tuple[tuple[ConceptId, ...], Amount | None, Span]:
-        first_span = self.peek().span
+    def parse_chain(self) -> tuple[tuple[ConceptId, ...], Amount | None, Span | None]:
+        first = self.peek()
         elements = [self.resolve_ident("chain source")]
         while self.peek().kind == "DOT":
             self.advance()
             elements.append(self.resolve_ident("chain element"))
         if len(elements) < 2:
             self.report("a chain needs at least a source and an effector",
-                        first_span)
+                        first.span)
         seen: set[str] = set()
         for concept in elements:
             if concept.name in seen:
-                self.report(f"chain repeats {concept.name!r}", first_span)
+                self.report(f"chain repeats {concept.name!r}", first.span)
             seen.add(concept.name)
-        qty = None
-        qty_span = first_span
+        qty = qty_span = None
         if self.peek().kind == "LPAREN":
             qty_span = self.peek().span
             qty = self.parse_qty()
@@ -409,7 +406,7 @@ class _Parser:
             left = right
 
     def assemble_quantity(self,
-                          raw: tuple[tuple[ConceptId, ...], Amount | None, Span],
+                          raw: tuple[tuple[ConceptId, ...], Amount | None, Span | None],
                           outputs: list[ConceptId],
                           terms: list[ResultTerm]) -> Chain:
         """Join the chain's total with taken/remainder found on result terms.
