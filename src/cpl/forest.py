@@ -19,6 +19,7 @@ association, and climb back up.
 from __future__ import annotations
 
 import json
+from collections import deque
 from itertools import combinations
 from typing import NamedTuple
 
@@ -351,9 +352,9 @@ def _pair_cycles(pair: tuple[Rule, Rule]) -> list[Cycle]:
 def _subtree_occurrences(root: Occurrence) -> dict[str, Occurrence]:
     """First occurrence per concept strictly below ``root``, breadth first."""
     found: dict[str, Occurrence] = {}
-    queue = list(root.children)
+    queue = deque(root.children)
     while queue:
-        occ = queue.pop(0)
+        occ = queue.popleft()
         found.setdefault(occ.concept, occ)
         queue.extend(occ.children)
     return found
@@ -362,6 +363,10 @@ def _subtree_occurrences(root: Occurrence) -> dict[str, Occurrence]:
 def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
     cycles: list[Cycle] = []
     seen: set[tuple[str, ...]] = set()
+    associations = [
+        (rule, rel) for rule in scene.rules for rel in rule.relations
+        if rel.kind is RelationKind.ASSOCIATION
+    ]
     for loop_rule in scene.rules:
         if not loop_rule.self_loop:
             continue
@@ -379,27 +384,24 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
                 node = node.parent
             return names
 
-        for rule in scene.rules:
-            for rel in rule.relations:
-                if rel.kind is not RelationKind.ASSOCIATION:
-                    continue
-                a, b = rel.left.name, rel.right.name
-                if looped in (a, b) or a not in below or b not in below:
-                    continue
-                output_names = {o.name for o in rule.outputs}
-                if b in output_names and a not in output_names:
-                    a, b = b, a
-                elif a not in output_names and b not in output_names:
-                    a, b = sorted((a, b))
-                down = list(reversed(climb(below[a])))
-                up = climb(below[b])
-                walk = tuple([looped] + down + up)
-                if walk in seen:
-                    continue
-                seen.add(walk)
-                cycles.append(Cycle(
-                    walk, "self-loop",
-                    tuple(sorted({loop_rule.cite, rule.cite}))))
+        for rule, rel in associations:
+            a, b = rel.left.name, rel.right.name
+            if looped in (a, b) or a not in below or b not in below:
+                continue
+            output_names = {o.name for o in rule.outputs}
+            if b in output_names and a not in output_names:
+                a, b = b, a
+            elif a not in output_names and b not in output_names:
+                a, b = sorted((a, b))
+            down = list(reversed(climb(below[a])))
+            up = climb(below[b])
+            walk = tuple([looped] + down + up)
+            if walk in seen:
+                continue
+            seen.add(walk)
+            cycles.append(Cycle(
+                walk, "self-loop",
+                tuple(sorted({loop_rule.cite, rule.cite}))))
     return cycles
 
 
@@ -447,6 +449,11 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
     Cycles are admitted only when a reverse rule pair or a self-loop rule
     enables them; the raw rule adjacencies alone do not make a walk a
     process cycle.
+
+    The set of cycles, each taken up to rotation with its kind, does not
+    depend on rule order.  The printed rotation and the cited rules do:
+    when several reverse pairs, or several rules under a self-loop, give
+    the same cycle, the first in scene order is the one reported.
     """
     cycles: list[Cycle] = []
     seen: set[tuple[tuple[str, ...], str]] = set()

@@ -2,57 +2,53 @@
 primary clustering and the residual inter-cluster links.
 
 Counting uses the left-hand side of each rule only: every unordered pair of
-distinct concepts among the outputs and chain elements bumps both mirrored
-cells.  Self-loop rules register their concept but contribute no pairs, so
-the diagonal stays empty.
+distinct concepts among the outputs and chain elements bumps the count both
+ways round.  Self-loop rules register their concept but contribute no pairs,
+so no concept counts with itself.  The grid stores only the nonzero counts,
+as a neighbour map; the dense rows are built on demand for the CSV and JSON
+formats, which print every cell.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
 from .ast import Scene
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Symmetric co-occurrence counts; ``concepts`` keeps first-appearance
-    order over rule left-hand sides."""
+class FrequencyGrid(NamedTuple):
+    """Symmetric co-occurrence counts.  ``concepts`` keeps first-appearance
+    order over rule left-hand sides; ``neighbours`` maps every concept to
+    its nonzero counts toward the other concepts, ``{a: {b: count}}``."""
 
     concepts: tuple[str, ...]
-    counts: tuple[tuple[int, ...], ...]
-    _position: dict[str, int] = field(
-        init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_position", {
-            name: i for i, name in enumerate(self.concepts)})
+    neighbours: dict[str, dict[str, int]]
 
     def count(self, a: str, b: str) -> int:
-        i = self._position.get(a)
-        j = self._position.get(b)
-        if a == b or i is None or j is None:
-            return 0
-        return self.counts[i][j]
+        return self.neighbours.get(a, {}).get(b, 0)
+
+    @property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows in concept order, zeros and diagonal included."""
+        rows = []
+        for a in self.concepts:
+            near = self.neighbours[a]
+            rows.append(tuple(near.get(b, 0) for b in self.concepts))
+        return tuple(rows)
 
     def pair_counts(self) -> dict[frozenset[str], int]:
-        """Nonzero cells as an order-free mapping."""
-        pairs: dict[frozenset[str], int] = {}
-        for i, a in enumerate(self.concepts):
-            for j in range(i + 1, len(self.concepts)):
-                if self.counts[i][j]:
-                    pairs[frozenset((a, self.concepts[j]))] = self.counts[i][j]
-        return pairs
+        """Nonzero counts as an order-free mapping."""
+        return {frozenset((a, b)): count
+                for a, near in self.neighbours.items()
+                for b, count in near.items()}
 
     def strength(self, name: str) -> int:
-        i = self._position.get(name)
-        return 0 if i is None else sum(self.counts[i])
+        return sum(self.neighbours.get(name, {}).values())
 
     def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
+        return sum(sum(near.values()) for near in self.neighbours.values())
 
 
 class Clustering(NamedTuple):
@@ -64,23 +60,18 @@ class Clustering(NamedTuple):
 
 def build_grid(scene: Scene) -> FrequencyGrid:
     """Count LHS co-occurrence for every rule of a (consistent) scene."""
-    order: list[str] = []
-    seen: set[str] = set()
+    neighbours: dict[str, dict[str, int]] = {}
     for rule in scene.rules:
-        for concept in rule.lhs_concepts():
-            if concept.name not in seen:
-                seen.add(concept.name)
-                order.append(concept.name)
-    index = {name: i for i, name in enumerate(order)}
-    matrix = [[0] * len(order) for _ in order]
-    for rule in scene.rules:
+        members = [c.name for c in rule.lhs_concepts()]
+        for name in members:
+            neighbours.setdefault(name, {})
         if rule.self_loop:
             continue
-        members = [c.name for c in rule.lhs_concepts()]
         for a, b in combinations(members, 2):
-            matrix[index[a]][index[b]] += 1
-            matrix[index[b]][index[a]] += 1
-    return FrequencyGrid(tuple(order), tuple(tuple(row) for row in matrix))
+            near_a, near_b = neighbours[a], neighbours[b]
+            near_a[b] = near_a.get(b, 0) + 1
+            near_b[a] = near_b.get(a, 0) + 1
+    return FrequencyGrid(tuple(neighbours), neighbours)
 
 
 def primary_clusters(grid: FrequencyGrid) -> Clustering:
@@ -94,13 +85,8 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
     stronger tie among its own cluster and the still unclustered concepts.
     Whatever is left stays a singleton.
     """
-    names = grid.concepts
-    # Nonzero counts off the diagonal, both levels in concept order.
-    neighbours: dict[str, dict[str, int]] = {
-        a: {b: count for j, (b, count) in enumerate(zip(names, row))
-            if count and i != j}
-        for i, (a, row) in enumerate(zip(names, grid.counts))
-    }
+    names, neighbours = grid.concepts, grid.neighbours
+    position = {name: i for i, name in enumerate(names)}
     best = {name: max(near.values(), default=0)
             for name, near in neighbours.items()}
 
@@ -108,7 +94,7 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
         (a, b)
         for i, a in enumerate(names)
         for b, count in neighbours[a].items()
-        if grid._position[b] > i and count == best[a] == best[b]
+        if position[b] > i and count == best[a] == best[b]
     ]
     mutual.sort(key=lambda pair: (
         -grid.count(*pair),
@@ -177,11 +163,12 @@ def secondary_links(grid: FrequencyGrid,
         for idx, cluster in enumerate(clustering.clusters)
         for name in cluster
     }
-    links = []
-    for pair, count in grid.pair_counts().items():
-        a, b = sorted(pair)
-        if member_cluster[a] != member_cluster[b]:
-            links.append((a, b, count))
+    links = [
+        (a, b, count)
+        for a, near in grid.neighbours.items()
+        for b, count in near.items()
+        if a < b and member_cluster[a] != member_cluster[b]
+    ]
     links.sort(key=lambda link: (-link[2], link[0], link[1]))
     return tuple(links)
 
@@ -196,11 +183,8 @@ def cluster_scene(scene: Scene) -> tuple[FrequencyGrid, Clustering]:
 def to_csv(grid: FrequencyGrid) -> str:
     """Grid as CSV; the diagonal is left empty."""
     lines = ["," + ",".join(grid.concepts)]
-    for i, name in enumerate(grid.concepts):
-        cells = [
-            "" if i == j else str(grid.counts[i][j])
-            for j in range(len(grid.concepts))
-        ]
+    for i, (name, row) in enumerate(zip(grid.concepts, grid.counts)):
+        cells = ["" if i == j else str(count) for j, count in enumerate(row)]
         lines.append(name + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -1,6 +1,15 @@
 import json
+import random
+import tempfile
+from pathlib import Path
 
+from hypothesis import assume, given, strategies as st
+
+from cpl.check import check_all
 from cpl.cli import main
+from cpl.parser import format_scene, parse_scene
+
+from genhelpers import make_scene
 
 
 def run(capsys, *argv):
@@ -64,6 +73,46 @@ def test_grid_json_format_version(capsys, cooking_path):
     assert payload["format_version"] == 1
     assert payload["concepts"][0] == "Pot"
     assert ["Heat", "Pot", 3] in payload["secondary_links"]
+
+
+def assert_grid_json_matches_csv(path: Path, workdir: Path) -> None:
+    """``grid --format json`` holds the same concepts and rows as the CSV,
+    with 0 where the CSV leaves the diagonal blank."""
+    csv_path, json_path = workdir / "grid.csv", workdir / "grid.json"
+    assert main(["grid", str(path), "--out", str(csv_path)]) == 0
+    assert main(["grid", str(path), "--format", "json",
+                 "--out", str(json_path)]) == 0
+    header, *rows = csv_path.read_text(encoding="utf-8").splitlines()
+    payload = json.loads(json_path.read_text(encoding="utf-8"))
+    names = header.removeprefix(",")
+    assert payload["concepts"] == (names.split(",") if names else [])
+    assert len(payload["counts"]) == len(rows)
+    for i, (row, counts) in enumerate(zip(rows, payload["counts"])):
+        label, *cells = row.split(",")
+        assert label == payload["concepts"][i]
+        assert cells[i] == "" and counts[i] == 0
+        assert counts == [int(cell) if cell else 0 for cell in cells]
+
+
+def test_grid_json_rows_match_csv_on_bundled_scenes(scenes_dir, tmp_path):
+    checked = []
+    for path in sorted(scenes_dir.glob("*.cpl")):
+        scene = parse_scene(path.read_text(encoding="utf-8")).scene
+        if scene is None or check_all(scene):
+            continue
+        assert_grid_json_matches_csv(path, tmp_path)
+        checked.append(path.name)
+    assert "cooking.cpl" in checked
+
+
+@given(st.integers(0, 10**9))
+def test_grid_json_rows_match_csv_on_generated_scenes(seed):
+    scene = make_scene(random.Random(seed))
+    assume(not check_all(scene))
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "scene.cpl"
+        path.write_text(format_scene(scene), encoding="utf-8")
+        assert_grid_json_matches_csv(path, Path(workdir))
 
 
 def test_cluster_output(capsys, cooking_path):

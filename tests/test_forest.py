@@ -1,11 +1,13 @@
 import random
 import re
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracles
 from cpl.ast import Scene
+from cpl.check import check_all
 from cpl.forest import (
+    _rotation_key,
     build_forest,
     cross_links,
     extract_cycles,
@@ -163,6 +165,25 @@ def test_cross_links_invariant_under_rule_order(seed):
     before = {(l.concept, l.parents) for l in cross_links(build_forest(scene))}
     after = {(l.concept, l.parents) for l in cross_links(build_forest(shuffled))}
     assert before == after
+
+
+@given(st.sampled_from([make_scene, make_reverse_scene]),
+       st.integers(0, 10**9))
+def test_cycle_set_invariant_under_rule_order(make, seed):
+    """Each cycle up to rotation, with its kind; the printed rotation and
+    the cited rules follow the first rule pair in scene order."""
+    rng = random.Random(seed)
+    scene = make(rng)
+    assume(not check_all(scene))
+    rules = list(scene.rules)
+    rng.shuffle(rules)
+    shuffled = Scene(scene.name, scene.entities, scene.root, tuple(rules))
+
+    def cycle_set(of: Scene) -> set[tuple[tuple[str, ...], str]]:
+        report = extract_cycles(of, build_forest(of))
+        return {(_rotation_key(c.concepts), c.kind) for c in report.cycles}
+
+    assert cycle_set(scene) == cycle_set(shuffled)
 
 
 GOLDEN_UNI_LINKS = {

@@ -1,7 +1,7 @@
 import random
 from itertools import combinations
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from cpl.ast import Scene
@@ -15,7 +15,7 @@ from cpl.grid import (
 )
 from cpl.parser import parse_scene
 
-from genhelpers import make_scene
+from genhelpers import make_reverse_scene, make_scene
 
 # Golden counts for the cooking scene, keyed by full names.
 COOKING_PAIRS = {
@@ -155,6 +155,21 @@ def test_grid_invariant_under_rule_order(seed):
     assert build_grid(scene).pair_counts() == build_grid(shuffled).pair_counts()
 
 
+@given(st.sampled_from([make_scene, make_reverse_scene]),
+       st.integers(0, 10**9))
+def test_clustering_invariant_under_rule_order(make, seed):
+    rng = random.Random(seed)
+    scene = make(rng)
+    rules = list(scene.rules)
+    rng.shuffle(rules)
+    shuffled = Scene(scene.name, scene.entities, scene.root, tuple(rules))
+
+    def partition(of: Scene) -> set[frozenset[str]]:
+        return set(map(frozenset, primary_clusters(build_grid(of)).clusters))
+
+    assert partition(scene) == partition(shuffled)
+
+
 @given(st.integers(0, 10**9))
 def test_clustering_is_a_partition_and_deterministic(seed):
     scene = make_scene(random.Random(seed))
@@ -168,19 +183,33 @@ def test_clustering_is_a_partition_and_deterministic(seed):
 
 @st.composite
 def symmetric_grids(draw, max_concepts=10):
-    """Symmetric grids with an empty diagonal and counts small enough that
-    ties are common."""
+    """Symmetric grids, no concept counting with itself, with counts small
+    enough that ties are common."""
     size = draw(st.integers(0, max_concepts))
     names = draw(st.permutations([f"k{i}" for i in range(size)]))
-    cells = [[0] * size for _ in range(size)]
-    for i, j in combinations(range(size), 2):
-        cells[i][j] = cells[j][i] = draw(st.integers(0, 3))
-    return FrequencyGrid(tuple(names), tuple(tuple(row) for row in cells))
+    neighbours: dict[str, dict[str, int]] = {name: {} for name in names}
+    for a, b in combinations(names, 2):
+        count = draw(st.integers(0, 3))
+        if count:
+            neighbours[a][b] = neighbours[b][a] = count
+    return FrequencyGrid(tuple(names), neighbours)
 
 
 @given(symmetric_grids())
 def test_clustering_matches_linear_scan(grid):
     assert primary_clusters(grid) == oracles.primary_clusters(grid)
+
+
+# A tie-break by concept position in the attach step changes the partition
+# of only about 1 in 300 of these grids, hence the larger example count.
+@settings(max_examples=500)
+@given(symmetric_grids(), st.data())
+def test_clustering_invariant_under_concept_order(grid, data):
+    """Rule order reaches the clustering only through the concept order."""
+    names = data.draw(st.permutations(grid.concepts))
+    reordered = FrequencyGrid(tuple(names), grid.neighbours)
+    assert (set(map(frozenset, primary_clusters(grid).clusters))
+            == set(map(frozenset, primary_clusters(reordered).clusters)))
 
 
 @given(symmetric_grids())

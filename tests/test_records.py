@@ -34,7 +34,8 @@ from cpl.memory import Prediction, RankedFeature
 from cpl.parser import Diagnostic, ParseResult
 
 A, B = ConceptId("Alpha", "A"), ConceptId("Beta")
-GRID = FrequencyGrid(("Alpha", "Beta"), ((0, 2), (2, 0)))
+GRID = FrequencyGrid(("Alpha", "Beta"),
+                     {"Alpha": {"Beta": 2}, "Beta": {"Alpha": 2}})
 HIERARCHY = Hierarchy("Alpha", ("Alpha", "Beta"), (("Alpha", "Beta"),))
 RULE = Rule("r", (A,), (Chain((B, A)),), (ResultTerm((A, A, B)),), ())
 
@@ -101,7 +102,9 @@ def test_spans_and_ordinals_stay_out_of_equality():
 
 def test_grid_builds_from_names_and_cells():
     grid = FrequencyGrid(("Alpha", "Beta", "Gamma"),
-                         ((0, 2, 0), (2, 0, 1), (0, 1, 0)))
+                         {"Alpha": {"Beta": 2},
+                          "Beta": {"Alpha": 2, "Gamma": 1},
+                          "Gamma": {"Beta": 1}})
     assert grid.count("Alpha", "Beta") == 2
     assert grid.count("Gamma", "Alpha") == 0
     assert grid.strength("Beta") == 3
