@@ -209,9 +209,6 @@ class Scene:
     rules: tuple[Rule, ...]
     span: Span = field(default=_NO_SPAN, compare=False, repr=False)
 
-    def by_name(self) -> dict[str, ConceptId]:
-        return {c.name: c for c in self.entities}
-
     def used_concepts(self) -> tuple[ConceptId, ...]:
         """Concepts mentioned by at least one rule, first-appearance order."""
         seen: dict[str, ConceptId] = {}

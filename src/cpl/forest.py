@@ -60,14 +60,29 @@ class _Edge(NamedTuple):
     origin: str
 
 
-def _collect_edges(scene: Scene, store: RelationStore) -> list[_Edge]:
-    edges: list[_Edge] = []
+def _collect_edges(scene: Scene, store: RelationStore
+                   ) -> tuple[dict[tuple[str, str], _Edge],
+                              dict[tuple[str, str], int]]:
+    """Parent/child edges by pair in order of first mention, and the pairs
+    numbered in order of their first non-containment mention.  Such a
+    mention clears the containment flag; the first mention's origin stays."""
+    merged: dict[tuple[str, str], _Edge] = {}
+    free: dict[tuple[str, str], int] = {}
+
+    def add(parent: str, child: str, contained: bool, origin: str) -> None:
+        key = (parent, child)
+        edge = merged.setdefault(key, _Edge(parent, child, contained, origin))
+        if not contained:
+            if edge.contained:
+                merged[key] = edge._replace(contained=False)
+            free.setdefault(key, len(free))
+
     for rule in scene.rules:
         for rel in rule.relations:
             if rel.kind is RelationKind.SUB_CONCEPT:
-                edges.append(_Edge(rel.right.name, rel.left.name, False, rule.cite))
+                add(rel.right.name, rel.left.name, False, rule.cite)
             elif rel.kind is RelationKind.CONTAINED_IN:
-                edges.append(_Edge(rel.right.name, rel.left.name, True, rule.cite))
+                add(rel.right.name, rel.left.name, True, rule.cite)
     for rule in scene.rules:
         if rule.self_loop:
             continue
@@ -85,8 +100,8 @@ def _collect_edges(scene: Scene, store: RelationStore) -> list[_Edge]:
                 if store.has_assoc(output.name, source):
                     continue
                 if output.name != source:
-                    edges.append(_Edge(source, output.name, False, rule.cite))
-    return edges
+                    add(source, output.name, False, rule.cite)
+    return merged, free
 
 
 def build_forest(scene: Scene) -> OccurrenceForest:
@@ -101,21 +116,7 @@ def build_forest(scene: Scene) -> OccurrenceForest:
             {occ.concept: [occ] for occ in roots},
             {occ.concept: occ for occ in roots})
 
-    store = RelationStore.from_scene(scene)
-    raw = _collect_edges(scene, store)
-
-    # Merge duplicate parent/child pairs: position of the first mention wins,
-    # a non-containment mention overrides the containment flag.
-    merged: dict[tuple[str, str], _Edge] = {}
-    noncontained_at: dict[tuple[str, str], int] = {}
-    for idx, edge in enumerate(raw):
-        key = (edge.parent, edge.child)
-        if key not in merged:
-            merged[key] = edge
-        elif merged[key].contained and not edge.contained:
-            merged[key] = _Edge(edge.parent, edge.child, False, merged[key].origin)
-        if not edge.contained and key not in noncontained_at:
-            noncontained_at[key] = idx
+    merged, free = _collect_edges(scene, RelationStore.from_scene(scene))
 
     used = [c.name for c in scene.used_concepts()]
     root_name = scene.root.name if scene.root is not None else None
@@ -141,33 +142,39 @@ def build_forest(scene: Scene) -> OccurrenceForest:
     while unreachable := set(used) - reached:
         name = min(unreachable)
         if root_name is not None:
-            merged.setdefault(
-                (root_name, name), _Edge(root_name, name, False, "root"))
+            merged[root_name, name] = _Edge(root_name, name, False, "root")
+            children.setdefault(root_name, []).append(name)
         else:
             root_names.append(name)
         reached |= reachable(children, [name])
 
-    # Layer concepts outward from the roots; a concept's primary placement is
-    # its first non-containment edge from an already layered parent, keeping
-    # the primary parent chain acyclic by construction.
+    # Layer concepts outward from the roots, one frontier per round; a
+    # concept's primary placement is its first non-containment edge from
+    # the frontier, keeping the primary parent chain acyclic by
+    # construction.  ``at`` is the position of a concept's primary edge and
+    # ``rounds`` the placement round that realizes it: an edge is placed in
+    # its parent's round if it comes after the parent's primary edge, else
+    # one round later, and each round places edges in merged order.
     position = {key: i for i, key in enumerate(merged)}
-    primary_edge: dict[str, tuple[str, str]] = {}
-    layered = set(root_names)
-    while True:
-        additions: dict[str, list[tuple[str, str]]] = {}
-        for key in merged:
-            parent, child = key
-            if parent in layered and child not in layered:
-                additions.setdefault(child, []).append(key)
-        if not additions:
-            break
-        for child, keys in additions.items():
-            ranked = sorted(keys, key=lambda k: (
-                merged[k].contained,
-                noncontained_at.get(k, len(raw) + position[k]),
-                position[k]))
-            primary_edge[child] = ranked[0]
-        layered.update(additions)
+    rounds = dict.fromkeys(root_names, 0)
+    at = dict.fromkeys(root_names, -1)
+    frontier = root_names
+    while frontier:
+        best: dict[str, tuple[tuple[bool, int, int], str]] = {}
+        for parent in frontier:
+            for child in children.get(parent, ()):
+                if child in rounds:
+                    continue
+                key = (parent, child)
+                rank = (merged[key].contained,
+                        free.get(key, len(free) + position[key]),
+                        position[key])
+                if child not in best or rank < best[child][0]:
+                    best[child] = (rank, parent)
+        for child, ((_, _, i), parent) in best.items():
+            rounds[child] = rounds[parent] + (i < at[parent])
+            at[child] = i
+        frontier = list(best)
 
     primary: dict[str, Occurrence] = {}
     occurrences: dict[str, list[Occurrence]] = {n: [] for n in used}
@@ -178,26 +185,17 @@ def build_forest(scene: Scene) -> OccurrenceForest:
         occurrences[name].append(occ)
         roots.append(occ)
 
-    pending = list(merged)
-    while pending:
-        progress = False
-        still: list[tuple[str, str]] = []
-        for key in pending:
-            parent, child = key
-            parent_occ = primary.get(parent)
-            if parent_occ is None:
-                still.append(key)
-                continue
-            edge = merged[key]
-            occ = Occurrence(child, parent_occ, edge.origin, edge.contained)
-            parent_occ.children.append(occ)
-            occurrences.setdefault(child, []).append(occ)
-            if primary_edge.get(child) == key and child not in primary:
-                primary[child] = occ
-            progress = True
-        if not progress:
-            break  # defensive: every layered concept realizes eventually
-        pending = still
+    def placement(item: tuple[int, tuple[str, str]]) -> tuple[int, int]:
+        i, (parent, _) = item
+        return rounds[parent] + (i < at[parent]), i
+
+    for i, (parent, child) in sorted(enumerate(merged), key=placement):
+        edge = merged[parent, child]
+        occ = Occurrence(child, primary[parent], edge.origin, edge.contained)
+        primary[parent].children.append(occ)
+        occurrences.setdefault(child, []).append(occ)
+        if at.get(child) == i:
+            primary[child] = occ
 
     return OccurrenceForest(roots, occurrences, primary)
 
@@ -360,6 +358,16 @@ def _subtree_occurrences(root: Occurrence) -> dict[str, Occurrence]:
     return found
 
 
+def _climb(occ: Occurrence, stop: Occurrence) -> list[str]:
+    """Concepts from ``occ`` up its parents to, not including, ``stop``."""
+    names: list[str] = []
+    node: Occurrence | None = occ
+    while node is not None and node is not stop:
+        names.append(node.concept)
+        node = node.parent
+    return names
+
+
 def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
     cycles: list[Cycle] = []
     seen: set[tuple[str, ...]] = set()
@@ -375,15 +383,6 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
         if anchor is None:
             continue
         below = _subtree_occurrences(anchor)
-
-        def climb(occ: Occurrence) -> list[str]:
-            names = []
-            node: Occurrence | None = occ
-            while node is not None and node is not anchor:
-                names.append(node.concept)
-                node = node.parent
-            return names
-
         for rule, rel in associations:
             a, b = rel.left.name, rel.right.name
             if looped in (a, b) or a not in below or b not in below:
@@ -393,8 +392,8 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
                 a, b = b, a
             elif a not in output_names and b not in output_names:
                 a, b = sorted((a, b))
-            down = list(reversed(climb(below[a])))
-            up = climb(below[b])
+            down = list(reversed(_climb(below[a], anchor)))
+            up = _climb(below[b], anchor)
             walk = tuple([looped] + down + up)
             if walk in seen:
                 continue
@@ -422,25 +421,12 @@ def _tree_base(forest: OccurrenceForest, occ: Occurrence,
 def _source_path(forest: OccurrenceForest, occ: Occurrence,
                  multi: set[str]) -> tuple[str, ...]:
     base = _tree_base(forest, occ, multi)
-    names: list[str] = []
-    node: Occurrence | None = occ
-    while node is not None:
-        names.append(node.concept)
-        if node is base:
-            break
-        node = node.parent
-    return tuple(reversed(names))
+    return tuple(reversed(_climb(occ, base) + [base.concept]))
 
 
 def _target_path(forest: OccurrenceForest, occ: Occurrence,
                  multi: set[str]) -> tuple[str, ...]:
-    base = _tree_base(forest, occ, multi)
-    names: list[str] = []
-    node: Occurrence | None = occ
-    while node is not None and node is not base:
-        names.append(node.concept)
-        node = node.parent
-    return tuple(names) if names else (occ.concept,)
+    return tuple(_climb(occ, _tree_base(forest, occ, multi))) or (occ.concept,)
 
 
 def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:

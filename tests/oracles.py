@@ -7,8 +7,11 @@ recursive acyclicity test as they stood before the traversals moved into
 linearly scanned counts and the all-pairs reverse-rule scans of the forest
 and the hierarchy, as they stood before those facts were looked up by key.
 The tokenizer oracle is the character loop that scanned ``.cpl`` text
-before the one-pass regex tokenizer.  They recurse and rescan freely, so
-use them on small inputs only.
+before the one-pass regex tokenizer.  The forest oracles are
+``build_forest`` and its ``_collect_edges`` as they stood before the forest
+was layered and placed in one walk each: they merge a raw edge list in a
+second loop and rescan every merged edge once per tree level.  They recurse
+and rescan freely, so use them on small inputs only.
 """
 
 from __future__ import annotations
@@ -16,7 +19,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from cpl.ast import is_reverse_pair
+from cpl.ast import RelationKind, Scene, is_reverse_pair
+from cpl.check import RelationStore
+from cpl.forest import Occurrence, OccurrenceForest, _Edge
+from cpl.graph import reachable
 from cpl.grid import Clustering, FrequencyGrid
 from cpl.parser import _PUNCT, Diagnostic, _Abort
 
@@ -301,3 +307,145 @@ def tokenize(source: str) -> list[Token]:
         raise _Abort(Diagnostic("error", f"unexpected character {ch!r}", line, col))
     tokens.append(Token("EOF", "", line, col))
     return tokens
+
+
+def _collect_edges(scene: Scene, store: RelationStore) -> list[_Edge]:
+    edges: list[_Edge] = []
+    for rule in scene.rules:
+        for rel in rule.relations:
+            if rel.kind is RelationKind.SUB_CONCEPT:
+                edges.append(_Edge(rel.right.name, rel.left.name, False, rule.cite))
+            elif rel.kind is RelationKind.CONTAINED_IN:
+                edges.append(_Edge(rel.right.name, rel.left.name, True, rule.cite))
+    for rule in scene.rules:
+        if rule.self_loop:
+            continue
+        placed = {
+            rel.left.name for rel in rule.relations
+            if rel.kind is RelationKind.SUB_CONCEPT
+        }
+        for output in rule.outputs:
+            if output.name in placed:
+                continue
+            for chain in rule.inputs:
+                source, effector = chain.source.name, chain.effector.name
+                if not store.has_sub(effector, source):
+                    continue
+                if store.has_assoc(output.name, source):
+                    continue
+                if output.name != source:
+                    edges.append(_Edge(source, output.name, False, rule.cite))
+    return edges
+
+
+def build_forest(scene: Scene) -> OccurrenceForest:
+    """Nest every used concept of a consistent scene.
+
+    Without rules the declared entities stand alone as roots.
+    """
+    if not scene.rules:
+        roots = [Occurrence(c.name, None, "declared") for c in scene.entities]
+        return OccurrenceForest(
+            roots,
+            {occ.concept: [occ] for occ in roots},
+            {occ.concept: occ for occ in roots})
+
+    store = RelationStore.from_scene(scene)
+    raw = _collect_edges(scene, store)
+
+    # Merge duplicate parent/child pairs: position of the first mention wins,
+    # a non-containment mention overrides the containment flag.
+    merged: dict[tuple[str, str], _Edge] = {}
+    noncontained_at: dict[tuple[str, str], int] = {}
+    for idx, edge in enumerate(raw):
+        key = (edge.parent, edge.child)
+        if key not in merged:
+            merged[key] = edge
+        elif merged[key].contained and not edge.contained:
+            merged[key] = _Edge(edge.parent, edge.child, False, merged[key].origin)
+        if not edge.contained and key not in noncontained_at:
+            noncontained_at[key] = idx
+
+    used = [c.name for c in scene.used_concepts()]
+    root_name = scene.root.name if scene.root is not None else None
+    if root_name is not None and root_name not in used:
+        used.insert(0, root_name)
+
+    with_parent = {child for _, child in merged}
+    if root_name is not None:
+        for name in used:
+            if name != root_name and name not in with_parent:
+                merged.setdefault(
+                    (root_name, name), _Edge(root_name, name, False, "root"))
+        root_names = [root_name]
+    else:
+        root_names = [n for n in used if n not in with_parent]
+
+    # Promote whatever the edges cannot reach (mixed relation cycles have no
+    # entry point); the choice is by name so rule order cannot matter.
+    children: dict[str, list[str]] = {}
+    for parent, child in merged:
+        children.setdefault(parent, []).append(child)
+    reached = reachable(children, root_names)
+    while unreachable := set(used) - reached:
+        name = min(unreachable)
+        if root_name is not None:
+            merged.setdefault(
+                (root_name, name), _Edge(root_name, name, False, "root"))
+        else:
+            root_names.append(name)
+        reached |= reachable(children, [name])
+
+    # Layer concepts outward from the roots; a concept's primary placement is
+    # its first non-containment edge from an already layered parent, keeping
+    # the primary parent chain acyclic by construction.
+    position = {key: i for i, key in enumerate(merged)}
+    primary_edge: dict[str, tuple[str, str]] = {}
+    layered = set(root_names)
+    while True:
+        additions: dict[str, list[tuple[str, str]]] = {}
+        for key in merged:
+            parent, child = key
+            if parent in layered and child not in layered:
+                additions.setdefault(child, []).append(key)
+        if not additions:
+            break
+        for child, keys in additions.items():
+            ranked = sorted(keys, key=lambda k: (
+                merged[k].contained,
+                noncontained_at.get(k, len(raw) + position[k]),
+                position[k]))
+            primary_edge[child] = ranked[0]
+        layered.update(additions)
+
+    primary: dict[str, Occurrence] = {}
+    occurrences: dict[str, list[Occurrence]] = {n: [] for n in used}
+    roots: list[Occurrence] = []
+    for name in root_names:
+        occ = Occurrence(name, None, "root")
+        primary[name] = occ
+        occurrences[name].append(occ)
+        roots.append(occ)
+
+    pending = list(merged)
+    while pending:
+        progress = False
+        still: list[tuple[str, str]] = []
+        for key in pending:
+            parent, child = key
+            parent_occ = primary.get(parent)
+            if parent_occ is None:
+                still.append(key)
+                continue
+            edge = merged[key]
+            occ = Occurrence(child, parent_occ, edge.origin, edge.contained)
+            parent_occ.children.append(occ)
+            occurrences.setdefault(child, []).append(occ)
+            if primary_edge.get(child) == key and child not in primary:
+                primary[child] = occ
+            progress = True
+        if not progress:
+            break  # defensive: every layered concept realizes eventually
+        pending = still
+
+    return OccurrenceForest(roots, occurrences, primary)

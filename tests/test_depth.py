@@ -56,3 +56,25 @@ def test_deep_chain_trees_cli(capsys, tmp_path, flags):
         assert out == f"{chain}, X\n"
     else:
         assert out == f"X, {chain}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--dot"]])
+def test_deep_chain_cycles_cli(capsys, tmp_path, flags):
+    """A self-loop on the top of the chain and an association between its
+    two lowest links close one walk down the whole chain and back up."""
+    names = [f"C{i:05d}" for i in range(DEPTH + 1)]
+    source = deep_chain_source(DEPTH).replace(
+        "C00000 < C00001 < C00002;", "C00000 < C00001 < C00002, C00000 - C00002;"
+    ).replace("  }\n}\n", f"    loop: {names[-1]} -> {names[-1]};\n  }}\n}}\n")
+    path = tmp_path / "deep.cpl"
+    path.write_text(source, encoding="utf-8")
+    assert main(["cycles", str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    walk = names[::-1] + names[2:]
+    if flags == ["--dot"]:
+        assert out.count("color=red") == len(walk) - 1
+        assert "color=blue" not in out
+    else:
+        links, cycles = out.split("cycles:\n")
+        assert cycles == f"  {' -> '.join(walk)}  [loop, r0]\n"
+        assert links.count("\n") == 1 + len(names)

@@ -1,6 +1,9 @@
 import random
 import re
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
@@ -19,6 +22,11 @@ from cpl.forest import (
 from cpl.parser import parse_scene
 
 from genhelpers import make_reverse_scene, make_scene
+from test_depth import deep_chain_scene
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(REPO_ROOT / "perfbench"))
+import scenegen  # noqa: E402
 
 GOLDEN_NOTATION = ("Kitchen(Cupboard(Pot), Cooker(Hob(Heat)), "
                   "Pot(Water, Egg, Heat), Tap(Water))")
@@ -277,3 +285,56 @@ def test_reverse_pairs_match_all_pairs_scan(seed):
     got = [(id(a), id(b)) for a, b in reverse_pairs(scene)]
     want = [(id(a), id(b)) for a, b in oracles.reverse_pairs(scene)]
     assert got == want
+
+
+def forest_facts(forest):
+    """Everything a forest shows: both notations, the DOT text, the roots,
+    and per concept, in order, each occurrence's parent, origin,
+    containment flag, children and whether it is the primary one."""
+    return (
+        nested_notation(forest),
+        nested_notation(forest, sort_children=True),
+        forest_to_dot(forest),
+        [root.concept for root in forest.roots],
+        sorted(forest.primary),
+        [(name, [(occ.parent.concept if occ.parent else None, occ.origin,
+                  occ.contained, [child.concept for child in occ.children],
+                  forest.primary.get(name) is occ)
+                 for occ in occs])
+         for name, occs in forest.occurrences.items()],
+    )
+
+
+def assert_forest_matches_oracle(scene):
+    assert forest_facts(build_forest(scene)) == \
+        forest_facts(oracles.build_forest(scene))
+
+
+def test_forest_matches_oracle_on_bundled_scenes(scenes_dir):
+    compared = 0
+    for path in sorted(scenes_dir.glob("*.cpl")):
+        scene = parse_scene(path.read_text(encoding="utf-8")).scene
+        if scene is not None and not check_all(scene):
+            assert_forest_matches_oracle(scene)
+            compared += 1
+    assert compared >= 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", [(64, 128, 0.10, 0.03), (24, 200, 0.30, 0.05)],
+                         ids=["concept-wide", "rule-dense"])
+def test_forest_matches_oracle_on_workload_scenes(shape, seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        assert_forest_matches_oracle(
+            scene_of(scenegen.generate(rng, *shape).text))
+
+
+@given(st.sampled_from([make_scene, make_reverse_scene]),
+       st.integers(0, 10**9))
+def test_forest_matches_oracle_on_generated_scenes(make, seed):
+    assert_forest_matches_oracle(make(random.Random(seed)))
+
+
+def test_forest_matches_oracle_on_deep_chain():
+    assert_forest_matches_oracle(deep_chain_scene(300))
