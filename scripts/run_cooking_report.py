@@ -11,17 +11,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cpl import (  # noqa: E402
-    build_ensemble,
-    build_forest,
-    build_hierarchy,
-    check_all,
-    cluster_scene,
-    extract_cycles,
-    nested_notation,
-    parse_scene,
-)
-from cpl.grid import to_csv  # noqa: E402
+from cpl.check import check_all  # noqa: E402
+from cpl.forest import (  # noqa: E402
+    build_forest, extract_cycles, nested_notation)
+from cpl.grid import cluster_scene, ordered_clusters, to_csv  # noqa: E402
+from cpl.hierarchy import build_ensemble, build_hierarchy  # noqa: E402
+from cpl.parser import parse_scene  # noqa: E402
 
 
 def main() -> int:
@@ -44,7 +39,7 @@ def main() -> int:
     print("\n== frequency grid ==")
     print(to_csv(freq), end="")
     print("\n== clusters ==")
-    for cluster in sorted(clustering.clusters, key=lambda c: (-len(c), sorted(c)[0])):
+    for cluster in ordered_clusters(clustering.clusters):
         print("  " + ", ".join(sorted(cluster)))
     print("== secondary links ==")
     for a, b, count in clustering.secondary_links:

@@ -28,14 +28,13 @@ def _color_enabled() -> bool:
 _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 
 
-def _emit_diagnostics(path: str, diagnostics, stream=None) -> None:
-    stream = stream if stream is not None else sys.stderr
+def _emit_diagnostics(path: str, diagnostics) -> None:
     use_color = _color_enabled()
     for diag in diagnostics:
         severity = diag.severity
         if use_color:
             severity = f"{_COLORS.get(diag.severity, '')}{diag.severity}\x1b[0m"
-        stream.write(
+        sys.stderr.write(
             f"{path}:{diag.line}:{diag.column}: {severity}: {diag.message}\n")
 
 

@@ -120,25 +120,31 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
             if other not in membership
             or membership[other] == membership.get(target)), default=0)
 
+    # A concept's best non-seeded count and the partners tied at it do not
+    # change while concepts attach; only the partners' gates fall.
+    top: dict[str, int] = {}
+    tied: dict[str, list[str]] = {}
+    for name in names:
+        if name in membership:
+            continue
+        partners = {other: count for other, count in neighbours[name].items()
+                    if other not in seeded}
+        if partners:
+            top[name] = max(partners.values())
+            tied[name] = sorted(other for other, count in partners.items()
+                                if count == top[name])
+    order = sorted(top, key=lambda name: (-top[name], name))
+
     while True:
-        candidates: list[tuple[int, str, str]] = []
-        for name in names:
-            if name in membership:
-                continue
-            partners = [
-                (other, count) for other, count in neighbours[name].items()
-                if other not in seeded
-            ]
-            if not partners:
-                continue
-            top = max(count for _, count in partners)
-            for other, count in partners:
-                if count == top and count >= gate(other):
-                    candidates.append((count, name, other))
-        if not candidates:
+        # The strongest unclustered concept first, then its first partner
+        # by name: the attach with the smallest (-count, name, partner).
+        choice = next((
+            (i, other) for i, name in enumerate(order)
+            if name not in membership
+            for other in tied[name] if top[name] >= gate(other)), None)
+        if choice is None:
             break
-        count, name, other = min(
-            candidates, key=lambda c: (-c[0], c[1], c[2]))
+        name, other = order.pop(choice[0]), choice[1]
         if other in membership:
             membership[name] = membership[other]
             clusters[membership[other]].append(name)

@@ -1,12 +1,13 @@
 """Fully-connected ensemble and the single-node-per-concept hierarchy.
 
-The ensemble holds exactly one node per concept used by the rules, weighted
-by the co-occurrence counts.  The hierarchy is then grown from the rule
-paths, rooted at the strongest (most frequently used) concept: each rule's
-derived path is oriented so its end nearest the root comes first and is
-inserted link by link.  Because every concept keeps a single node, shared
-steps converge and the result is a DAG rather than a tree.  A rule that
-merely reverses an earlier one repeats a process and inserts nothing.
+The ensemble is the frequency grid taken over every concept the rules use:
+one node per concept, weighted by the co-occurrence counts.  The hierarchy
+is then grown from the rule paths, rooted at the strongest (most frequently
+used) concept: each rule's derived path is oriented so its end nearest the
+root comes first and is inserted link by link.  Because every concept
+keeps a single node, shared steps converge and the result is a DAG rather
+than a tree.  A rule that merely reverses an earlier one repeats a process
+and inserts nothing.
 
 Construction is sequential by contract: the trace logs every ensemble
 weight update and hierarchy insertion, and a hierarchy link only ever
@@ -26,19 +27,6 @@ from .ast import is_reverse_pair  # noqa: F401
 from .forest import reverse_pairs
 from .grid import FrequencyGrid, build_grid
 from .parser import Diagnostic, error
-
-
-class Ensemble(NamedTuple):
-    """One node per used concept; pair weights are the grid's counts."""
-
-    concepts: tuple[str, ...]
-    grid: FrequencyGrid
-
-    def weight(self, a: str, b: str) -> int:
-        return self.grid.count(a, b)
-
-    def strength(self, name: str) -> int:
-        return self.grid.strength(name)
 
 
 class TraceEvent(NamedTuple):
@@ -82,13 +70,17 @@ class HierarchyBuild(NamedTuple):
     diagnostics: tuple[Diagnostic, ...]
 
 
-def build_ensemble(scene: Scene) -> Ensemble:
-    """One node per concept a rule mentions, weighted by the grid counts."""
-    return Ensemble(tuple(c.name for c in scene.used_concepts()),
-                    build_grid(scene))
+def build_ensemble(scene: Scene) -> FrequencyGrid:
+    """The grid over every concept a rule mentions, in first-mention order;
+    a concept that co-occurs with none has no counts."""
+    grid = build_grid(scene)
+    concepts = tuple(c.name for c in scene.used_concepts())
+    for name in concepts:
+        grid.neighbours.setdefault(name, {})
+    return FrequencyGrid(concepts, grid.neighbours)
 
 
-def select_root(ensemble: Ensemble) -> str:
+def select_root(ensemble: FrequencyGrid) -> str:
     """The strongest concept anchors the hierarchy; ties break by name."""
     if not ensemble.concepts:
         raise ValueError("cannot select a root from an empty ensemble")
@@ -110,27 +102,23 @@ def _repeat_rules(scene: Scene) -> set[int]:
 
 class _Builder:
     def __init__(self, root: str):
-        self.root = root
-        self.nodes: list[str] = [root]
+        self.depth = {root: 0}  # insertion order is the node order
+        self.children: dict[str, dict[str, None]] = {}
         self.edges: list[tuple[str, str]] = []
-        self.edge_set: set[tuple[str, str]] = set()
-        self.children: dict[str, list[str]] = {}
-        self.depth = {root: 0}
         self.trace: list[TraceEvent] = []
 
-    def add_node(self, name: str, depth: int, cite: str) -> None:
-        self.nodes.append(name)
-        self.depth[name] = depth
-        self.trace.append(TraceEvent("node", cite, (name,)))
-
-    def add_edge(self, parent: str, child: str, cite: str) -> None:
-        if (parent, child) in self.edge_set:
+    def link(self, parent: str, child: str, cite: str) -> None:
+        """Link a known parent to a child, adding the child if it is new."""
+        if child not in self.depth:
+            # A new child has no descendants, so the link closes no cycle.
+            self.depth[child] = self.depth[parent] + 1
+            self.trace.append(TraceEvent("node", cite, (child,)))
+        elif child in self.children.get(parent, ()):
             return
-        if parent in graph.reachable(self.children, [child]):
+        elif parent in graph.reachable(self.children, [child]):
             return  # a link back toward the root would fold the DAG shut
+        self.children.setdefault(parent, {})[child] = None
         self.edges.append((parent, child))
-        self.edge_set.add((parent, child))
-        self.children.setdefault(parent, []).append(child)
         self.trace.append(TraceEvent("edge", cite, (parent, child)))
 
     def insert_path(self, path: tuple[str, ...], cite: str) -> bool:
@@ -146,22 +134,15 @@ class _Builder:
         if tail is not None and (head is None or tail < head):
             path = tuple(reversed(path))
         for a, b in zip(path, path[1:]):
-            a_known = a in self.depth
-            b_known = b in self.depth
-            if a_known and b_known:
-                self.add_edge(a, b, cite)
-            elif a_known:
-                self.add_node(b, self.depth[a] + 1, cite)
-                self.add_edge(a, b, cite)
-            elif b_known:
-                self.add_node(a, self.depth[b] + 1, cite)
-                self.add_edge(b, a, cite)
+            if a in self.depth:
+                self.link(a, b, cite)
+            elif b in self.depth:
+                self.link(b, a, cite)
             # both unknown: skip until the walk reaches known ground
         return True
 
 
-def build_hierarchy(scene: Scene,
-                    ensemble: Ensemble | None = None) -> HierarchyBuild:
+def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
     """Grow the hierarchy from the rule paths in scene order.
 
     Every rule first updates the ensemble weights; insertions follow, so
@@ -169,8 +150,6 @@ def build_hierarchy(scene: Scene,
     whose path shares no concept with the root component stay pending and
     are retried after each insertion; whatever never connects is reported.
     """
-    if ensemble is None:
-        ensemble = build_ensemble(scene)
     root = select_root(ensemble)
     repeats = _repeat_rules(scene)
     builder = _Builder(root)
@@ -180,12 +159,10 @@ def build_hierarchy(scene: Scene,
     def retry_pending() -> None:
         progress = True
         while progress and pending:
-            progress = False
-            for entry in list(pending):
-                rule, path = entry
-                if builder.insert_path(path, rule.cite):
-                    pending.remove(entry)
-                    progress = True
+            still = [(rule, path) for rule, path in pending
+                     if not builder.insert_path(path, rule.cite)]
+            progress = len(still) < len(pending)
+            pending[:] = still
 
     for rule in scene.rules:
         members = [c.name for c in rule.lhs_concepts()]
@@ -210,7 +187,7 @@ def build_hierarchy(scene: Scene,
             f"rules share no concept with the hierarchy rooted at {root!r}: "
             + ", ".join(stranded), first.span))
 
-    hierarchy = Hierarchy(root, tuple(builder.nodes), tuple(builder.edges))
+    hierarchy = Hierarchy(root, tuple(builder.depth), tuple(builder.edges))
     return HierarchyBuild(hierarchy, tuple(builder.trace), tuple(diagnostics))
 
 
@@ -228,7 +205,7 @@ def hierarchy_to_dot(build: HierarchyBuild) -> str:
     return "\n".join(lines) + "\n"
 
 
-def hierarchy_to_json(build: HierarchyBuild, ensemble: Ensemble) -> str:
+def hierarchy_to_json(build: HierarchyBuild, ensemble: FrequencyGrid) -> str:
     payload = {
         "format_version": 1,
         "root": build.hierarchy.root,

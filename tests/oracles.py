@@ -10,21 +10,37 @@ The tokenizer oracle is the character loop that scanned ``.cpl`` text
 before the one-pass regex tokenizer.  The forest oracles are
 ``build_forest`` and its ``_collect_edges`` as they stood before the forest
 was layered and placed in one walk each: they merge a raw edge list in a
-second loop and rescan every merged edge once per tree level.  They recurse
-and rescan freely, so use them on small inputs only.
+second loop and rescan every merged edge once per tree level.  The attach
+oracles are ``primary_clusters`` as it stood before each concept's top
+count and tied partners were worked out once, here ``rescan_clusters``,
+which rebuilds every attach candidate per step, and the hierarchy's
+``_Builder`` and ``build_hierarchy`` as they stood before one ``link``
+replaced ``add_node`` and ``add_edge``: they keep nodes and edges in lists
+beside their index and remove retried paths with ``list.remove``.  The
+ensemble argument lost its default when the ensemble became the grid.
+They recurse and rescan freely, so use them on small inputs only.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 
-from cpl.ast import RelationKind, Scene, is_reverse_pair
+from cpl import graph
+from cpl.ast import RelationKind, Rule, Scene, derive_result, is_reverse_pair
 from cpl.check import RelationStore
 from cpl.forest import Occurrence, OccurrenceForest, _Edge
 from cpl.graph import reachable
 from cpl.grid import Clustering, FrequencyGrid
-from cpl.parser import _PUNCT, Diagnostic, _Abort
+from cpl.hierarchy import (
+    Hierarchy,
+    HierarchyBuild,
+    TraceEvent,
+    _repeat_rules,
+    select_root,
+)
+from cpl.parser import _PUNCT, Diagnostic, _Abort, error
 
 
 def strongly_connected(edges) -> list[list[str]]:
@@ -449,3 +465,186 @@ def build_forest(scene: Scene) -> OccurrenceForest:
         pending = still
 
     return OccurrenceForest(roots, occurrences, primary)
+
+
+def rescan_clusters(grid: FrequencyGrid) -> Clustering:
+    """Greedy clustering by strongest counts.
+
+    Mutual-best pairs seed clusters first, strongest count first; equal
+    pairs competing for a concept are ordered by the smaller combined
+    count-mass to third parties (the more exclusive bond wins), then by
+    name.  Remaining concepts then attach one at a time: a concept may join
+    the cluster of its best non-seeded partner provided that partner has no
+    stronger tie among its own cluster and the still unclustered concepts.
+    Whatever is left stays a singleton.
+    """
+    names, neighbours = grid.concepts, grid.neighbours
+    position = {name: i for i, name in enumerate(names)}
+    best = {name: max(near.values(), default=0)
+            for name, near in neighbours.items()}
+
+    mutual = [
+        (a, b)
+        for i, a in enumerate(names)
+        for b, count in neighbours[a].items()
+        if position[b] > i and count == best[a] == best[b]
+    ]
+    mutual.sort(key=lambda pair: (
+        -grid.count(*pair),
+        grid.strength(pair[0]) + grid.strength(pair[1])
+        - 2 * grid.count(*pair),
+        tuple(sorted(pair))))
+
+    clusters: list[list[str]] = []
+    membership: dict[str, int] = {}
+    seeded: set[str] = set()
+    for a, b in mutual:
+        if a in seeded or b in seeded:
+            continue
+        membership[a] = membership[b] = len(clusters)
+        clusters.append([a, b])
+        seeded.update((a, b))
+
+    def gate(target: str) -> int:
+        """Best count the target holds toward its own cluster or the
+        unclustered concepts."""
+        return max((
+            count for other, count in neighbours[target].items()
+            if other not in membership
+            or membership[other] == membership.get(target)), default=0)
+
+    while True:
+        candidates: list[tuple[int, str, str]] = []
+        for name in names:
+            if name in membership:
+                continue
+            partners = [
+                (other, count) for other, count in neighbours[name].items()
+                if other not in seeded
+            ]
+            if not partners:
+                continue
+            top = max(count for _, count in partners)
+            for other, count in partners:
+                if count == top and count >= gate(other):
+                    candidates.append((count, name, other))
+        if not candidates:
+            break
+        count, name, other = min(
+            candidates, key=lambda c: (-c[0], c[1], c[2]))
+        if other in membership:
+            membership[name] = membership[other]
+            clusters[membership[other]].append(name)
+        else:
+            membership[name] = membership[other] = len(clusters)
+            clusters.append([other, name])
+
+    for name in names:
+        if name not in membership:
+            membership[name] = len(clusters)
+            clusters.append([name])
+
+    return Clustering(tuple(tuple(c) for c in clusters))
+
+
+class _Builder:
+    def __init__(self, root: str):
+        self.root = root
+        self.nodes: list[str] = [root]
+        self.edges: list[tuple[str, str]] = []
+        self.edge_set: set[tuple[str, str]] = set()
+        self.children: dict[str, list[str]] = {}
+        self.depth = {root: 0}
+        self.trace: list[TraceEvent] = []
+
+    def add_node(self, name: str, depth: int, cite: str) -> None:
+        self.nodes.append(name)
+        self.depth[name] = depth
+        self.trace.append(TraceEvent("node", cite, (name,)))
+
+    def add_edge(self, parent: str, child: str, cite: str) -> None:
+        if (parent, child) in self.edge_set:
+            return
+        if parent in graph.reachable(self.children, [child]):
+            return  # a link back toward the root would fold the DAG shut
+        self.edges.append((parent, child))
+        self.edge_set.add((parent, child))
+        self.children.setdefault(parent, []).append(child)
+        self.trace.append(TraceEvent("edge", cite, (parent, child)))
+
+    def insert_path(self, path: tuple[str, ...], cite: str) -> bool:
+        """Insert one derived path, nearest-the-root end first.
+
+        Returns False when no concept of the path exists yet; such paths
+        wait until another rule gives them an anchor.
+        """
+        if not any(name in self.depth for name in path):
+            return False
+        head = self.depth.get(path[0])
+        tail = self.depth.get(path[-1])
+        if tail is not None and (head is None or tail < head):
+            path = tuple(reversed(path))
+        for a, b in zip(path, path[1:]):
+            a_known = a in self.depth
+            b_known = b in self.depth
+            if a_known and b_known:
+                self.add_edge(a, b, cite)
+            elif a_known:
+                self.add_node(b, self.depth[a] + 1, cite)
+                self.add_edge(a, b, cite)
+            elif b_known:
+                self.add_node(a, self.depth[b] + 1, cite)
+                self.add_edge(b, a, cite)
+            # both unknown: skip until the walk reaches known ground
+        return True
+
+
+def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
+    """Grow the hierarchy from the rule paths in scene order.
+
+    Every rule first updates the ensemble weights; insertions follow, so
+    each hierarchy link is preceded by the matching ensemble update.  Rules
+    whose path shares no concept with the root component stay pending and
+    are retried after each insertion; whatever never connects is reported.
+    """
+    root = select_root(ensemble)
+    repeats = _repeat_rules(scene)
+    builder = _Builder(root)
+    running: dict[frozenset[str], int] = {}
+    pending: list[tuple[Rule, tuple[str, ...]]] = []
+
+    def retry_pending() -> None:
+        progress = True
+        while progress and pending:
+            progress = False
+            for entry in list(pending):
+                rule, path = entry
+                if builder.insert_path(path, rule.cite):
+                    pending.remove(entry)
+                    progress = True
+
+    for rule in scene.rules:
+        members = [c.name for c in rule.lhs_concepts()]
+        for a, b in combinations(members, 2):
+            pair = frozenset((a, b))
+            running[pair] = running.get(pair, 0) + 1
+            builder.trace.append(TraceEvent(
+                "ensemble", rule.cite, tuple(sorted(pair)), running[pair]))
+        if rule.self_loop or rule.ordinal in repeats:
+            continue
+        for term in derive_result(rule.outputs, rule.inputs):
+            path = tuple(c.name for c in term)
+            if not builder.insert_path(path, rule.cite):
+                pending.append((rule, path))
+        retry_pending()
+
+    diagnostics: list[Diagnostic] = []
+    if pending:
+        stranded = sorted({rule.cite for rule, _ in pending})
+        first = pending[0][0]
+        diagnostics.append(error(
+            f"rules share no concept with the hierarchy rooted at {root!r}: "
+            + ", ".join(stranded), first.span))
+
+    hierarchy = Hierarchy(root, tuple(builder.nodes), tuple(builder.edges))
+    return HierarchyBuild(hierarchy, tuple(builder.trace), tuple(diagnostics))

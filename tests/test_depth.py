@@ -43,6 +43,22 @@ def test_deep_sub_concept_chain():
     assert len(hierarchy.nodes) == DEPTH + 2
 
 
+def test_deep_chain_cluster_cli(capsys, tmp_path):
+    """Every chain concept shares its rule with the hub ``X``; all but the
+    first three and the last two attach one at a time to one cluster."""
+    path = tmp_path / "deep.cpl"
+    path.write_text(deep_chain_source(DEPTH), encoding="utf-8")
+    assert main(["cluster", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    clusters = [line for line in lines if line.startswith("cluster: ")]
+    links = [line for line in lines if line.startswith("link: ")]
+    assert len(clusters) == 4
+    assert len(links) == DEPTH + 6
+    assert len(lines) == len(clusters) + len(links)
+    assert clusters[0] == "cluster: " + ", ".join(
+        f"C{i:05d}" for i in range(3, DEPTH - 1))
+
+
 @pytest.mark.parametrize("flags", [[], ["--sorted"], ["--dot"]])
 def test_deep_chain_trees_cli(capsys, tmp_path, flags):
     path = tmp_path / "deep.cpl"

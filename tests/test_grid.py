@@ -1,6 +1,9 @@
 import random
+import sys
 from itertools import combinations
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -16,6 +19,10 @@ from cpl.grid import (
 from cpl.parser import parse_scene
 
 from genhelpers import make_reverse_scene, make_scene
+from test_depth import deep_chain_scene
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import scenegen  # noqa: E402
 
 # Golden counts for the cooking scene, keyed by full names.
 COOKING_PAIRS = {
@@ -220,3 +227,58 @@ def test_lookups_match_linear_scan(grid):
             oracles.grid_count(grid, a, b) for b in names)
         for b in names:
             assert grid.count(a, b) == oracles.grid_count(grid, a, b)
+
+
+@st.composite
+def hub_grids(draw, max_concepts=40):
+    """One to three hubs that co-occur with every other concept, and spokes
+    that co-occur only with a few others: the shape where many concepts
+    attach one at a time."""
+    size = draw(st.integers(2, max_concepts))
+    names = draw(st.permutations([f"k{i:02d}" for i in range(size)]))
+    hubs = names[:draw(st.integers(1, min(3, size - 1)))]
+    neighbours: dict[str, dict[str, int]] = {name: {} for name in names}
+
+    def bump(a: str, b: str) -> None:
+        count = draw(st.integers(1, 3))
+        neighbours[a][b] = neighbours[b][a] = count
+
+    for hub in hubs:
+        for other in names:
+            if other != hub and other not in neighbours[hub]:
+                bump(hub, other)
+    for i, a in enumerate(names):
+        for b in names[i + 1:i + 3]:
+            if b not in neighbours[a] and draw(st.booleans()):
+                bump(a, b)
+    return FrequencyGrid(tuple(names), neighbours)
+
+
+@given(hub_grids())
+def test_clustering_matches_attach_rescan_on_hub_grids(grid):
+    assert primary_clusters(grid) == oracles.rescan_clusters(grid)
+
+
+@settings(max_examples=12)
+@given(st.integers(1, 150))
+def test_clustering_matches_attach_rescan_on_deep_chains(half):
+    grid = build_grid(deep_chain_scene(2 * half))
+    assert primary_clusters(grid) == oracles.rescan_clusters(grid)
+
+
+@given(st.sampled_from([make_scene, make_reverse_scene]),
+       st.integers(0, 10**9))
+def test_clustering_matches_attach_rescan_on_generated_scenes(make, seed):
+    grid = build_grid(make(random.Random(seed)))
+    assert primary_clusters(grid) == oracles.rescan_clusters(grid)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", [(64, 128, 0.10, 0.03), (24, 200, 0.30, 0.05)],
+                         ids=["concept-wide", "rule-dense"])
+def test_clustering_matches_attach_rescan_on_workload_scenes(shape, seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        scene = parse_scene(scenegen.generate(rng, *shape).text).scene
+        grid = build_grid(scene)
+        assert primary_clusters(grid) == oracles.rescan_clusters(grid)

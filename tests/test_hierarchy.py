@@ -1,6 +1,8 @@
 import json
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 import oracles
 from cpl.ast import Scene
 from cpl.hierarchy import (
+    TraceEvent,
     _repeat_rules,
     build_ensemble,
     build_hierarchy,
@@ -18,6 +21,9 @@ from cpl.hierarchy import (
 from cpl.parser import parse_scene
 
 from genhelpers import make_reverse_scene, make_scene
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import scenegen  # noqa: E402
 
 GOLDEN_EDGES = {
     ("Pot", "Water"),
@@ -41,9 +47,9 @@ def scene_of(text):
 def test_ensemble_nodes_and_weights(cooking_scene):
     ensemble = build_ensemble(cooking_scene)
     assert len(ensemble.concepts) == 9
-    assert ensemble.weight("Pot", "Heat") == 3
-    assert ensemble.weight("Heat", "Pot") == 3
-    assert ensemble.weight("Pot", "Cooker") == 0
+    assert ensemble.count("Pot", "Heat") == 3
+    assert ensemble.count("Heat", "Pot") == 3
+    assert ensemble.count("Pot", "Cooker") == 0
 
 
 def test_pot_is_strongest(cooking_scene):
@@ -74,7 +80,7 @@ def test_root_tie_breaks_lexicographically():
 
 
 def test_hierarchy_golden_edges(cooking_scene):
-    build = build_hierarchy(cooking_scene)
+    build = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
     assert build.diagnostics == ()
     hierarchy = build.hierarchy
     assert hierarchy.root == "Pot"
@@ -85,13 +91,13 @@ def test_hierarchy_golden_edges(cooking_scene):
 
 
 def test_hierarchy_acyclic_and_reachable(cooking_scene):
-    hierarchy = build_hierarchy(cooking_scene).hierarchy
+    hierarchy = build_hierarchy(cooking_scene, build_ensemble(cooking_scene)).hierarchy
     assert hierarchy.is_acyclic()
     assert hierarchy.reachable_from_root() == set(hierarchy.nodes)
 
 
 def test_periphery_concepts_are_leaves(cooking_scene):
-    hierarchy = build_hierarchy(cooking_scene).hierarchy
+    hierarchy = build_hierarchy(cooking_scene, build_ensemble(cooking_scene)).hierarchy
     for leaf in ("Kitchen", "Tap", "Cooker"):
         assert hierarchy.children(leaf) == ()
 
@@ -99,13 +105,13 @@ def test_periphery_concepts_are_leaves(cooking_scene):
 def test_single_rule_chain_orientation():
     scene = scene_of(
         "scene S { entities { A; B; C; } rules { r1: A + B.C -> A.C.B; } }")
-    build = build_hierarchy(scene)
+    build = build_hierarchy(scene, build_ensemble(scene))
     assert build.hierarchy.root == "A"
     assert build.hierarchy.edges == (("A", "C"), ("C", "B"))
 
 
 def test_trace_orders_ensemble_before_edges(cooking_scene):
-    build = build_hierarchy(cooking_scene)
+    build = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
     seen_pairs = set()
     for event in build.trace:
         if event.kind == "ensemble":
@@ -117,18 +123,18 @@ def test_trace_orders_ensemble_before_edges(cooking_scene):
 
 
 def test_reverse_rule_changes_nothing(cooking_scene):
-    with_reverse = build_hierarchy(cooking_scene)
+    with_reverse = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
     trimmed = Scene(
         cooking_scene.name, cooking_scene.entities, cooking_scene.root,
         tuple(r for r in cooking_scene.rules if r.label != "r7"))
-    without = build_hierarchy(trimmed)
+    without = build_hierarchy(trimmed, build_ensemble(trimmed))
     assert with_reverse.hierarchy.edges == without.hierarchy.edges
     assert with_reverse.hierarchy.nodes == without.hierarchy.nodes
 
 
 def test_deferred_rule_attaches_when_anchor_appears(cooking_scene):
     # the ignition rule precedes any shared concept; its links land later
-    build = build_hierarchy(cooking_scene)
+    build = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
     edges = list(build.hierarchy.edges)
     assert edges.index(("Heat", "Hob")) < edges.index(("Hob", "Cooker"))
     assert ("Hob", "Cooker") in edges
@@ -139,14 +145,14 @@ def test_disconnected_rules_reported():
         "scene S { entities { A; B; C; X; Y; Z; } rules {"
         " r1: A + B.C -> A.C.B;"
         " r2: X + Y.Z -> X.Z.Y; } }")
-    build = build_hierarchy(scene)
+    build = build_hierarchy(scene, build_ensemble(scene))
     assert len(build.diagnostics) == 1
     assert "r2" in build.diagnostics[0].message
 
 
 def test_build_is_deterministic(cooking_scene):
-    first = build_hierarchy(cooking_scene)
-    second = build_hierarchy(cooking_scene)
+    first = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
+    second = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
     assert first.hierarchy == second.hierarchy
     assert first.trace == second.trace
 
@@ -169,7 +175,7 @@ def test_generated_hierarchies_stay_sound(seed):
 
 
 def test_dot_has_root_at_bottom(cooking_scene):
-    build = build_hierarchy(cooking_scene)
+    build = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
     dot = hierarchy_to_dot(build)
     assert "rankdir=BT" in dot
     assert '"Pot" [shape=doubleoctagon]' in dot
@@ -201,3 +207,87 @@ def test_repeat_rules_walk_by_later_position():
         " r3: Q + P.C -> Q.C.P; r4: B + A.C -> B.C.A; } }").rules
     scene = Scene("S", (), None, rules[:3] + (replace(rules[3], ordinal=2),))
     assert _repeat_rules(scene) == oracles.repeat_rules(scene) == {2, 3}
+
+
+def assert_build_matches_oracle(scene):
+    ensemble = build_ensemble(scene)
+    if ensemble.concepts:
+        assert (build_hierarchy(scene, ensemble)
+                == oracles.build_hierarchy(scene, ensemble))
+
+
+def test_build_matches_oracle_on_bundled_scenes(scenes_dir):
+    for path in sorted(scenes_dir.glob("*.cpl")):
+        scene = parse_scene(path.read_text(encoding="utf-8")).scene
+        if scene is not None:
+            assert_build_matches_oracle(scene)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", [(64, 128, 0.10, 0.03), (24, 200, 0.30, 0.05)],
+                         ids=["concept-wide", "rule-dense"])
+def test_build_matches_oracle_on_workload_scenes(shape, seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        assert_build_matches_oracle(
+            scene_of(scenegen.generate(rng, *shape).text))
+
+
+@given(st.sampled_from([make_scene, make_reverse_scene]),
+       st.integers(0, 10**9))
+def test_build_matches_oracle_on_generated_scenes(make, seed):
+    assert_build_matches_oracle(make(random.Random(seed)))
+
+
+def test_cycle_guard_refuses_link_between_known_nodes():
+    # r2's path A, B, C arrives after r1 linked C above B: the link A -> B
+    # joins two known nodes, B -> C would close B -> C -> B.
+    scene = scene_of(
+        "scene S { entities { A; B; C; } rules {"
+        " r1: A + B.C -> A.C.B; r2: A + C.B -> A.B.C; } }")
+    build = build_hierarchy(scene, build_ensemble(scene))
+    assert build.hierarchy.edges == (("A", "C"), ("C", "B"), ("A", "B"))
+    assert build == oracles.build_hierarchy(scene, build_ensemble(scene))
+
+
+def test_pending_path_anchored_by_later_pending_path():
+    # r2 and r3 wait; r4 anchors r3 only, and r3's insertion anchors r2 in
+    # the next round of the same retry.
+    scene = scene_of(
+        "scene S { entities { A; B; C; Q; V; W; X; Y; Z; } rules {"
+        " r1: A + B.C -> A.C.B; r2: X + Y.Z -> X.Z.Y;"
+        " r3: Y + W.V -> Y.V.W; r4: B + W.Q -> B.Q.W; } }")
+    build = build_hierarchy(scene, build_ensemble(scene))
+    assert build.diagnostics == ()
+    assert build.hierarchy.root == "B"
+    cites = [event.rule for event in build.trace if event.kind != "ensemble"]
+    assert cites == ["r1"] * 4 + ["r4"] * 4 + ["r3"] * 4 + ["r2"] * 4
+    assert build == oracles.build_hierarchy(scene, build_ensemble(scene))
+
+
+def test_equal_pending_paths_keep_their_own_place():
+    # rule 2 and rule 4 are equal copies whose path waits for E.  When r5
+    # anchors r3, rule 2's turn passes before r3 places E, so rule 4's copy
+    # places D and K, and rule 2's copy adds C in the next round.  The
+    # oracle's list.remove drops the first equal entry instead, so rule 4's
+    # copy stays pending and is inserted twice.  r6 to r8 only make A the
+    # strongest concept.
+    scene = scene_of(
+        "scene S { entities { R; A; B; C; D; E; F; G; H; K; } rules {"
+        " r1: R + A.B -> R.B.A; C + K.E.D -> C.D.E.K;"
+        " r3: E + F.G -> E.G.F; C + K.E.D -> C.D.E.K;"
+        " r5: A + F.H -> A.H.F; r6: R + A.B -> R.B.A;"
+        " r7: R + A.B -> R.B.A; r8: R + A.B -> R.B.A; } }")
+    ensemble = build_ensemble(scene)
+    build = build_hierarchy(scene, ensemble)
+    oracle = oracles.build_hierarchy(scene, ensemble)
+    assert build.hierarchy == oracle.hierarchy
+    assert build.hierarchy.root == "A"
+    steps = [event for event in build.trace if event.kind != "ensemble"]
+    oracle_steps = [event for event in oracle.trace
+                    if event.kind != "ensemble"]
+    assert steps[-2:] == [TraceEvent("node", "rule 2", ("C",)),
+                          TraceEvent("edge", "rule 2", ("D", "C"))]
+    assert oracle_steps[-2:] == [TraceEvent("node", "rule 4", ("C",)),
+                                 TraceEvent("edge", "rule 4", ("D", "C"))]
+    assert steps[:-2] == oracle_steps[:-2]

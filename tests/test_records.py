@@ -29,7 +29,7 @@ from cpl.forest import (
     _Edge,
 )
 from cpl.grid import Clustering, FrequencyGrid
-from cpl.hierarchy import Ensemble, Hierarchy, HierarchyBuild, TraceEvent
+from cpl.hierarchy import Hierarchy, HierarchyBuild, TraceEvent
 from cpl.memory import Prediction, RankedFeature
 from cpl.parser import Diagnostic, ParseResult
 
@@ -54,7 +54,6 @@ RECORDS = [
     Cycle(("Alpha", "Beta"), "reverse-pair", ("r",)),
     CycleReport((), ()),
     OccurrenceForest([], {}, {}),
-    Ensemble(("Alpha", "Beta"), GRID),
     TraceEvent("edge", "r", ("Alpha", "Beta")),
     HIERARCHY,
     HierarchyBuild(HIERARCHY, (), ()),

@@ -21,7 +21,7 @@ from cpl.ast import ConceptId, Scene
 from cpl.check import check_all
 from cpl.forest import build_forest, extract_cycles, nested_notation
 from cpl.grid import cluster_scene, to_csv
-from cpl.hierarchy import build_hierarchy
+from cpl.hierarchy import build_ensemble, build_hierarchy
 from cpl.parser import KEYWORDS, format_scene, parse_scene
 
 from genhelpers import make_scene
@@ -92,7 +92,7 @@ def derived(text: str) -> dict:
         uni_links=[link.render() for link in report.uni_links],
         cycles=[cycle.render() for cycle in report.cycles])
     if scene.rules:
-        hierarchy = build_hierarchy(scene).hierarchy
+        hierarchy = build_hierarchy(scene, build_ensemble(scene)).hierarchy
         out["hierarchy"] = (hierarchy.root, hierarchy.edges)
     return out
 
