@@ -7,18 +7,34 @@ source concept and ends at the effector.  The derivation algebra below turns
 the left-hand side of such a rule into its expected result terms.
 
 Everything here is immutable after construction; source spans are carried
-for diagnostics but excluded from equality.  A record is a NamedTuple
-unless a field is excluded from equality or derived; only then is it a
-frozen dataclass, whose generated methods make both the import and each
-construction slower.
+for diagnostics but excluded from equality.  Every record is a NamedTuple.
+Fields left out of equality (spans, rule ordinals) come last, and the
+record compares and hashes only the fields before them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
+
+
+def _compared_first(n: int):
+    """``__eq__``, ``__ne__`` and ``__hash__`` over a record's first ``n``
+    fields.  A record equals only a record of its own type, never a plain
+    tuple; ``__ne__`` is overridden too, or ``tuple.__ne__`` would compare
+    the trailing fields."""
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self[:n] == other[:n]
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not type(self) or self[:n] != other[:n]
+
+    def __hash__(self) -> int:
+        return hash(self[:n])
+
+    return __eq__, __ne__, __hash__
 
 
 class Span(NamedTuple):
@@ -32,13 +48,14 @@ class Span(NamedTuple):
 _NO_SPAN = Span()
 
 
-@dataclass(frozen=True)
-class ConceptId:
+class ConceptId(NamedTuple):
     """A declared concept: full name plus an optional short alias."""
 
     name: str
     abbrev: str | None = None
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+    span: Span = _NO_SPAN
+
+    __eq__, __ne__, __hash__ = _compared_first(2)
 
     def short(self) -> str:
         return self.abbrev or self.name
@@ -57,8 +74,7 @@ _SURFACE = {
 }
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """A normalized binary relation between two distinct concepts.
 
     SUB_CONCEPT(x, y) nests x inside y.  ASSOCIATION(x, y) relates the two
@@ -70,7 +86,9 @@ class Relation:
     kind: RelationKind
     left: ConceptId
     right: ConceptId
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+    span: Span = _NO_SPAN
+
+    __eq__, __ne__, __hash__ = _compared_first(3)
 
     def pair(self) -> frozenset[str]:
         return frozenset((self.left.name, self.right.name))
@@ -101,8 +119,7 @@ class Amount(NamedTuple):
         return f"{self.first}-{self.second}"
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(NamedTuple):
     """Amount bookkeeping on a chain effector.
 
     ``total`` is the annotated amount available at the source, ``taken`` the
@@ -115,7 +132,9 @@ class Quantity:
     total: Amount | None = None
     taken: Amount | None = None
     remainder: Amount | None = None
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+    span: Span = _NO_SPAN
+
+    __eq__, __ne__, __hash__ = _compared_first(3)
 
 
 class Chain(NamedTuple):
@@ -154,8 +173,7 @@ class ResultTerm(NamedTuple):
         return ".".join(parts)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One scene statement.
 
     Self-loop rules (``P -> P``) have a single output and nothing else.
@@ -169,8 +187,10 @@ class Rule:
     declared_results: tuple[ResultTerm, ...]
     relations: tuple[Relation, ...]
     self_loop: bool = False
-    ordinal: int = field(default=0, compare=False)
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+    ordinal: int = 0
+    span: Span = _NO_SPAN
+
+    __eq__, __ne__, __hash__ = _compared_first(6)
 
     @property
     def cite(self) -> str:
@@ -198,8 +218,7 @@ class Rule:
         return tuple(seen.values())
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     """A named rule set over declared concepts, optionally rooted in an
     outermost container concept."""
 
@@ -207,7 +226,9 @@ class Scene:
     entities: tuple[ConceptId, ...]
     root: ConceptId | None
     rules: tuple[Rule, ...]
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+    span: Span = _NO_SPAN
+
+    __eq__, __ne__, __hash__ = _compared_first(4)
 
     def used_concepts(self) -> tuple[ConceptId, ...]:
         """Concepts mentioned by at least one rule, first-appearance order."""

@@ -5,8 +5,8 @@ Counting uses the left-hand side of each rule only: every unordered pair of
 distinct concepts among the outputs and chain elements bumps the count both
 ways round.  Self-loop rules register their concept but contribute no pairs,
 so no concept counts with itself.  The grid stores only the nonzero counts,
-as a neighbour map; the dense rows are built on demand for the CSV and JSON
-formats, which print every cell.
+as a neighbour map.  The CSV format reads that map directly; the JSON
+format builds the dense rows on demand.  Both print every cell.
 """
 
 from __future__ import annotations
@@ -188,9 +188,12 @@ def cluster_scene(scene: Scene) -> tuple[FrequencyGrid, Clustering]:
 
 def to_csv(grid: FrequencyGrid) -> str:
     """Grid as CSV; the diagonal is left empty."""
-    lines = ["," + ",".join(grid.concepts)]
-    for i, (name, row) in enumerate(zip(grid.concepts, grid.counts)):
-        cells = ["" if i == j else str(count) for j, count in enumerate(row)]
+    names = grid.concepts
+    lines = ["," + ",".join(names)]
+    for i, name in enumerate(names):
+        near = grid.neighbours[name]
+        cells = [str(near[b]) if b in near else "0" for b in names]
+        cells[i] = ""
         lines.append(name + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from cpl.ast import (
     Amount,
@@ -145,8 +144,8 @@ def make_reverse_scene(rng: random.Random) -> Scene:
             copy = rng.choice(rules)
             if rng.random() < 0.5:
                 ordinal += 1
-                copy = replace(copy, ordinal=ordinal)
-            rules.append(replace(copy))
+                copy = copy._replace(ordinal=ordinal)
+            rules.append(copy._replace())
     rng.shuffle(rules)
     return Scene(scene.name, scene.entities, scene.root, tuple(rules))
 

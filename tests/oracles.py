@@ -18,6 +18,8 @@ which rebuilds every attach candidate per step, and the hierarchy's
 replaced ``add_node`` and ``add_edge``: they keep nodes and edges in lists
 beside their index and remove retried paths with ``list.remove``.  The
 ensemble argument lost its default when the ensemble became the grid.
+``to_csv`` is the grid's CSV format as it stood before it read the
+neighbour map directly: it formats every cell of the dense rows.
 They recurse and rescan freely, so use them on small inputs only.
 """
 
@@ -139,6 +141,15 @@ def grid_count(grid, a: str, b: str) -> int:
     if a == b or a not in grid.concepts or b not in grid.concepts:
         return 0
     return grid.counts[grid.concepts.index(a)][grid.concepts.index(b)]
+
+
+def to_csv(grid: FrequencyGrid) -> str:
+    """``grid.to_csv`` over the dense rows of ``grid.counts``."""
+    lines = ["," + ",".join(grid.concepts)]
+    for i, (name, row) in enumerate(zip(grid.concepts, grid.counts)):
+        cells = ["" if i == j else str(count) for j, count in enumerate(row)]
+        lines.append(name + "," + ",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def _outside_mass(grid: FrequencyGrid, pair: tuple[str, str]) -> int:

@@ -282,3 +282,33 @@ def test_clustering_matches_attach_rescan_on_workload_scenes(shape, seed):
         scene = parse_scene(scenegen.generate(rng, *shape).text).scene
         grid = build_grid(scene)
         assert primary_clusters(grid) == oracles.rescan_clusters(grid)
+
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
+BUNDLED = [path for path in sorted(SCENES.glob("*.cpl"))
+           if parse_scene(path.read_text(encoding="utf-8")).ok]
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.stem)
+def test_csv_matches_dense_rows_on_bundled_scenes(path):
+    grid = build_grid(parse_scene(path.read_text(encoding="utf-8")).scene)
+    assert to_csv(grid) == oracles.to_csv(grid)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", [(64, 128, 0.10, 0.03), (24, 200, 0.30, 0.05)],
+                         ids=["concept-wide", "rule-dense"])
+def test_csv_matches_dense_rows_on_workload_scenes(shape, seed):
+    scene = parse_scene(scenegen.generate(random.Random(seed), *shape).text).scene
+    grid = build_grid(scene)
+    assert to_csv(grid) == oracles.to_csv(grid)
+
+
+@given(hub_grids())
+def test_csv_matches_dense_rows_on_hub_grids(grid):
+    assert to_csv(grid) == oracles.to_csv(grid)
+
+
+def test_csv_matches_dense_rows_on_a_deep_chain():
+    grid = build_grid(deep_chain_scene(300))
+    assert to_csv(grid) == oracles.to_csv(grid)

@@ -1,7 +1,6 @@
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -205,7 +204,7 @@ def test_repeat_rules_walk_by_later_position():
         "scene S { entities { A; B; C; P; Q; } rules {"
         " r1: A + B.C -> A.C.B; r2: P + Q.C -> P.C.Q;"
         " r3: Q + P.C -> Q.C.P; r4: B + A.C -> B.C.A; } }").rules
-    scene = Scene("S", (), None, rules[:3] + (replace(rules[3], ordinal=2),))
+    scene = Scene("S", (), None, rules[:3] + (rules[3]._replace(ordinal=2),))
     assert _repeat_rules(scene) == oracles.repeat_rules(scene) == {2, 3}
 
 

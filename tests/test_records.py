@@ -1,9 +1,13 @@
-"""The record types' contract: every record is immutable, spans and
-ordinals stay out of equality, and the grid builds from two arguments."""
+"""The record types' contract: every record is an immutable NamedTuple,
+spans and ordinals stay out of equality, and the grid builds from two
+arguments."""
 
 from __future__ import annotations
 
-import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,16 +72,10 @@ RECORDS = [
 ]
 
 
-def _field_names(record) -> list[str]:
-    if dataclasses.is_dataclass(record):
-        return [f.name for f in dataclasses.fields(record)]
-    return list(type(record)._fields)
-
-
 @pytest.mark.parametrize("record", RECORDS,
                          ids=[type(r).__name__ for r in RECORDS])
 def test_record_fields_cannot_be_assigned(record):
-    for name in _field_names(record):
+    for name in type(record)._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
 
@@ -89,8 +87,8 @@ def test_spans_and_ordinals_stay_out_of_equality():
         (Relation(RelationKind.ASSOCIATION, A, B, here),
          Relation(RelationKind.ASSOCIATION, A, B, there)),
         (Quantity(Amount(1), span=here), Quantity(Amount(1), span=there)),
-        (dataclasses.replace(RULE, ordinal=1, span=here),
-         dataclasses.replace(RULE, ordinal=2, span=there)),
+        (RULE._replace(ordinal=1, span=here),
+         RULE._replace(ordinal=2, span=there)),
         (Scene("S", (A,), None, (RULE,), here),
          Scene("S", (A,), None, (RULE,), there)),
     ]
@@ -107,3 +105,84 @@ def test_grid_builds_from_names_and_cells():
     assert grid.count("Alpha", "Beta") == 2
     assert grid.count("Gamma", "Alpha") == 0
     assert grid.strength("Beta") == 3
+
+
+HERE, THERE = Span(1, 1, 5), Span(7, 3, 2)
+
+# The records with equality-blind fields, each beside a different value for
+# every compared field, in field order.
+COMPARED = [
+    (ConceptId("Alpha", "A", HERE), {"name": "Gamma", "abbrev": None}),
+    (Relation(RelationKind.ASSOCIATION, A, B, HERE),
+     {"kind": RelationKind.SUB_CONCEPT, "left": ConceptId("Gamma"),
+      "right": ConceptId("Gamma")}),
+    (Quantity(Amount(2), Amount(1), Amount(1), HERE),
+     {"total": Amount(3), "taken": None, "remainder": Amount(2)}),
+    (RULE._replace(ordinal=1, span=HERE),
+     {"label": None, "outputs": (B,), "inputs": (Chain((A, B)),),
+      "declared_results": (),
+      "relations": (Relation(RelationKind.SUB_CONCEPT, A, B),),
+      "self_loop": True}),
+    (Scene("S", (A,), None, (RULE,), HERE),
+     {"name": "T", "entities": (A, B), "root": A, "rules": ()}),
+]
+COMPARED_IDS = [type(record).__name__ for record, _ in COMPARED]
+
+
+def _blind_fields(record) -> dict:
+    """New values for every field the record leaves out of equality."""
+    return {"span": THERE, **({"ordinal": 2} if type(record) is Rule else {})}
+
+
+@pytest.mark.parametrize("record,changes", COMPARED, ids=COMPARED_IDS)
+def test_equality_blind_fields_come_last(record, changes):
+    fields = type(record)._fields
+    assert fields[:len(changes)] == tuple(changes)
+    assert set(fields[len(changes):]) == set(_blind_fields(record))
+
+
+@pytest.mark.parametrize("record,changes", COMPARED, ids=COMPARED_IDS)
+def test_blind_fields_never_make_records_unequal(record, changes):
+    other = record._replace(**_blind_fields(record))
+    assert other[len(changes):] != record[len(changes):]
+    assert record == other and other == record
+    assert not record != other and not other != record
+    assert hash(record) == hash(other)
+
+
+@pytest.mark.parametrize("record,changes", COMPARED, ids=COMPARED_IDS)
+def test_every_compared_field_makes_records_unequal(record, changes):
+    for name, value in changes.items():
+        changed = record._replace(**{name: value})
+        assert getattr(changed, name) != getattr(record, name)
+        assert changed != record and record != changed, name
+        assert not changed == record and not record == changed, name
+
+
+@pytest.mark.parametrize("record,changes", COMPARED, ids=COMPARED_IDS)
+def test_hash_is_the_compared_fields_hash(record, changes):
+    assert hash(record) == hash(tuple(getattr(record, name)
+                                      for name in changes))
+
+
+@pytest.mark.parametrize("record,changes", COMPARED, ids=COMPARED_IDS)
+def test_records_never_equal_tuples_or_other_records(record, changes):
+    others = [tuple(record), tuple(record)[:len(changes)]]
+    others += [other for other, _ in COMPARED if type(other) is not type(record)]
+    for other in others:
+        assert record != other and other != record
+        assert not record == other and not other == record
+
+
+def test_importing_the_cli_skips_dataclasses_and_inspect():
+    code = ("import sys; before = set(sys.modules); import cpl.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    imported = done.stdout.split()
+    assert "cpl.cli" in imported
+    assert "dataclasses" not in imported
+    assert "inspect" not in imported

@@ -9,7 +9,6 @@ as they are.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import string
 from pathlib import Path
@@ -54,27 +53,26 @@ def fresh_aliases(scene: Scene, rng: random.Random) -> dict[str, str]:
 
 def rename(scene: Scene, renames: dict[str, str]) -> Scene:
     def concept(c: ConceptId) -> ConceptId:
-        return dataclasses.replace(c, abbrev=renames.get(c.abbrev))
+        return c._replace(abbrev=renames.get(c.abbrev))
 
     def concepts(cs):
         return tuple(concept(c) for c in cs)
 
     rules = tuple(
-        dataclasses.replace(
-            rule,
+        rule._replace(
             outputs=concepts(rule.outputs),
             inputs=tuple(ch._replace(elements=concepts(ch.elements))
                          for ch in rule.inputs),
             declared_results=tuple(t._replace(concepts=concepts(t.concepts))
                                    for t in rule.declared_results),
             relations=tuple(
-                dataclasses.replace(rel, left=concept(rel.left),
-                                    right=concept(rel.right))
+                rel._replace(left=concept(rel.left),
+                             right=concept(rel.right))
                 for rel in rule.relations))
         for rule in scene.rules)
     root = concept(scene.root) if scene.root is not None else None
-    return dataclasses.replace(scene, entities=concepts(scene.entities),
-                               root=root, rules=rules)
+    return scene._replace(entities=concepts(scene.entities),
+                          root=root, rules=rules)
 
 
 def derived(text: str) -> dict:
