@@ -183,6 +183,55 @@ def test_out_unwritable_is_usage_failure(tmp_path, capsys, cooking_path):
         assert err == f"cpl: cannot write {target}: {reason}\n"
 
 
+SCENE_COMMANDS = ("grid", "cluster", "trees", "cycles", "hierarchy")
+REVERSED_NESTING = ("error: 'Cupboard < Kitchen' (r1) contradicts "
+                    "'Kitchen < Cupboard' (r9)")
+
+
+def test_scene_commands_exit_on_unusable_scenes(capsys, scenes_dir):
+    missing = scenes_dir / "does_not_exist.cpl"
+    rejected = scenes_dir / "first_attempt.cpl"
+    inconsistent = scenes_dir / "inconsistent.cpl"
+    cases = (
+        (missing, 2, f"cpl: cannot read {missing}: No such file or directory\n"),
+        (rejected, 2,
+         f"{rejected}:11:16: error: expected entity name, found '('\n"),
+        (inconsistent, 1, f"{inconsistent}:25:5: {REVERSED_NESTING}\n"))
+    for cmd in SCENE_COMMANDS:
+        for path, code, err in cases:
+            assert run(capsys, cmd, str(path)) == (code, "", err), cmd
+
+
+def test_hierarchy_diagnostics_exit_1(capsys, tmp_path):
+    cases = (
+        ("empty", "scene E {\n  entities { A; }\n  rules { }\n}\n",
+         "1:1: error: cannot select a root from an empty ensemble"),
+        ("disjoint",
+         "scene T {\n  entities { A; B; C; D; E; F; }\n  rules {\n"
+         "    r1: A + B.C -> A.C.B;\n    r2: D + E.F -> D.F.E;\n  }\n}\n",
+         "5:5: error: rules share no concept with the hierarchy rooted at "
+         "'A': r2"))
+    for name, source, message in cases:
+        path = tmp_path / f"{name}.cpl"
+        path.write_text(source, encoding="utf-8")
+        assert run(capsys, "hierarchy", str(path)) == (
+            1, "", f"{path}:{message}\n")
+
+
+def test_check_out_keeps_diagnostics_and_exit_code(tmp_path, capsys,
+                                                   scenes_dir):
+    path = scenes_dir / "inconsistent.cpl"
+    diagnostics = f"{path}:25:5: {REVERSED_NESTING}\n"
+    target = tmp_path / "count.txt"
+    assert run(capsys, "check", str(path), "--out", str(target)) == (
+        1, "", diagnostics)
+    assert target.read_text(encoding="utf-8") == "1 error\n"
+    missing = tmp_path / "missing" / "x"
+    assert run(capsys, "check", str(path), "--out", str(missing)) == (
+        2, "", diagnostics
+        + f"cpl: cannot write {missing}: No such file or directory\n")
+
+
 def test_predict_from_memory_dir(capsys, scenes_dir):
     code, out, _ = run(
         capsys, "predict", "--memory", str(scenes_dir / "memory_demo"),
