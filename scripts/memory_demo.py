@@ -3,6 +3,9 @@
 legality constraint.
 
 Usage: python scripts/memory_demo.py [memory_dir]
+
+Without ``memory_dir`` the scenes go to a temporary directory that is
+removed before the script exits.
 """
 
 from __future__ import annotations
@@ -23,16 +26,11 @@ SCENES = {
 }
 
 
-def main() -> int:
-    if len(sys.argv) > 1:
-        directory = Path(sys.argv[1])
-        directory.mkdir(parents=True, exist_ok=True)
-    else:
-        directory = Path(tempfile.mkdtemp(prefix="cpl-memory-"))
+def demo(directory: Path) -> None:
     for scene_id, features in SCENES.items():
         save_scene(directory, scene_id, features)
     store = load_memory_dir(directory)
-    print(f"stored {len(store)} scenes in {directory}")
+    print(f"stored {len(store)} scenes")
 
     inputs = ["Pot", "Water"]
     votes = cross_reference(store, inputs)
@@ -50,6 +48,16 @@ def main() -> int:
     print(f"predictions constrained to {sorted(legal)}:")
     for item in constrained.ranked:
         print(f"  {item.feature} ({item.votes} votes)")
+
+
+def main() -> int:
+    if len(sys.argv) > 1:
+        directory = Path(sys.argv[1])
+        directory.mkdir(parents=True, exist_ok=True)
+        demo(directory)
+    else:
+        with tempfile.TemporaryDirectory(prefix="cpl-memory-") as directory:
+            demo(Path(directory))
     return 0
 
 

@@ -61,6 +61,14 @@ class ConceptId(NamedTuple):
         return self.abbrev or self.name
 
 
+def _first_by_name(concepts) -> tuple[ConceptId, ...]:
+    """The first concept seen under each name, in first-appearance order."""
+    seen: dict[str, ConceptId] = {}
+    for concept in concepts:
+        seen.setdefault(concept.name, concept)
+    return tuple(seen.values())
+
+
 class RelationKind(Enum):
     SUB_CONCEPT = "sub_concept"
     ASSOCIATION = "association"
@@ -199,23 +207,15 @@ class Rule(NamedTuple):
 
     def lhs_concepts(self) -> tuple[ConceptId, ...]:
         """Distinct left-hand-side concepts, first-appearance order."""
-        seen: dict[str, ConceptId] = {}
-        for concept in itertools.chain(self.outputs, *(ch.elements for ch in self.inputs)):
-            seen.setdefault(concept.name, concept)
-        return tuple(seen.values())
+        return _first_by_name(itertools.chain(
+            self.outputs, *(ch.elements for ch in self.inputs)))
 
     def mentioned_concepts(self) -> tuple[ConceptId, ...]:
         """Every concept the rule touches anywhere, first-appearance order."""
-        seen: dict[str, ConceptId] = {}
-        for concept in self.lhs_concepts():
-            seen.setdefault(concept.name, concept)
-        for term in self.declared_results:
-            for concept in term.concepts:
-                seen.setdefault(concept.name, concept)
-        for rel in self.relations:
-            seen.setdefault(rel.left.name, rel.left)
-            seen.setdefault(rel.right.name, rel.right)
-        return tuple(seen.values())
+        return _first_by_name(itertools.chain(
+            self.outputs, *(ch.elements for ch in self.inputs),
+            *(term.concepts for term in self.declared_results),
+            *((rel.left, rel.right) for rel in self.relations)))
 
 
 class Scene(NamedTuple):
@@ -232,11 +232,8 @@ class Scene(NamedTuple):
 
     def used_concepts(self) -> tuple[ConceptId, ...]:
         """Concepts mentioned by at least one rule, first-appearance order."""
-        seen: dict[str, ConceptId] = {}
-        for rule in self.rules:
-            for concept in rule.mentioned_concepts():
-                seen.setdefault(concept.name, concept)
-        return tuple(seen.values())
+        return _first_by_name(itertools.chain.from_iterable(
+            rule.mentioned_concepts() for rule in self.rules))
 
 
 def normalize_relation(left: ConceptId, op: str, right: ConceptId,

@@ -186,27 +186,22 @@ def scene_contradictions(scene: Scene) -> list[Contradiction]:
                     f"'{child} < {parent}' ({_cites(sub_rules)[0]}) contradicts "
                     f"the association '{a} - {b}' ({_cites(assoc_rules)[0]})"))
 
-    for component in _cycles(store.sub_edges):
-        if len(component) < 3:
-            continue  # two-cycles already reported as reversed-sub
-        rules: list[Rule] = []
-        for edge, edge_rules in sorted(store.sub_edges.items()):
-            if edge[0] in component and edge[1] in component:
-                rules.extend(edge_rules)
-        found.append(Contradiction(
-            "sub-cycle", tuple(component), _cites(rules),
-            "sub-concept relations form a cycle through "
-            f"{', '.join(component)} ({', '.join(_cites(rules))})"))
-
-    for component in _cycles(store.contained_edges):
-        rules = []
-        for edge, edge_rules in sorted(store.contained_edges.items()):
-            if edge[0] in component and edge[1] in component:
-                rules.extend(edge_rules)
-        found.append(Contradiction(
-            "containment-cycle", tuple(component), _cites(rules),
-            "containment forms a cycle through "
-            f"{', '.join(component)} ({', '.join(_cites(rules))})"))
+    # Sub-concept two-cycles are already reported as reversed-sub.
+    for kind, edges, smallest, prefix in (
+            ("sub-cycle", store.sub_edges, 3, "sub-concept relations form"),
+            ("containment-cycle", store.contained_edges, 2,
+             "containment forms")):
+        for component in _cycles(edges):
+            if len(component) < smallest:
+                continue
+            rules: list[Rule] = []
+            for edge, edge_rules in sorted(edges.items()):
+                if edge[0] in component and edge[1] in component:
+                    rules.extend(edge_rules)
+            found.append(Contradiction(
+                kind, tuple(component), _cites(rules),
+                f"{prefix} a cycle through "
+                f"{', '.join(component)} ({', '.join(_cites(rules))})"))
 
     found.sort(key=lambda c: (c.kind, c.concepts))
     return found

@@ -4,6 +4,13 @@ Exit codes: 0 clean, 1 diagnostics reported, 2 parse or usage failure
 (including ``-k`` below 1 and an ``--out`` file that cannot be written).
 Identical inputs produce byte-identical output; diagnostics go to stderr,
 results to stdout or to the file named by --out.
+
+Each subcommand's handler takes the parsed arguments and returns its result
+text; ``main`` writes that text to stdout or ``--out`` and exits 0.  A
+handler that cannot produce a result raises ``_Exit`` with the exit code and
+the text for stderr, diagnostics included.  ``check`` alone also writes its
+own result: when it reports diagnostics it writes the count line and then
+raises ``_Exit`` with code 1.
 """
 
 from __future__ import annotations
@@ -21,53 +28,50 @@ EXIT_DIAGNOSTICS = 1
 EXIT_FAILURE = 2
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("CPL_COLOR", "0") == "1"
+class _Exit(Exception):
+    """Ends the command: main writes the message to stderr and returns
+    ``code``."""
+
+    def __init__(self, code: int, message: str = "") -> None:
+        super().__init__(message)
+        self.code = code
 
 
 _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 
 
-def _emit_diagnostics(path: str, diagnostics) -> None:
-    use_color = _color_enabled()
+def _format_diagnostics(path: str, diagnostics) -> str:
+    use_color = os.environ.get("CPL_COLOR", "0") == "1"
+    lines = []
     for diag in diagnostics:
         severity = diag.severity
         if use_color:
             severity = f"{_COLORS.get(diag.severity, '')}{diag.severity}\x1b[0m"
-        sys.stderr.write(
+        lines.append(
             f"{path}:{diag.line}:{diag.column}: {severity}: {diag.message}\n")
+    return "".join(lines)
 
 
 def _load_scene(path: str):
-    """Returns (scene, None) or (None, exit_code) after reporting."""
     try:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        sys.stderr.write(f"cpl: cannot read {path}: {exc.strerror}\n")
-        return None, EXIT_FAILURE
+        raise _Exit(EXIT_FAILURE,
+                    f"cpl: cannot read {path}: {exc.strerror}\n") from exc
     except UnicodeDecodeError as exc:
-        sys.stderr.write(f"cpl: cannot read {path}: {exc}\n")
-        return None, EXIT_FAILURE
+        raise _Exit(EXIT_FAILURE, f"cpl: cannot read {path}: {exc}\n") from exc
     result = parse_scene(source)
     if result.scene is None:
-        _emit_diagnostics(path, result.diagnostics)
-        return None, EXIT_FAILURE
-    return result.scene, None
+        raise _Exit(EXIT_FAILURE, _format_diagnostics(path, result.diagnostics))
+    return result.scene
 
 
-def _load_checked_scene(path: str):
-    scene, code = _load_scene(path)
-    if scene is None:
-        return None, code
+def _checked_scene(path: str):
+    scene = _load_scene(path)
     diagnostics = check.check_all(scene)
     if diagnostics:
-        _emit_diagnostics(path, diagnostics)
-        return None, EXIT_DIAGNOSTICS
-    return scene, None
-
-
-class _CannotWrite(Exception):
-    """The --out file could not be written; main reports it and exits 2."""
+        raise _Exit(EXIT_DIAGNOSTICS, _format_diagnostics(path, diagnostics))
+    return scene
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -77,125 +81,94 @@ def _write_output(text: str, out: str | None) -> None:
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _CannotWrite(
-            f"cpl: cannot write {out}: {exc.strerror}\n") from exc
+        raise _Exit(EXIT_FAILURE,
+                    f"cpl: cannot write {out}: {exc.strerror}\n") from exc
 
 
-def _cmd_check(args) -> int:
-    scene, code = _load_scene(args.file)
-    if scene is None:
-        return code
+def _cmd_check(args) -> str:
+    scene = _load_scene(args.file)
     diagnostics = check.check_all(scene)
-    _emit_diagnostics(args.file, diagnostics)
     errors = sum(1 for d in diagnostics if d.severity == "error")
     plural = "" if errors == 1 else "s"
-    _write_output(f"{errors} error{plural}\n", args.out)
-    return EXIT_DIAGNOSTICS if diagnostics else EXIT_OK
+    count = f"{errors} error{plural}\n"
+    if not diagnostics:
+        return count
+    sys.stderr.write(_format_diagnostics(args.file, diagnostics))
+    _write_output(count, args.out)
+    raise _Exit(EXIT_DIAGNOSTICS)
 
 
-def _cmd_grid(args) -> int:
-    scene, code = _load_checked_scene(args.file)
-    if scene is None:
-        return code
-    freq, clustering = grid.cluster_scene(scene)
+def _cmd_grid(args) -> str:
+    freq, clustering = grid.cluster_scene(_checked_scene(args.file))
     if args.format == "json":
-        _write_output(grid.to_json(freq, clustering), args.out)
-    else:
-        _write_output(grid.to_csv(freq), args.out)
-    return EXIT_OK
+        return grid.to_json(freq, clustering)
+    return grid.to_csv(freq)
 
 
-def _cmd_cluster(args) -> int:
-    scene, code = _load_checked_scene(args.file)
-    if scene is None:
-        return code
-    freq, clustering = grid.cluster_scene(scene)
+def _cmd_cluster(args) -> str:
+    freq, clustering = grid.cluster_scene(_checked_scene(args.file))
     lines = []
     for cluster in grid.ordered_clusters(clustering.clusters):
         lines.append("cluster: " + ", ".join(sorted(cluster)))
     for a, b, count in clustering.secondary_links:
         lines.append(f"link: {a} - {b} ({count})")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_trees(args) -> int:
-    scene, code = _load_checked_scene(args.file)
-    if scene is None:
-        return code
-    built = forest.build_forest(scene)
+def _cmd_trees(args) -> str:
+    built = forest.build_forest(_checked_scene(args.file))
     if args.dot:
-        _write_output(forest.forest_to_dot(built), args.out)
-    else:
-        text = forest.nested_notation(built, sort_children=args.sorted)
-        _write_output(text + "\n", args.out)
-    return EXIT_OK
+        return forest.forest_to_dot(built)
+    return forest.nested_notation(built, sort_children=args.sorted) + "\n"
 
 
-def _cmd_cycles(args) -> int:
-    scene, code = _load_checked_scene(args.file)
-    if scene is None:
-        return code
-    built = forest.build_forest(scene)
-    report = forest.extract_cycles(scene, built)
+def _cmd_cycles(args) -> str:
+    scene = _checked_scene(args.file)
+    report = forest.extract_cycles(scene, forest.build_forest(scene))
     if args.dot:
-        _write_output(forest.report_to_dot(scene, report), args.out)
-        return EXIT_OK
+        return forest.report_to_dot(scene, report)
     lines = ["uni-links:"]
     lines.extend(f"  {link.render()}" for link in report.uni_links)
     lines.append("cycles:")
     lines.extend(f"  {cycle.render()}" for cycle in report.cycles)
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_hierarchy(args) -> int:
-    scene, code = _load_checked_scene(args.file)
-    if scene is None:
-        return code
+def _cmd_hierarchy(args) -> str:
+    scene = _checked_scene(args.file)
     try:
         ensemble = hierarchy.build_ensemble(scene)
         build = hierarchy.build_hierarchy(scene, ensemble)
+        diagnostics = build.diagnostics
     except ValueError as exc:
-        _emit_diagnostics(args.file, [Diagnostic("error", str(exc), 1, 1)])
-        return EXIT_DIAGNOSTICS
-    if build.diagnostics:
-        _emit_diagnostics(args.file, build.diagnostics)
-        return EXIT_DIAGNOSTICS
+        diagnostics = [Diagnostic("error", str(exc), 1, 1)]
+    if diagnostics:
+        raise _Exit(EXIT_DIAGNOSTICS, _format_diagnostics(args.file, diagnostics))
     if args.dot:
-        _write_output(hierarchy.hierarchy_to_dot(build), args.out)
-        return EXIT_OK
+        return hierarchy.hierarchy_to_dot(build)
     lines = [f"root: {build.hierarchy.root}"]
     lines.extend(f"{parent} -> {child}" for parent, child in build.hierarchy.edges)
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def _parse_feature_list(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> str:
     if args.k < 1:
-        sys.stderr.write(f"cpl: -k must be at least 1, got {args.k}\n")
-        return EXIT_FAILURE
+        raise _Exit(EXIT_FAILURE, f"cpl: -k must be at least 1, got {args.k}\n")
     if not Path(args.memory).is_dir():
-        sys.stderr.write(f"cpl: {args.memory} is not a directory\n")
-        return EXIT_FAILURE
+        raise _Exit(EXIT_FAILURE, f"cpl: {args.memory} is not a directory\n")
     try:
         store = memory.load_memory_dir(args.memory)
     except (OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"cpl: cannot load memory from {args.memory}: {exc}\n")
-        return EXIT_FAILURE
+        raise _Exit(EXIT_FAILURE, f"cpl: cannot load memory from "
+                    f"{args.memory}: {exc}\n") from exc
     inputs = _parse_feature_list(args.input)
     legal = _parse_feature_list(args.legal) if args.legal is not None else None
     prediction = memory.predict(store, inputs, legal, args.k)
-    lines = [
-        f"{item.feature} {item.votes}" + (" future" if item.future else "")
-        for item in prediction.ranked
-    ]
-    _write_output("\n".join(lines) + "\n" if lines else "", args.out)
-    return EXIT_OK
+    return "".join(f"{item.feature} {item.votes}\n" for item in prediction.ranked)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -241,10 +214,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_FAILURE if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
-    except _CannotWrite as exc:
+        _write_output(args.handler(args), args.out)
+    except _Exit as exc:
         sys.stderr.write(str(exc))
-        return EXIT_FAILURE
+        return exc.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

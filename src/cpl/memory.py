@@ -38,7 +38,6 @@ class MemoryStore:
 class RankedFeature(NamedTuple):
     feature: str
     votes: int
-    future: bool  # present in memory, absent from the current input
 
 
 class Prediction(NamedTuple):
@@ -76,8 +75,7 @@ def predict(store: MemoryStore, input_features, legal=None, k: int = 1) -> Predi
     ]
     candidates.sort(key=lambda item: (-item[1], item[0]))
     ranked = tuple(
-        RankedFeature(feature, count, feature not in inputs)
-        for feature, count in candidates[:k]
+        RankedFeature(feature, count) for feature, count in candidates[:k]
     )
     return Prediction(ranked)
 

@@ -3,7 +3,13 @@ import random
 from hypothesis import given, strategies as st
 
 from cpl.ast import Scene
-from cpl.check import check_all, check_scene, scene_contradictions, validate_rule
+from cpl.check import (
+    Contradiction,
+    check_all,
+    check_scene,
+    scene_contradictions,
+    validate_rule,
+)
 from cpl.parser import parse_scene
 
 from genhelpers import corrupt_results, make_entities, make_rule
@@ -123,6 +129,28 @@ def test_containment_cycle():
     found = check_scene(scene)
     assert len(found) == 1
     assert "containment" in found[0].message
+
+
+def test_cycle_contradictions_in_order():
+    """A sub-concept two-cycle is reported once, as reversed-sub; both
+    cycle kinds cite their rules in edge order."""
+    scene = scene_of(WRAP.format(
+        rules="r1: P + T.W -> P.W.T where W in T, K < D;"
+              " r2: W + T.P -> W.P.T where T in W, D < K;"
+              " r3: P + K.D -> P.D.K where T < W, W < P, P < T,"
+              " P in K, K in P;"))
+    assert scene_contradictions(scene) == [
+        Contradiction("containment-cycle", ("Kitchen", "Pot"), ("r3",),
+                      "containment forms a cycle through Kitchen, Pot (r3)"),
+        Contradiction("containment-cycle", ("Tap", "Water"), ("r2", "r1"),
+                      "containment forms a cycle through Tap, Water (r2, r1)"),
+        Contradiction("reversed-sub", ("Cupboard", "Kitchen"), ("r2", "r1"),
+                      "'Cupboard < Kitchen' (r2) contradicts "
+                      "'Kitchen < Cupboard' (r1)"),
+        Contradiction("sub-cycle", ("Pot", "Tap", "Water"), ("r3",),
+                      "sub-concept relations form a cycle through "
+                      "Pot, Tap, Water (r3)"),
+    ]
 
 
 def test_association_and_containment_coexist():

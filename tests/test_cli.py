@@ -237,7 +237,7 @@ def test_predict_from_memory_dir(capsys, scenes_dir):
         capsys, "predict", "--memory", str(scenes_dir / "memory_demo"),
         "--input", "Pot,Water", "-k", "3")
     assert code == 0
-    assert out.split("\n")[0] == "Heat 6 future"
+    assert out.split("\n")[0] == "Heat 6"
 
 
 def test_predict_with_legal(capsys, scenes_dir):
@@ -245,7 +245,7 @@ def test_predict_with_legal(capsys, scenes_dir):
         capsys, "predict", "--memory", str(scenes_dir / "memory_demo"),
         "--input", "Pot,Water", "--legal", "Egg,Salt", "-k", "2")
     assert code == 0
-    assert out == "Egg 2 future\nSalt 2 future\n"
+    assert out == "Egg 2\nSalt 2\n"
 
 
 def test_predict_k_below_one_is_usage_failure(capsys, scenes_dir):

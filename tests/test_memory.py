@@ -81,7 +81,6 @@ def test_predict_without_legal():
     prediction = predict(store, {"A"}, k=2)
     assert [(f.feature, f.votes) for f in prediction.ranked] == [
         ("B", 2), ("C", 1)]
-    assert all(f.future for f in prediction.ranked)
 
 
 def test_predict_excludes_inputs_and_respects_legal():

@@ -61,7 +61,7 @@ RECORDS = [
     TraceEvent("edge", "r", ("Alpha", "Beta")),
     HIERARCHY,
     HierarchyBuild(HIERARCHY, (), ()),
-    RankedFeature("f", 2, True),
+    RankedFeature("f", 2),
     Prediction(()),
     A,
     Relation(RelationKind.SUB_CONCEPT, A, B),
