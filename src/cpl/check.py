@@ -9,7 +9,6 @@ sub-concept or containment relations.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import product
 from typing import NamedTuple
 
@@ -76,9 +75,10 @@ def _names(term: tuple) -> tuple[str, ...]:
     return tuple(c.name for c in term)
 
 
-def _acceptable_results(rule: Rule) -> list[Counter]:
-    """Acceptable result multisets: per chain either the inverted term or,
-    when the chain carries an amount, the split form."""
+def _acceptable_results(rule: Rule) -> list[list[tuple[str, ...]]]:
+    """Acceptable result multisets, each a sorted list of term names: per
+    chain either the inverted term or, when the chain carries an amount, the
+    split form."""
     per_chain: list[list[list[tuple[str, ...]]]] = []
     for chain in rule.inputs:
         inverted = [_names(t) for t in derive_result(rule.outputs, [chain])]
@@ -86,13 +86,8 @@ def _acceptable_results(rule: Rule) -> list[Counter]:
         if chain.quantity is not None:
             choice.append([_names(t) for t in split_result(rule.outputs, chain)])
         per_chain.append(choice)
-    variants = []
-    for combo in product(*per_chain):
-        counter: Counter = Counter()
-        for terms in combo:
-            counter.update(terms)
-        variants.append(counter)
-    return variants
+    return [sorted(term for terms in combo for term in terms)
+            for combo in product(*per_chain)]
 
 
 def _check_quantity(qty: Quantity, cite: str) -> list[Diagnostic]:
@@ -124,7 +119,7 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
     if rule.self_loop:
         return []
     diagnostics: list[Diagnostic] = []
-    declared = Counter(term.names() for term in rule.declared_results)
+    declared = sorted(term.names() for term in rule.declared_results)
     if declared not in _acceptable_results(rule):
         expected = " ^ ".join(
             ".".join(_names(t)) for t in derive_result(rule.outputs, rule.inputs))

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 clean, 1 diagnostics reported, 2 parse or usage failure
-(including ``-k`` below 1 and an ``--out`` file that cannot be written).
+(including ``-k`` below 1, a ``--memory`` directory with no ``*.json``
+scene and an ``--out`` file that cannot be written).
 Identical inputs produce byte-identical output; diagnostics go to stderr,
 results to stdout or to the file named by --out.
 
@@ -165,6 +166,9 @@ def _cmd_predict(args) -> str:
     except (OSError, ValueError, KeyError) as exc:
         raise _Exit(EXIT_FAILURE, f"cpl: cannot load memory from "
                     f"{args.memory}: {exc}\n") from exc
+    if not store:
+        raise _Exit(EXIT_FAILURE, f"cpl: {args.memory} holds no memory scene "
+                    "(*.json)\n")
     inputs = _parse_feature_list(args.input)
     legal = _parse_feature_list(args.legal) if args.legal is not None else None
     prediction = memory.predict(store, inputs, legal, args.k)

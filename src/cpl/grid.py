@@ -38,12 +38,6 @@ class FrequencyGrid(NamedTuple):
             rows.append(tuple(near.get(b, 0) for b in self.concepts))
         return tuple(rows)
 
-    def pair_counts(self) -> dict[frozenset[str], int]:
-        """Nonzero counts as an order-free mapping."""
-        return {frozenset((a, b)): count
-                for a, near in self.neighbours.items()
-                for b, count in near.items()}
-
     def strength(self, name: str) -> int:
         return sum(self.neighbours.get(name, {}).values())
 

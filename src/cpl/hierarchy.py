@@ -43,26 +43,6 @@ class Hierarchy(NamedTuple):
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def parents(self, name: str) -> tuple[str, ...]:
-        return tuple(parent for parent, child in self.edges if child == name)
-
-    def children(self, name: str) -> tuple[str, ...]:
-        return tuple(child for parent, child in self.edges if parent == name)
-
-    def _adjacency(self) -> dict[str, list[str]]:
-        adjacency: dict[str, list[str]] = {name: [] for name in self.nodes}
-        for parent, child in self.edges:
-            adjacency[parent].append(child)
-        return adjacency
-
-    def is_acyclic(self) -> bool:
-        """No edge returns to where it started; a self-edge is a cycle."""
-        return all(parent != child for parent, child in self.edges) and all(
-            len(c) == 1 for c in graph.strongly_connected(self._adjacency()))
-
-    def reachable_from_root(self) -> set[str]:
-        return graph.reachable(self._adjacency(), [self.root])
-
 
 class HierarchyBuild(NamedTuple):
     hierarchy: Hierarchy

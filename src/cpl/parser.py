@@ -23,12 +23,21 @@ comment that runs to the end of the line.  Positions are 1-based lines and
 columns that count characters, so a tab is one column.  Relation chains
 (``A - B < C``) desugar left-associatively into pairwise relations.  Scripts
 may refer to a concept by its declared name or its alias.
+
+The token stream is two flat lists built by one regular expression: each
+token's text and its start offset in the source.  Blanks, newlines and
+comments are the prefix skipped before a token.  No token carries a kind:
+a punctuation text is its own kind, a leading letter makes an IDENT
+(keywords are IDENTs too), a leading digit a NUMBER, and the empty text is
+EOF.  Lines and columns are worked out only where a ``Span`` is built (for
+each declared concept, rule, relation operator, quantity, the scene and
+each diagnostic) by bisecting a table of line starts.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .ast import (
@@ -72,69 +81,22 @@ class _Abort(Exception):
         self.diagnostic = diagnostic
 
 
-class Token(namedtuple("Token", "kind text line column")):
-    __slots__ = ()
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.column, len(self.text))
-
-
-_PUNCT = {
-    "->": "ARROW",
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ";": "SEMI",
-    ":": "COLON",
-    ",": "COMMA",
-    "+": "PLUS",
-    "-": "MINUS",
-    "<": "LT",
-    ">": "GT",
-    "^": "CARET",
-    ".": "DOT",
-}
-
-# One match per token, after the blanks before it; the group that matched
-# tells its kind.  The end-of-input group takes a comment on the last line
-# with it, so EOF sits where that comment starts.
+# One match per token, after the blanks, newlines and comments before it.
+# Where no token starts, the matched text is empty: at the end of the
+# source, or at a comment that runs to the end, that is EOF; anywhere else
+# it is a character no token starts with.  Matching goes on past that first
+# empty text, but what it finds there is dropped.
 _TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:"
-    r"(\n)"                      # 1 newline
-    r"|((?:#[^\n]*)?\Z)"         # 2 end of input
-    r"|(#[^\n]*)"                # 3 comment
-    r"|(->|[{}();:,+\-<>^.])"    # 4 punctuation
-    r"|([A-Za-z][A-Za-z0-9_]*)"  # 5 identifier
-    r"|([0-9]+)"                 # 6 number
-    r"|(.))")                    # 7 any other character
+    r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
+    r"(->|[{}();:,+\-<>^.]|[A-Za-z][A-Za-z0-9_]*|[0-9]+|)")
+
+_NEWLINE_RE = re.compile(r"\n")
+
+_REL_OPS = frozenset({"<", ">", "-", "in"})
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    # tuple.__new__ builds a Token in C; calling Token() would run the
-    # namedtuple's Python-level __new__, about a third of each token's cost.
-    new = tuple.__new__
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(source):
-        group = m.lastindex
-        if group == 1:
-            line += 1
-            line_start = m.end()
-            continue
-        if group == 3:
-            continue
-        column = m.start(group) - line_start + 1
-        if group == 2:  # always the last match
-            tokens.append(new(Token, ("EOF", "", line, column)))
-            return tokens
-        text = m[group]
-        if group == 7:
-            raise _Abort(Diagnostic(
-                "error", f"unexpected character {text!r}", line, column))
-        kind = _PUNCT.get(text) or ("IDENT" if group == 5 else "NUMBER")
-        tokens.append(new(Token, (kind, text, line, column)))
+def _is_ident(text: str) -> bool:
+    return text[:1].isalpha()
 
 
 class ParseResult(NamedTuple):
@@ -149,8 +111,26 @@ class ParseResult(NamedTuple):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent over the token texts.  ``pos`` indexes them and
+    never passes the EOF text ``""`` that ends them."""
+
+    def __init__(self, source: str):
+        texts: list[str] = []
+        offsets: list[int] = []
+        add_text, add_offset = texts.append, offsets.append
+        for m in _TOKEN_RE.finditer(source):
+            add_text(m[1])
+            add_offset(m.start(1))
+        eof = texts.index("")
+        del texts[eof + 1:], offsets[eof + 1:]
+        self.texts = texts
+        self.offsets = offsets  # start of each token in the source
+        self.line_starts = [0]
+        self.line_starts += [m.end() for m in _NEWLINE_RE.finditer(source)]
+        end = offsets[eof]
+        if end < len(source) and source[end] != "#":
+            raise _Abort(error(f"unexpected character {source[end]!r}",
+                               self.span(eof)))
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.entities: dict[str, ConceptId] = {}  # name and alias lookup
@@ -158,251 +138,254 @@ class _Parser:
 
     # token helpers
 
-    def peek(self, ahead: int = 0) -> Token:
-        # In range: EOF ends the list, advance() never passes it, and
-        # peek(1) is only asked after an IDENT.
-        return self.tokens[self.pos + ahead]
+    def span(self, pos: int) -> Span:
+        """The source position of token ``pos``, worked out on demand."""
+        offset = self.offsets[pos]
+        line = bisect_right(self.line_starts, offset)
+        return Span(line, offset - self.line_starts[line - 1] + 1,
+                    len(self.texts[pos]))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def unexpected(self, what: str) -> _Abort:
+        text = self.texts[self.pos] or "end of input"
+        return _Abort(error(f"expected {what}, found {text!r}",
+                            self.span(self.pos)))
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            shown = tok.text if tok.kind != "EOF" else "end of input"
-            raise _Abort(error(f"expected {what}, found {shown!r}", tok.span))
-        if kind != "EOF":
-            self.pos += 1
-        return tok
+    def expect(self, text: str) -> None:
+        """Step over ``text``, a punctuation mark or a keyword."""
+        if self.texts[self.pos] != text:
+            raise self.unexpected(repr(text))
+        self.pos += 1
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            shown = tok.text if tok.kind != "EOF" else "end of input"
-            raise _Abort(error(f"expected {word!r}, found {shown!r}", tok.span))
-        return self.advance()
+    def ident(self, what: str) -> int:
+        """Step over an IDENT and return its index."""
+        pos = self.pos
+        if not _is_ident(self.texts[pos]):
+            raise self.unexpected(what)
+        self.pos = pos + 1
+        return pos
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
-
-    def report(self, message: str, span: Span) -> None:
-        self.diagnostics.append(error(message, span))
+    def report(self, message: str, pos: int) -> None:
+        self.diagnostics.append(error(message, self.span(pos)))
 
     # entity handling
 
-    def declare(self, name_tok: Token, alias_tok: Token | None) -> None:
-        idents = [(name_tok.text, name_tok)]
-        if alias_tok is not None:
-            idents.append((alias_tok.text, alias_tok))
-        for ident, tok in idents:
+    def declare(self, name_pos: int, alias_pos: int | None) -> None:
+        texts = self.texts
+        for pos in (name_pos,) if alias_pos is None else (name_pos, alias_pos):
+            ident = texts[pos]
             if ident in KEYWORDS:
-                self.report(f"{ident!r} is a reserved word", tok.span)
+                self.report(f"{ident!r} is a reserved word", pos)
                 return
             if ident in self.entities:
-                self.report(f"duplicate declaration of {ident!r}", tok.span)
+                self.report(f"duplicate declaration of {ident!r}", pos)
                 return
-        alias = alias_tok.text if alias_tok else None
-        concept = ConceptId(name_tok.text, alias, name_tok.span)
+        alias = texts[alias_pos] if alias_pos is not None else None
+        concept = ConceptId(texts[name_pos], alias, self.span(name_pos))
         self.entities[concept.name] = concept
         if alias:
             self.entities[alias] = concept
         self.declared.append(concept)
 
-    def resolve(self, tok: Token) -> ConceptId:
-        concept = self.entities.get(tok.text)
+    def resolve(self, pos: int) -> ConceptId:
+        text = self.texts[pos]
+        concept = self.entities.get(text)
         if concept is None:
-            self.report(f"unknown entity {tok.text!r}", tok.span)
-            return ConceptId(tok.text, None, tok.span)
+            self.report(f"unknown entity {text!r}", pos)
+            return ConceptId(text, None, self.span(pos))
         return concept
 
     def resolve_ident(self, what: str) -> ConceptId:
-        return self.resolve(self.expect("IDENT", what))
+        # A declared name is an IDENT, so a hit needs no further check.
+        pos = self.pos
+        concept = self.entities.get(self.texts[pos])
+        if concept is None:
+            return self.resolve(self.ident(what))
+        self.pos = pos + 1
+        return concept
 
     # grammar
 
     def parse_scene(self) -> Scene:
-        start = self.expect_keyword("scene")
-        name = self.expect("IDENT", "scene name")
-        self.expect("LBRACE", "'{'")
-        self.expect_keyword("entities")
-        self.expect("LBRACE", "'{'")
-        while self.peek().kind == "IDENT":
-            name_tok = self.advance()
-            alias_tok = None
-            if self.at_keyword("as"):
-                self.advance()
-                alias_tok = self.expect("IDENT", "alias")
-            self.expect("SEMI", "';'")
-            self.declare(name_tok, alias_tok)
-        self.expect("RBRACE", "'}'")
+        texts = self.texts
+        self.expect("scene")  # token 0, whose span is the scene's
+        name = texts[self.ident("scene name")]
+        self.expect("{")
+        self.expect("entities")
+        self.expect("{")
+        while _is_ident(texts[self.pos]):
+            name_pos = self.pos
+            self.pos += 1
+            alias_pos = None
+            if texts[self.pos] == "as":
+                self.pos += 1
+                alias_pos = self.ident("alias")
+            self.expect(";")
+            self.declare(name_pos, alias_pos)
+        self.expect("}")
         if not self.declared:
-            self.report("scene declares no entities", start.span)
+            self.report("scene declares no entities", 0)
         root = None
-        if self.at_keyword("root"):
-            self.advance()
+        if texts[self.pos] == "root":
+            self.pos += 1
             root = self.resolve_ident("root entity")
-            self.expect("SEMI", "';'")
-        self.expect_keyword("rules")
-        self.expect("LBRACE", "'{'")
+            self.expect(";")
+        self.expect("rules")
+        self.expect("{")
         rules: list[Rule] = []
         labels: set[str] = set()
-        while self.peek().kind == "IDENT":
+        while _is_ident(texts[self.pos]):
             rule = self.parse_rule(len(rules) + 1)
             if rule.label:
                 if rule.label in labels:
-                    self.report(f"duplicate rule label {rule.label!r}", rule.span)
+                    self.diagnostics.append(error(
+                        f"duplicate rule label {rule.label!r}", rule.span))
                 labels.add(rule.label)
             rules.append(rule)
-        self.expect("RBRACE", "'}'")
-        self.expect("RBRACE", "'}'")
-        self.expect("EOF", "end of input")
-        return Scene(name.text, tuple(self.declared), root, tuple(rules), start.span)
+        self.expect("}")
+        self.expect("}")
+        if texts[self.pos]:
+            raise self.unexpected("end of input")
+        return Scene(name, tuple(self.declared), root, tuple(rules), self.span(0))
 
     def parse_rule(self, ordinal: int) -> Rule:
+        # Called at an IDENT, so the next text exists: at worst it is EOF.
         label = None
-        start = self.peek()
-        if self.peek().kind == "IDENT" and self.peek(1).kind == "COLON":
-            label = self.advance().text
-            self.advance()
-        first = self.expect("IDENT", "entity name")
-        if self.peek().kind == "ARROW":
+        start = self.pos
+        if self.texts[start + 1] == ":":
+            label = self.texts[start]
+            self.pos += 2
+        first = self.ident("entity name")
+        if self.texts[self.pos] == "->":
             return self.parse_selfloop(label, ordinal, first)
         return self.parse_triple(label, ordinal, first, start)
 
-    def parse_selfloop(self, label: str | None, ordinal: int, first: Token) -> Rule:
-        self.expect("ARROW", "'->'")
-        second = self.expect("IDENT", "entity name")
-        if second.text != first.text:
+    def parse_selfloop(self, label: str | None, ordinal: int, first: int) -> Rule:
+        texts = self.texts
+        self.pos += 1  # the "->"
+        second = self.ident("entity name")
+        if texts[second] != texts[first]:
             self.report(
                 f"a self-loop must repeat the same concept, got "
-                f"{first.text!r} -> {second.text!r}", second.span)
-        if self.at_keyword("where"):
-            self.report("a self-loop rule cannot declare relations",
-                        self.peek().span)
+                f"{texts[first]!r} -> {texts[second]!r}", second)
+        if texts[self.pos] == "where":
+            self.report("a self-loop rule cannot declare relations", self.pos)
             self.skip_to_semi()
-        self.expect("SEMI", "';'")
+        self.expect(";")
         concept = self.resolve(first)
         return Rule(label, (concept,), (), (), (), self_loop=True,
-                    ordinal=ordinal, span=first.span)
+                    ordinal=ordinal, span=self.span(first))
 
     def skip_to_semi(self) -> None:
-        while self.peek().kind not in ("SEMI", "EOF"):
-            self.advance()
+        while self.texts[self.pos] not in (";", ""):
+            self.pos += 1
 
     def parse_triple(self, label: str | None, ordinal: int,
-                     first: Token, start: Token) -> Rule:
+                     first: int, start: int) -> Rule:
+        texts = self.texts
         outputs = [self.resolve(first)]
-        while self.peek().kind == "CARET":
-            self.advance()
+        while texts[self.pos] == "^":
+            self.pos += 1
             outputs.append(self.resolve_ident("output entity"))
-        self.expect("PLUS", "'+'")
+        self.expect("+")
         chains_raw = [self.parse_chain()]
-        while self.peek().kind == "CARET":
-            self.advance()
+        while texts[self.pos] == "^":
+            self.pos += 1
             chains_raw.append(self.parse_chain())
-        self.expect("ARROW", "'->'")
+        self.expect("->")
         terms = [self.parse_term()]
-        while self.peek().kind == "CARET":
-            self.advance()
+        while texts[self.pos] == "^":
+            self.pos += 1
             terms.append(self.parse_term())
         relations: list[Relation] = []
-        if self.at_keyword("where"):
-            self.advance()
+        if texts[self.pos] == "where":
+            self.pos += 1
             relations.extend(self.parse_relation_chain())
-            while self.peek().kind == "COMMA":
-                self.advance()
+            while texts[self.pos] == ",":
+                self.pos += 1
                 relations.extend(self.parse_relation_chain())
-        self.expect("SEMI", "';'")
+        self.expect(";")
         chains = [self.assemble_quantity(ch, outputs, terms) for ch in chains_raw]
         return Rule(label, tuple(outputs), tuple(chains), tuple(terms),
-                    tuple(relations), ordinal=ordinal, span=start.span)
+                    tuple(relations), ordinal=ordinal, span=self.span(start))
 
     def parse_chain(self) -> tuple[tuple[ConceptId, ...], Amount | None, Span | None]:
-        first = self.peek()
+        texts = self.texts
+        first = self.pos
         elements = [self.resolve_ident("chain source")]
-        while self.peek().kind == "DOT":
-            self.advance()
+        while texts[self.pos] == ".":
+            self.pos += 1
             elements.append(self.resolve_ident("chain element"))
         if len(elements) < 2:
-            self.report("a chain needs at least a source and an effector",
-                        first.span)
+            self.report("a chain needs at least a source and an effector", first)
         seen: set[str] = set()
         for concept in elements:
             if concept.name in seen:
-                self.report(f"chain repeats {concept.name!r}", first.span)
+                self.report(f"chain repeats {concept.name!r}", first)
             seen.add(concept.name)
         qty = qty_span = None
-        if self.peek().kind == "LPAREN":
-            qty_span = self.peek().span
+        if texts[self.pos] == "(":
+            qty_span = self.span(self.pos)
             qty = self.parse_qty()
         return tuple(elements), qty, qty_span
 
     def parse_term(self) -> ResultTerm:
+        texts = self.texts
         concepts = [self.resolve_ident("result entity")]
         qtys: list[Amount | None] = [None]
-        while self.peek().kind == "DOT":
-            self.advance()
+        while texts[self.pos] == ".":
+            self.pos += 1
             concepts.append(self.resolve_ident("result entity"))
-            qtys.append(self.parse_qty() if self.peek().kind == "LPAREN" else None)
+            qtys.append(self.parse_qty() if texts[self.pos] == "(" else None)
         if len(concepts) < 2:
-            self.report("a result term needs at least two entities",
-                        self.peek().span)
+            self.report("a result term needs at least two entities", self.pos)
         return ResultTerm(tuple(concepts), tuple(qtys))
 
     def parse_qty(self) -> Amount:
-        self.expect("LPAREN", "'('")
+        self.pos += 1  # the "(" its callers found
         first = self.parse_amount_part()
         second = None
-        if self.peek().kind == "MINUS":
-            self.advance()
+        if self.texts[self.pos] == "-":
+            self.pos += 1
             second = self.parse_amount_part()
-        self.expect("RPAREN", "')'")
+        self.expect(")")
         return Amount(first, second)
 
     def parse_amount_part(self) -> int | str:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
+        pos = self.pos
+        text = self.texts[pos]
+        if text[:1].isdigit():
+            self.pos = pos + 1
             try:
-                return int(tok.text)
+                return int(text)
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise _Abort(error(
-                    f"number has too many digits ({len(tok.text)})",
-                    tok.span)) from None
-        if tok.kind == "IDENT":
-            self.advance()
-            return tok.text
-        raise _Abort(error(f"expected an amount, found {tok.text!r}", tok.span))
-
-    _REL_OPS = {"LT": "<", "GT": ">", "MINUS": "-"}
+                    f"number has too many digits ({len(text)})",
+                    self.span(pos))) from None
+        if _is_ident(text):
+            self.pos = pos + 1
+            return text
+        raise _Abort(error(f"expected an amount, found {text!r}", self.span(pos)))
 
     def parse_relation_chain(self) -> list[Relation]:
         relations: list[Relation] = []
         left = self.resolve_ident("entity name")
         while True:
-            tok = self.peek()
-            if tok.kind in self._REL_OPS:
-                op = self._REL_OPS[tok.kind]
-                self.advance()
-            elif tok.kind == "IDENT" and tok.text == "in":
-                op = "in"
-                self.advance()
-            else:
+            op_pos = self.pos
+            op = self.texts[op_pos]
+            if op not in _REL_OPS:
                 if not relations:
                     raise _Abort(error(
-                        f"expected a relation operator, found {tok.text!r}",
-                        tok.span))
+                        f"expected a relation operator, found {op!r}",
+                        self.span(op_pos)))
                 return relations
+            self.pos += 1
             right = self.resolve_ident("entity name")
             if left.name == right.name:
                 self.report(
-                    f"concept {left.name!r} cannot relate to itself", tok.span)
+                    f"concept {left.name!r} cannot relate to itself", op_pos)
             else:
-                relations.append(normalize_relation(left, op, right, tok.span))
+                relations.append(
+                    normalize_relation(left, op, right, self.span(op_pos)))
             left = right
 
     def assemble_quantity(self,
@@ -442,10 +425,9 @@ def parse_scene(source: str) -> ParseResult:
     function of the source text.
     """
     try:
-        tokens = tokenize(source)
+        parser = _Parser(source)
     except _Abort as abort:
         return ParseResult(None, (abort.diagnostic,))
-    parser = _Parser(tokens)
     try:
         scene = parser.parse_scene()
     except _Abort as abort:

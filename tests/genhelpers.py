@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from cpl import graph
 from cpl.ast import (
     Amount,
     Chain,
@@ -17,6 +18,8 @@ from cpl.ast import (
     derive_result,
     split_result,
 )
+from cpl.grid import FrequencyGrid
+from cpl.hierarchy import Hierarchy
 
 NAME_POOL = [
     "Anchor", "Basin", "Cable", "Dial", "Ember", "Flask", "Grate", "Hinge",
@@ -201,3 +204,35 @@ def predict_oracle(entries: dict[str, frozenset[str]], inputs,
     ]
     keep.sort(key=lambda item: (-item[1], item[0]))
     return keep[:k]
+
+
+def pair_counts(grid: FrequencyGrid) -> dict[frozenset[str], int]:
+    """A grid's nonzero counts as an order-free mapping."""
+    return {frozenset((a, b)): count
+            for a, near in grid.neighbours.items()
+            for b, count in near.items()}
+
+
+def parents(hierarchy: Hierarchy, name: str) -> tuple[str, ...]:
+    return tuple(parent for parent, child in hierarchy.edges if child == name)
+
+
+def children(hierarchy: Hierarchy, name: str) -> tuple[str, ...]:
+    return tuple(child for parent, child in hierarchy.edges if parent == name)
+
+
+def _adjacency(hierarchy: Hierarchy) -> dict[str, list[str]]:
+    adjacency: dict[str, list[str]] = {name: [] for name in hierarchy.nodes}
+    for parent, child in hierarchy.edges:
+        adjacency[parent].append(child)
+    return adjacency
+
+
+def is_acyclic(hierarchy: Hierarchy) -> bool:
+    """No edge returns to where it started; a self-edge is a cycle."""
+    return all(parent != child for parent, child in hierarchy.edges) and all(
+        len(c) == 1 for c in graph.strongly_connected(_adjacency(hierarchy)))
+
+
+def reachable_from_root(hierarchy: Hierarchy) -> set[str]:
+    return graph.reachable(_adjacency(hierarchy), [hierarchy.root])

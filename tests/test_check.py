@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cpl.ast import Scene
 from cpl.check import (
@@ -12,6 +12,7 @@ from cpl.check import (
 )
 from cpl.parser import parse_scene
 
+import oracles
 from genhelpers import corrupt_results, make_entities, make_rule
 
 
@@ -94,6 +95,25 @@ def test_generated_rules_validate_iff_uncorrupted(seed):
     assert clean == []
     broken = corrupt_results(rng, rule)
     assert any("derivation" in d.message for d in validate_rule(broken))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**9))
+def test_validate_rule_matches_counter_oracle(seed):
+    """Sorted term lists judge a rule as the Counter multisets did: on
+    generated rules (split forms and amounts included), their declared
+    results shuffled, and their corrupted copies."""
+    rng = random.Random(seed)
+    entities = make_entities(rng, rng.randint(3, 6))
+    rule = make_rule(rng, entities, 1)
+    variants = [rule]
+    if not rule.self_loop:
+        terms = list(rule.declared_results)
+        rng.shuffle(terms)
+        variants += [rule._replace(declared_results=tuple(terms)),
+                     corrupt_results(rng, rule)]
+    for variant in variants:
+        assert validate_rule(variant) == oracles.validate_rule(variant)
 
 
 def test_cooking_scene_consistent(cooking_scene):

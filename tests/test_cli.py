@@ -266,6 +266,14 @@ def test_predict_missing_memory(capsys, tmp_path):
     assert "not a directory" in err
 
 
+def test_predict_memory_without_scene_files(capsys, scenes_dir):
+    """A directory with no ``*.json`` file holds no memory, which is not the
+    same as a memory that votes for nothing."""
+    assert run(capsys, "predict", "--memory", str(scenes_dir),
+               "--input", "Pot") == (
+        2, "", f"cpl: {scenes_dir} holds no memory scene (*.json)\n")
+
+
 def test_predict_malformed_memory(capsys, tmp_path):
     (tmp_path / "s1.json").write_text('{"id": "s1", "features": "Pot"}',
                                       encoding="utf-8")

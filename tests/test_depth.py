@@ -7,6 +7,8 @@ from cpl.cli import main
 from cpl.hierarchy import build_ensemble, build_hierarchy
 from cpl.parser import parse_scene
 
+from genhelpers import is_acyclic, reachable_from_root
+
 DEPTH = 1500
 
 
@@ -38,8 +40,8 @@ def test_deep_sub_concept_chain():
     build = build_hierarchy(scene, build_ensemble(scene))
     hierarchy = build.hierarchy
     assert build.diagnostics == ()
-    assert hierarchy.is_acyclic()
-    assert hierarchy.reachable_from_root() == set(hierarchy.nodes)
+    assert is_acyclic(hierarchy)
+    assert reachable_from_root(hierarchy) == set(hierarchy.nodes)
     assert len(hierarchy.nodes) == DEPTH + 2
 
 

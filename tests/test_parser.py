@@ -1,10 +1,11 @@
 import random
+import re
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from cpl.ast import Amount, Quantity, RelationKind
-from cpl.parser import _Abort, format_scene, parse_scene, tokenize
+from cpl.parser import _Abort, _Parser, format_scene, parse_scene
 
 import oracles
 from genhelpers import make_scene
@@ -179,6 +180,72 @@ def test_parse_never_raises_and_diagnostics_stay_inside(text):
         assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1
 
 
+# Token-sized pieces of formatted text, for the mutations below.
+WORD = re.compile(r"->|[A-Za-z0-9_]+|\S")
+OVERLONG = "(" + "9" * 5000 + ")"  # past the interpreter's int conversion limit
+
+
+@st.composite
+def generated_source(draw):
+    """A generated scene's canonical text, then up to three mutations: drop,
+    duplicate or swap a token, insert a stray character, truncate the text,
+    end it in a comment with no newline, or put an overlong amount before
+    a token ("->" when there is one)."""
+    text = format_scene(make_scene(random.Random(draw(st.integers(0, 10**9)))))
+    for op in draw(st.lists(st.sampled_from(
+            ("drop", "duplicate", "swap", "stray", "truncate", "comment",
+             "overlong")), max_size=3)):
+        words = [m.span() for m in WORD.finditer(text)]
+        if op == "stray":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from("@_$\f\u00e9")) + text[at:]
+        elif op == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+        elif op == "comment":
+            text += "# final"
+        elif words:
+            start, end = draw(st.sampled_from(words))
+            if op == "drop":
+                text = text[:start] + text[end:]
+            elif op == "duplicate":
+                text = text[:end] + " " + text[start:end] + text[end:]
+            elif op == "swap":
+                other = draw(st.sampled_from(words))
+                (s1, e1), (s2, e2) = sorted([(start, end), other])
+                if e1 <= s2:
+                    text = (text[:s1] + text[s2:e2] + text[e1:s2]
+                            + text[s1:e1] + text[e2:])
+            else:
+                arrows = [w for w in words if text[w[0]:w[1]] == "->"]
+                if arrows:
+                    start = draw(st.sampled_from(arrows))[0]
+                text = text[:start] + OVERLONG + text[start:]
+    return text
+
+
+def spans(scene):
+    """Every span a scene stores, one by one, with each rule's ordinal:
+    scene equality skips both."""
+    listed = [("scene", scene.span)]
+    listed += [("entity", c.name, c.span) for c in scene.entities]
+    for rule in scene.rules:
+        listed.append(("rule", rule.ordinal, rule.span))
+        listed += [("relation", rel.span) for rel in rule.relations]
+        listed += [("quantity", chain.quantity.span)
+                   for chain in rule.inputs if chain.quantity is not None]
+    return listed
+
+
+@settings(max_examples=300)
+@given(st.one_of(generated_source(), mutated_scene(), SOURCE_TEXT))
+def test_parse_matches_token_record_parser(text):
+    new, old = parse_scene(text), oracles.parse_scene(text)
+    assert new.scene == old.scene
+    if new.scene is not None:
+        assert spans(new.scene) == spans(old.scene)
+    assert new.diagnostics == old.diagnostics
+
+
 def test_overlong_number_is_a_diagnostic():
     digits = "9" * 5000  # past the interpreter's int conversion limit
     text = ("scene S { entities { A; B; C; } rules {"
@@ -188,9 +255,18 @@ def test_overlong_number_is_a_diagnostic():
     assert (diag.line, diag.column) == (1, text.index(digits) + 1)
 
 
-def scan(tokenizer, text):
+def scan(text):
+    """Each token's text, line and column, or the abort diagnostic."""
     try:
-        return [(t.kind, t.text, t.line, t.column) for t in tokenizer(text)]
+        parser = _Parser(text)
+    except _Abort as abort:
+        return abort.diagnostic
+    return [(t, *parser.span(i)[:2]) for i, t in enumerate(parser.texts)]
+
+
+def scan_loop(text):
+    try:
+        return [(t.text, t.line, t.column) for t in oracles.tokenize(text)]
     except _Abort as abort:
         return abort.diagnostic
 
@@ -198,13 +274,13 @@ def scan(tokenizer, text):
 @settings(max_examples=300)
 @given(SOURCE_TEXT)
 def test_tokenize_matches_character_loop(text):
-    assert scan(tokenize, text) == scan(oracles.tokenize, text)
+    assert scan(text) == scan_loop(text)
 
 
 def test_comment_at_end_keeps_eof_at_its_start():
     text = "scene S  # no newline"
-    assert scan(tokenize, text)[-1] == ("EOF", "", 1, 10)
-    assert scan(tokenize, text) == scan(oracles.tokenize, text)
+    assert scan(text)[-1] == ("", 1, 10)
+    assert scan(text) == scan_loop(text)
 
 
 def test_empty_rules_block_allowed():
