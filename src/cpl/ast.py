@@ -14,7 +14,6 @@ record compares and hashes only the fields before them.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import NamedTuple
 
@@ -59,14 +58,6 @@ class ConceptId(NamedTuple):
 
     def short(self) -> str:
         return self.abbrev or self.name
-
-
-def _first_by_name(concepts) -> tuple[ConceptId, ...]:
-    """The first concept seen under each name, in first-appearance order."""
-    seen: dict[str, ConceptId] = {}
-    for concept in concepts:
-        seen.setdefault(concept.name, concept)
-    return tuple(seen.values())
 
 
 class RelationKind(Enum):
@@ -205,17 +196,12 @@ class Rule(NamedTuple):
         """Stable human-readable reference for diagnostics."""
         return self.label if self.label else f"rule {self.ordinal}"
 
-    def lhs_concepts(self) -> tuple[ConceptId, ...]:
-        """Distinct left-hand-side concepts, first-appearance order."""
-        return _first_by_name(itertools.chain(
-            self.outputs, *(ch.elements for ch in self.inputs)))
-
-    def mentioned_concepts(self) -> tuple[ConceptId, ...]:
-        """Every concept the rule touches anywhere, first-appearance order."""
-        return _first_by_name(itertools.chain(
-            self.outputs, *(ch.elements for ch in self.inputs),
-            *(term.concepts for term in self.declared_results),
-            *((rel.left, rel.right) for rel in self.relations)))
+    def lhs_names(self) -> tuple[str, ...]:
+        """Distinct left-hand-side concept names, first-appearance order."""
+        names = [c.name for c in self.outputs]
+        for chain in self.inputs:
+            names += [c.name for c in chain.elements]
+        return tuple(dict.fromkeys(names))
 
 
 class Scene(NamedTuple):
@@ -230,10 +216,19 @@ class Scene(NamedTuple):
 
     __eq__, __ne__, __hash__ = _compared_first(4)
 
-    def used_concepts(self) -> tuple[ConceptId, ...]:
-        """Concepts mentioned by at least one rule, first-appearance order."""
-        return _first_by_name(itertools.chain.from_iterable(
-            rule.mentioned_concepts() for rule in self.rules))
+    def used_names(self) -> tuple[str, ...]:
+        """Names of the concepts at least one rule mentions anywhere,
+        first-appearance order."""
+        names: list[str] = []
+        for rule in self.rules:
+            names += [c.name for c in rule.outputs]
+            for chain in rule.inputs:
+                names += [c.name for c in chain.elements]
+            for term in rule.declared_results:
+                names += [c.name for c in term.concepts]
+            for rel in rule.relations:
+                names += (rel.left.name, rel.right.name)
+        return tuple(dict.fromkeys(names))
 
 
 def normalize_relation(left: ConceptId, op: str, right: ConceptId,

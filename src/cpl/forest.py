@@ -23,7 +23,7 @@ from collections import deque
 from itertools import combinations
 from typing import NamedTuple
 
-from .ast import RelationKind, Rule, Scene, is_reverse_pair
+from .ast import Relation, RelationKind, Rule, Scene, is_reverse_pair
 from .check import RelationStore
 from .graph import reachable, simple_cycles
 
@@ -118,7 +118,7 @@ def build_forest(scene: Scene) -> OccurrenceForest:
 
     merged, free = _collect_edges(scene, RelationStore.from_scene(scene))
 
-    used = [c.name for c in scene.used_concepts()]
+    used = list(scene.used_names())
     root_name = scene.root.name if scene.root is not None else None
     if root_name is not None and root_name not in used:
         used.insert(0, root_name)
@@ -339,9 +339,10 @@ def _pair_cycles(pair: tuple[Rule, Rule]) -> list[Cycle]:
     cites = tuple(sorted(rule.cite for rule in pair))
     found = []
     for walk in simple_cycles(adjacency):
-        anchors = [i for i, name in enumerate(walk) if name in outputs]
+        anchors = [name for name in walk if name in outputs]
         if anchors:
-            pivot = min(anchors, key=lambda i: walk[i])
+            # A simple cycle names each concept once.
+            pivot = walk.index(min(anchors))
             walk = walk[pivot:] + walk[:pivot]
         found.append(Cycle(walk, "reverse-pair", cites))
     return found
@@ -369,23 +370,32 @@ def _climb(occ: Occurrence, stop: Occurrence) -> list[str]:
 
 
 def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
+    """Per looped concept, under its first self-loop rule: the walk down to
+    each association with both ends below the concept and back up, taking
+    the associations in scene order.  A later self-loop rule on the same
+    concept gives the same walks."""
     cycles: list[Cycle] = []
     seen: set[tuple[str, ...]] = set()
-    associations = [
-        (rule, rel) for rule in scene.rules for rel in rule.relations
-        if rel.kind is RelationKind.ASSOCIATION
-    ]
-    for loop_rule in scene.rules:
-        if not loop_rule.self_loop:
-            continue
-        looped = loop_rule.outputs[0].name
+    associations: list[tuple[Rule, Relation]] = []
+    by_left: dict[str, list[int]] = {}
+    loops: dict[str, Rule] = {}
+    for rule in scene.rules:
+        if rule.self_loop:
+            loops.setdefault(rule.outputs[0].name, rule)
+        for rel in rule.relations:
+            if rel.kind is RelationKind.ASSOCIATION:
+                by_left.setdefault(rel.left.name, []).append(len(associations))
+                associations.append((rule, rel))
+    for looped, loop_rule in loops.items():
         anchor = forest.primary.get(looped)
         if anchor is None:
             continue
         below = _subtree_occurrences(anchor)
-        for rule, rel in associations:
+        for index in sorted(index for name in below
+                            for index in by_left.get(name, ())):
+            rule, rel = associations[index]
             a, b = rel.left.name, rel.right.name
-            if looped in (a, b) or a not in below or b not in below:
+            if looped in (a, b) or b not in below:
                 continue
             output_names = {o.name for o in rule.outputs}
             if b in output_names and a not in output_names:
@@ -457,31 +467,32 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
     cycles.sort(key=lambda c: (c.kind, c.concepts))
 
     multi = set(forest.multi_occurrence_concepts())
+    cycle_concepts = sorted({name for cycle in cycles for name in cycle.concepts})
+    source = {occ: _source_path(forest, occ, multi)
+              for concept in multi.union(cycle_concepts)
+              for occ in forest.occurrences.get(concept, ())}
     links: list[UniLink] = []
     for concept in sorted(multi):
         prim = forest.primary.get(concept)
         if prim is None:
             continue
+        target = _target_path(forest, prim, multi)
         for occ in forest.occurrences[concept]:
-            if occ is prim:
-                continue
-            links.append(UniLink(
-                concept,
-                _source_path(forest, occ, multi),
-                _target_path(forest, prim, multi)))
-    cycle_concepts = sorted({name for cycle in cycles for name in cycle.concepts})
+            if occ is not prim:
+                links.append(UniLink(concept, source[occ], target))
     for concept in cycle_concepts:
         for occ in forest.occurrences.get(concept, ()):
-            links.append(UniLink(
-                concept, _source_path(forest, occ, multi), (concept,)))
+            links.append(UniLink(concept, source[occ], (concept,)))
     unique = sorted(set(links),
                     key=lambda l: (l.concept, l.source_path, l.target_path))
     return CycleReport(tuple(unique), tuple(cycles))
 
 
 def _rotation_key(walk: tuple[str, ...]) -> tuple[str, ...]:
-    pivot = min(range(len(walk)), key=lambda i: walk[i:] + walk[:i])
-    return walk[pivot:] + walk[:pivot]
+    """The least rotation; it starts at the least name."""
+    first = min(walk)
+    return min(walk[i:] + walk[:i]
+               for i, name in enumerate(walk) if name == first)
 
 
 def forest_to_dot(forest: OccurrenceForest) -> str:

@@ -77,12 +77,14 @@ def reachable(adjacency: Mapping[str, Iterable[str]],
 def simple_cycles(adjacency: Mapping[str, Iterable[str]]) -> list[tuple[str, ...]]:
     """All simple cycles of a small digraph, each rooted at its smallest
     member."""
+    ordered = {node: sorted(successors)
+               for node, successors in adjacency.items()}
     cycles: list[tuple[str, ...]] = []
-    for start in sorted(adjacency):
+    for start in sorted(ordered):
         stack: list[tuple[str, tuple[str, ...]]] = [(start, (start,))]
         while stack:
             node, path = stack.pop()
-            for nxt in sorted(adjacency.get(node, ())):
+            for nxt in ordered.get(node, ()):
                 if nxt == start and len(path) >= 2:
                     cycles.append(path)
                 elif nxt > start and nxt not in path:

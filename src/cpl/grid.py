@@ -56,7 +56,7 @@ def build_grid(scene: Scene) -> FrequencyGrid:
     """Count LHS co-occurrence for every rule of a (consistent) scene."""
     neighbours: dict[str, dict[str, int]] = {}
     for rule in scene.rules:
-        members = [c.name for c in rule.lhs_concepts()]
+        members = rule.lhs_names()
         for name in members:
             neighbours.setdefault(name, {})
         if rule.self_loop:

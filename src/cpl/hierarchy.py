@@ -12,6 +12,23 @@ and inserts nothing.
 Construction is sequential by contract: the trace logs every ensemble
 weight update and hierarchy insertion, and a hierarchy link only ever
 follows the ensemble update of its concept pair.
+
+The builder keeps a rank for every node such that every link runs from a
+lower to a higher rank; a new child takes the next rank.  A link whose
+parent ranks below its child therefore closes no cycle and is accepted at
+once.  Otherwise a path from the child back to the parent could only pass
+through nodes ranked between the two, so only those are searched: the ones
+that reach the parent, where meeting the child refuses the link, then the
+ones the child reaches.  The first set then takes the lowest of the two
+sets' pooled ranks, each set keeping its own order (Pearce and Kelly, "A
+dynamic topological sort algorithm for directed acyclic graphs", JEA 2006).
+
+A path that shares no concept with the hierarchy waits under a number,
+indexed by each concept it names, and only a new node it names wakes it.
+A retry pass inserts the woken paths in number order; a path woken during
+the pass joins it if its number comes after the one being inserted, and
+waits for the next pass otherwise, as if every waiting path were tried in
+turn, pass after pass, until a pass places none.
 """
 
 from __future__ import annotations
@@ -20,11 +37,9 @@ import json
 from itertools import combinations
 from typing import NamedTuple
 
-from . import graph
 from .ast import Rule, Scene, derive_result
 # Unused here, but perfbench/tracing.py counts calls by rebinding this name.
 from .ast import is_reverse_pair  # noqa: F401
-from .forest import reverse_pairs
 from .grid import FrequencyGrid, build_grid
 from .parser import Diagnostic, error
 
@@ -54,7 +69,7 @@ def build_ensemble(scene: Scene) -> FrequencyGrid:
     """The grid over every concept a rule mentions, in first-mention order;
     a concept that co-occurs with none has no counts."""
     grid = build_grid(scene)
-    concepts = tuple(c.name for c in scene.used_concepts())
+    concepts = scene.used_names()
     for name in concepts:
         grid.neighbours.setdefault(name, {})
     return FrequencyGrid(concepts, grid.neighbours)
@@ -69,37 +84,96 @@ def select_root(ensemble: FrequencyGrid) -> str:
 
 
 def _repeat_rules(scene: Scene) -> set[int]:
-    """Ordinals of rules that reverse an earlier, non-repeat rule."""
-    # Positions by identity: equal rules compare equal.
-    position = {id(rule): index for index, rule in enumerate(scene.rules)}
+    """Ordinals of rules that reverse an earlier, non-repeat rule.
+
+    A single-output, single-chain rule has the shape (output, source, chain
+    tail); it reverses an earlier rule whose shape is its own with output
+    and source swapped.
+    """
     repeats: set[int] = set()
-    for earlier, later in sorted(reverse_pairs(scene),
-                                 key=lambda pair: position[id(pair[1])]):
-        if earlier.ordinal not in repeats:
-            repeats.add(later.ordinal)
+    shapes: set[tuple[str, str, tuple[str, ...]]] = set()
+    for rule in scene.rules:
+        if len(rule.outputs) != 1 or len(rule.inputs) != 1:
+            continue
+        chain = rule.inputs[0].elements
+        output, source = rule.outputs[0].name, chain[0].name
+        tail = tuple(c.name for c in chain[1:])
+        if (source, output, tail) in shapes:
+            repeats.add(rule.ordinal)
+        else:
+            shapes.add((output, source, tail))
     return repeats
 
 
 class _Builder:
     def __init__(self, root: str):
         self.depth = {root: 0}  # insertion order is the node order
-        self.children: dict[str, dict[str, None]] = {}
+        self.rank = {root: 0}  # every link runs from a lower to a higher rank
+        self.children: dict[str, dict[str, None]] = {root: {}}
+        self.parents: dict[str, list[str]] = {root: []}
         self.edges: list[tuple[str, str]] = []
         self.trace: list[TraceEvent] = []
+        # Waiting paths by number, the numbers under each concept they
+        # name, and the numbers that a new node has woken.
+        self.pending: dict[int, tuple[Rule, tuple[str, ...]]] = {}
+        self.waiting: dict[str, list[int]] = {}
+        self.woken: set[int] = set()
+        self.numbers = 0
 
     def link(self, parent: str, child: str, cite: str) -> None:
         """Link a known parent to a child, adding the child if it is new."""
         if child not in self.depth:
             # A new child has no descendants, so the link closes no cycle.
             self.depth[child] = self.depth[parent] + 1
+            self.rank[child] = len(self.rank)
+            self.children[child] = {}
+            self.parents[child] = []
             self.trace.append(TraceEvent("node", cite, (child,)))
-        elif child in self.children.get(parent, ()):
+            for number in self.waiting.pop(child, ()):
+                if number in self.pending:
+                    self.woken.add(number)
+        elif child in self.children[parent]:
             return
-        elif parent in graph.reachable(self.children, [child]):
+        elif not self.rerank(parent, child):
             return  # a link back toward the root would fold the DAG shut
-        self.children.setdefault(parent, {})[child] = None
+        self.children[parent][child] = None
+        self.parents[child].append(parent)
         self.edges.append((parent, child))
         self.trace.append(TraceEvent("edge", cite, (parent, child)))
+
+    def rerank(self, parent: str, child: str) -> bool:
+        """Ranks that let the link parent -> child rise; False, ranks
+        untouched, when the child reaches the parent (or is the parent)."""
+        rank = self.rank
+        low, high = rank[child], rank[parent]
+        if low > high:
+            return True
+        if child == parent:
+            return False
+        # Every node on a path from the child to the parent ranks between
+        # the two, so the searches need not leave that range.
+        behind = {parent}
+        stack = [parent]
+        while stack:
+            for prev in self.parents[stack.pop()]:
+                if rank[prev] >= low and prev not in behind:
+                    if prev == child:
+                        return False
+                    behind.add(prev)
+                    stack.append(prev)
+        ahead = {child}
+        stack = [child]
+        while stack:
+            for nxt in self.children[stack.pop()]:
+                if rank[nxt] < high and nxt not in ahead:
+                    ahead.add(nxt)
+                    stack.append(nxt)
+        # The nodes reaching the parent take the lowest of the pooled
+        # ranks, each side keeping its own order.
+        moved = sorted(behind, key=rank.get) + sorted(ahead, key=rank.get)
+        for name, place in zip(moved, sorted(map(rank.get, moved))):
+            rank[name] = place
+        return True
 
     def insert_path(self, path: tuple[str, ...], cite: str) -> bool:
         """Insert one derived path, nearest-the-root end first.
@@ -121,6 +195,24 @@ class _Builder:
             # both unknown: skip until the walk reaches known ground
         return True
 
+    def wait(self, rule: Rule, path: tuple[str, ...]) -> None:
+        """Keep a path that shares no concept with the hierarchy yet."""
+        self.pending[self.numbers] = (rule, path)
+        for name in path:
+            self.waiting.setdefault(name, []).append(self.numbers)
+        self.numbers += 1
+
+    def retry(self) -> None:
+        """Insert the woken paths, pass by pass, in rising number within a
+        pass."""
+        number = -1
+        while self.woken:
+            later = [n for n in self.woken if n > number]
+            number = min(later or self.woken)
+            self.woken.remove(number)
+            rule, path = self.pending.pop(number)
+            self.insert_path(path, rule.cite)
+
 
 def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
     """Grow the hierarchy from the rule paths in scene order.
@@ -128,41 +220,32 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
     Every rule first updates the ensemble weights; insertions follow, so
     each hierarchy link is preceded by the matching ensemble update.  Rules
     whose path shares no concept with the root component stay pending and
-    are retried after each insertion; whatever never connects is reported.
+    are retried once a concept they name joins; whatever never connects is
+    reported.
     """
     root = select_root(ensemble)
     repeats = _repeat_rules(scene)
     builder = _Builder(root)
-    running: dict[frozenset[str], int] = {}
-    pending: list[tuple[Rule, tuple[str, ...]]] = []
-
-    def retry_pending() -> None:
-        progress = True
-        while progress and pending:
-            still = [(rule, path) for rule, path in pending
-                     if not builder.insert_path(path, rule.cite)]
-            progress = len(still) < len(pending)
-            pending[:] = still
+    running: dict[tuple[str, str], int] = {}
 
     for rule in scene.rules:
-        members = [c.name for c in rule.lhs_concepts()]
-        for a, b in combinations(members, 2):
-            pair = frozenset((a, b))
-            running[pair] = running.get(pair, 0) + 1
-            builder.trace.append(TraceEvent(
-                "ensemble", rule.cite, tuple(sorted(pair)), running[pair]))
+        for a, b in combinations(rule.lhs_names(), 2):
+            pair = (a, b) if a < b else (b, a)
+            running[pair] = weight = running.get(pair, 0) + 1
+            builder.trace.append(TraceEvent("ensemble", rule.cite, pair, weight))
         if rule.self_loop or rule.ordinal in repeats:
             continue
         for term in derive_result(rule.outputs, rule.inputs):
             path = tuple(c.name for c in term)
             if not builder.insert_path(path, rule.cite):
-                pending.append((rule, path))
-        retry_pending()
+                builder.wait(rule, path)
+        builder.retry()
 
     diagnostics: list[Diagnostic] = []
-    if pending:
-        stranded = sorted({rule.cite for rule, _ in pending})
-        first = pending[0][0]
+    if builder.pending:
+        waiting = builder.pending.values()
+        stranded = sorted({rule.cite for rule, _ in waiting})
+        first = next(iter(waiting))[0]
         diagnostics.append(error(
             f"rules share no concept with the hierarchy rooted at {root!r}: "
             + ", ".join(stranded), first.span))

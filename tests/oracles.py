@@ -24,6 +24,17 @@ beside their index and remove retried paths with ``list.remove``.  The
 ensemble argument lost its default when the ensemble became the grid.
 ``to_csv`` is the grid's CSV format as it stood before it read the
 neighbour map directly: it formats every cell of the dense rows.
+``build_hierarchy`` takes its repeat rules from ``repeat_rules`` and its
+left-hand sides from ``lhs_concepts``, not from the code under test.
+``lhs_concepts`` and
+``used_concepts`` are the rule and scene methods that kept the first
+concept record under each name, before they returned names only.
+``extract_cycles`` and its ``_pair_cycles``, ``_loop_cycles``,
+``_rotation_key`` and ``simple_cycles`` are the cycle extraction as it
+stood before the associations were indexed by concept: every self-loop
+rule walks its concept's subtree and scans every association, every
+rotation of a walk is compared, successor lists are sorted on every visit
+and each occurrence's source path is worked out every time it is cited.
 They recurse and rescan freely, so use them on small inputs only.
 """
 
@@ -32,7 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from collections import Counter
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from cpl import graph
 from cpl.ast import (
@@ -52,16 +63,21 @@ from cpl.ast import (
     split_result,
 )
 from cpl.check import RelationStore, _check_quantity, _names
-from cpl.forest import Occurrence, OccurrenceForest, _Edge
+from cpl.forest import (
+    Cycle,
+    CycleReport,
+    Occurrence,
+    OccurrenceForest,
+    UniLink,
+    _Edge,
+    _climb,
+    _source_path,
+    _subtree_occurrences,
+    _target_path,
+)
 from cpl.graph import reachable
 from cpl.grid import Clustering, FrequencyGrid
-from cpl.hierarchy import (
-    Hierarchy,
-    HierarchyBuild,
-    TraceEvent,
-    _repeat_rules,
-    select_root,
-)
+from cpl.hierarchy import Hierarchy, HierarchyBuild, TraceEvent, select_root
 from cpl.parser import KEYWORDS, Diagnostic, ParseResult, _Abort, error
 
 
@@ -293,6 +309,34 @@ def repeat_rules(scene) -> set[int]:
                 repeats.add(later.ordinal)
                 break
     return repeats
+
+
+def _first_by_name(concepts) -> tuple[ConceptId, ...]:
+    """The first concept seen under each name, in first-appearance order."""
+    seen: dict[str, ConceptId] = {}
+    for concept in concepts:
+        seen.setdefault(concept.name, concept)
+    return tuple(seen.values())
+
+
+def lhs_concepts(rule: Rule) -> tuple[ConceptId, ...]:
+    """Distinct left-hand-side concepts, first-appearance order."""
+    return _first_by_name(chain(
+        rule.outputs, *(ch.elements for ch in rule.inputs)))
+
+
+def mentioned_concepts(rule: Rule) -> tuple[ConceptId, ...]:
+    """Every concept the rule touches anywhere, first-appearance order."""
+    return _first_by_name(chain(
+        rule.outputs, *(ch.elements for ch in rule.inputs),
+        *(term.concepts for term in rule.declared_results),
+        *((rel.left, rel.right) for rel in rule.relations)))
+
+
+def used_concepts(scene: Scene) -> tuple[ConceptId, ...]:
+    """Concepts mentioned by at least one rule, first-appearance order."""
+    return _first_by_name(chain.from_iterable(
+        mentioned_concepts(rule) for rule in scene.rules))
 
 
 @dataclass(frozen=True)
@@ -776,7 +820,7 @@ def build_forest(scene: Scene) -> OccurrenceForest:
         if not edge.contained and key not in noncontained_at:
             noncontained_at[key] = idx
 
-    used = [c.name for c in scene.used_concepts()]
+    used = [c.name for c in used_concepts(scene)]
     root_name = scene.root.name if scene.root is not None else None
     if root_name is not None and root_name not in used:
         used.insert(0, root_name)
@@ -1002,7 +1046,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
     are retried after each insertion; whatever never connects is reported.
     """
     root = select_root(ensemble)
-    repeats = _repeat_rules(scene)
+    repeats = repeat_rules(scene)
     builder = _Builder(root)
     running: dict[frozenset[str], int] = {}
     pending: list[tuple[Rule, tuple[str, ...]]] = []
@@ -1018,7 +1062,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
                     progress = True
 
     for rule in scene.rules:
-        members = [c.name for c in rule.lhs_concepts()]
+        members = [c.name for c in lhs_concepts(rule)]
         for a, b in combinations(members, 2):
             pair = frozenset((a, b))
             running[pair] = running.get(pair, 0) + 1
@@ -1042,3 +1086,119 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
 
     hierarchy = Hierarchy(root, tuple(builder.nodes), tuple(builder.edges))
     return HierarchyBuild(hierarchy, tuple(builder.trace), tuple(diagnostics))
+
+
+def simple_cycles(adjacency) -> list[tuple[str, ...]]:
+    """All simple cycles of a small digraph, each rooted at its smallest
+    member; sorts a node's successors on every visit."""
+    cycles: list[tuple[str, ...]] = []
+    for start in sorted(adjacency):
+        stack: list[tuple[str, tuple[str, ...]]] = [(start, (start,))]
+        while stack:
+            node, path = stack.pop()
+            for nxt in sorted(adjacency.get(node, ())):
+                if nxt == start and len(path) >= 2:
+                    cycles.append(path)
+                elif nxt > start and nxt not in path:
+                    stack.append((nxt, path + (nxt,)))
+    return cycles
+
+
+def _pair_cycles(pair) -> list[Cycle]:
+    adjacency: dict[str, set[str]] = {}
+    outputs = {rule.outputs[0].name for rule in pair}
+    for rule in pair:
+        names = [c.name for c in rule.inputs[0].elements] + [rule.outputs[0].name]
+        for a, b in zip(names, names[1:]):
+            adjacency.setdefault(a, set()).add(b)
+            adjacency.setdefault(b, set())
+    cites = tuple(sorted(rule.cite for rule in pair))
+    found = []
+    for walk in simple_cycles(adjacency):
+        anchors = [i for i, name in enumerate(walk) if name in outputs]
+        if anchors:
+            pivot = min(anchors, key=lambda i: walk[i])
+            walk = walk[pivot:] + walk[:pivot]
+        found.append(Cycle(walk, "reverse-pair", cites))
+    return found
+
+
+def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
+    cycles: list[Cycle] = []
+    seen: set[tuple[str, ...]] = set()
+    associations = [
+        (rule, rel) for rule in scene.rules for rel in rule.relations
+        if rel.kind is RelationKind.ASSOCIATION
+    ]
+    for loop_rule in scene.rules:
+        if not loop_rule.self_loop:
+            continue
+        looped = loop_rule.outputs[0].name
+        anchor = forest.primary.get(looped)
+        if anchor is None:
+            continue
+        below = _subtree_occurrences(anchor)
+        for rule, rel in associations:
+            a, b = rel.left.name, rel.right.name
+            if looped in (a, b) or a not in below or b not in below:
+                continue
+            output_names = {o.name for o in rule.outputs}
+            if b in output_names and a not in output_names:
+                a, b = b, a
+            elif a not in output_names and b not in output_names:
+                a, b = sorted((a, b))
+            down = list(reversed(_climb(below[a], anchor)))
+            up = _climb(below[b], anchor)
+            walk = tuple([looped] + down + up)
+            if walk in seen:
+                continue
+            seen.add(walk)
+            cycles.append(Cycle(
+                walk, "self-loop",
+                tuple(sorted({loop_rule.cite, rule.cite}))))
+    return cycles
+
+
+def _rotation_key(walk: tuple[str, ...]) -> tuple[str, ...]:
+    pivot = min(range(len(walk)), key=lambda i: walk[i:] + walk[:i])
+    return walk[pivot:] + walk[:pivot]
+
+
+def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
+    """Uni-directional entry links and the repeatable process cycles."""
+    cycles: list[Cycle] = []
+    seen: set[tuple[tuple[str, ...], str]] = set()
+    for pair in reverse_pairs(scene):
+        for cycle in _pair_cycles(pair):
+            key = (_rotation_key(cycle.concepts), cycle.kind)
+            if key not in seen:
+                seen.add(key)
+                cycles.append(cycle)
+    for cycle in _loop_cycles(scene, forest):
+        key = (_rotation_key(cycle.concepts), cycle.kind)
+        if key not in seen:
+            seen.add(key)
+            cycles.append(cycle)
+    cycles.sort(key=lambda c: (c.kind, c.concepts))
+
+    multi = set(forest.multi_occurrence_concepts())
+    links: list[UniLink] = []
+    for concept in sorted(multi):
+        prim = forest.primary.get(concept)
+        if prim is None:
+            continue
+        for occ in forest.occurrences[concept]:
+            if occ is prim:
+                continue
+            links.append(UniLink(
+                concept,
+                _source_path(forest, occ, multi),
+                _target_path(forest, prim, multi)))
+    cycle_concepts = sorted({name for cycle in cycles for name in cycle.concepts})
+    for concept in cycle_concepts:
+        for occ in forest.occurrences.get(concept, ()):
+            links.append(UniLink(
+                concept, _source_path(forest, occ, multi), (concept,)))
+    unique = sorted(set(links),
+                    key=lambda l: (l.concept, l.source_path, l.target_path))
+    return CycleReport(tuple(unique), tuple(cycles))

@@ -13,7 +13,8 @@ from cpl.ast import (
     RelationKind,
 )
 
-from genhelpers import make_chain, make_entities
+import oracles
+from genhelpers import make_chain, make_entities, make_reverse_scene, make_scene
 
 P, K, D = ConceptId("Pot", "P"), ConceptId("Kitchen", "K"), ConceptId("Cupboard", "D")
 H, C, B, G = (ConceptId("Heat", "H"), ConceptId("Cooker", "C"),
@@ -122,5 +123,15 @@ def test_reverse_pair_rejects_multi_shapes():
 
 def test_lhs_concepts_order_and_dedup():
     rule = Rule("r", (P,), (Chain((K, D)), Chain((K, H))), (), ())
-    assert [c.name for c in rule.lhs_concepts()] == [
-        "Pot", "Kitchen", "Cupboard", "Heat"]
+    assert rule.lhs_names() == ("Pot", "Kitchen", "Cupboard", "Heat")
+
+
+@given(st.sampled_from([make_scene, make_reverse_scene]),
+       st.integers(0, 10**9))
+def test_names_match_first_concept_scan(make, seed):
+    scene = make(random.Random(seed))
+    assert scene.used_names() == tuple(
+        c.name for c in oracles.used_concepts(scene))
+    for rule in scene.rules:
+        assert rule.lhs_names() == tuple(
+            c.name for c in oracles.lhs_concepts(rule))

@@ -28,6 +28,15 @@ def deep_chain_source(depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def deep_loop_source(depth: int) -> str:
+    """The deep chain plus a self-loop on its top concept and the
+    association ``C00000 - C00002`` at its bottom."""
+    top = f"C{depth:05d}"
+    return deep_chain_source(depth).replace(
+        "C00000 < C00001 < C00002;", "C00000 < C00001 < C00002, C00000 - C00002;"
+    ).replace("  }\n}\n", f"    loop: {top} -> {top};\n  }}\n}}\n")
+
+
 def deep_chain_scene(depth: int):
     result = parse_scene(deep_chain_source(depth))
     assert result.scene is not None, result.diagnostics

@@ -22,7 +22,7 @@ from cpl.forest import (
 from cpl.parser import parse_scene
 
 from genhelpers import make_reverse_scene, make_scene
-from test_depth import deep_chain_scene
+from test_depth import deep_chain_scene, deep_loop_source
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(REPO_ROOT / "perfbench"))
@@ -338,3 +338,46 @@ def test_forest_matches_oracle_on_generated_scenes(make, seed):
 
 def test_forest_matches_oracle_on_deep_chain():
     assert_forest_matches_oracle(deep_chain_scene(300))
+
+
+def assert_cycles_match_oracle(scene):
+    forest = build_forest(scene)
+    assert extract_cycles(scene, forest) == \
+        oracles.extract_cycles(scene, forest)
+
+
+@given(st.sampled_from([make_scene, make_reverse_scene]),
+       st.integers(0, 10**9))
+def test_cycles_match_oracle_on_generated_scenes(make, seed):
+    assert_cycles_match_oracle(make(random.Random(seed)))
+
+
+@given(st.sampled_from([(64, 128, 0.10, 0.03), (24, 200, 0.30, 0.05),
+                        (16, 60, 0.20, 0.20)]),
+       st.integers(0, 10**9))
+def test_cycles_match_oracle_on_workload_scenes(shape, seed):
+    """Workload-shaped scenes, self-loops and associations included."""
+    assert_cycles_match_oracle(
+        scene_of(scenegen.generate(random.Random(seed), *shape).text))
+
+
+def test_cycles_match_oracle_on_deep_loop():
+    scene = scene_of(deep_loop_source(300))
+    report = extract_cycles(scene, build_forest(scene))
+    assert [cycle.kind for cycle in report.cycles] == ["self-loop"]
+    assert_cycles_match_oracle(scene)
+
+
+def test_loop_cycle_cites_first_loop_and_association_in_scene_order():
+    # Two self-loops on L, and two rules that both associate A with B.  A
+    # comes first below L, but r2, which names B first, comes first in
+    # the scene, as l1 does before l2.
+    scene = scene_of(
+        "scene S { entities { L; P; Q; A; B; O; } rules {"
+        " r1: O + P.A -> O.A.P where P < L, Q < L, A < P, B < Q;"
+        " l1: L -> L; r2: O + Q.B -> O.B.Q where B - A;"
+        " r3: O + P.A -> O.A.P where A - B; l2: L -> L; } }")
+    report = extract_cycles(scene, build_forest(scene))
+    assert [cycle.render() for cycle in report.cycles] == [
+        "L -> P -> A -> B -> Q -> L  [l1, r2]"]
+    assert_cycles_match_oracle(scene)

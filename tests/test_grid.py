@@ -147,7 +147,7 @@ def test_grid_symmetry_and_total(seed):
     for rule in scene.rules:
         if rule.self_loop:
             continue
-        k = len(rule.lhs_concepts())
+        k = len(rule.lhs_names())
         expected += 2 * len(list(combinations(range(k), 2)))
     assert grid.total() == expected
 

@@ -297,3 +297,35 @@ def test_equal_pending_paths_keep_their_own_place():
     assert oracle_steps[-2:] == [TraceEvent("node", "rule 4", ("C",)),
                                  TraceEvent("edge", "rule 4", ("D", "C"))]
     assert steps[:-2] == oracle_steps[:-2]
+
+
+def test_cycle_guard_refuses_self_link():
+    # r2's output is its effector, so its path, rooted at B, is B, C, C:
+    # the link C -> C would be a cycle of its own.
+    scene = scene_of(
+        "scene S { entities { A; B; C; } rules {"
+        " r1: A + B.C -> A.C.B; r2: C + B.C -> C.C.B; } }")
+    build = build_hierarchy(scene, build_ensemble(scene))
+    assert build.hierarchy.root == "B"
+    assert build.hierarchy.edges == (("B", "C"), ("C", "A"))
+    assert build == oracles.build_hierarchy(scene, build_ensemble(scene))
+
+
+def test_pending_paths_woken_behind_and_ahead_of_the_pass():
+    # r2, r3, r4 and r6 wait, in that order.  r5 places Q, which wakes r4.
+    # Inserting r4 places U, waking r6 after it in the same pass, and W,
+    # waking r3 before it, which waits for the next pass; r3 then places Y
+    # for r2 in a third pass.
+    scene = scene_of(
+        "scene S { entities { B; C; D; Q; R; S; T; U; V; W; X; Y; Z; }"
+        " rules {"
+        " r1: B + C.D -> B.D.C; r2: X + Y.Z -> X.Z.Y;"
+        " r3: Y + W.V -> Y.V.W; r4: W + Q.U -> W.U.Q;"
+        " r6: U + T.R -> U.R.T; r5: B + Q.S -> B.S.Q; } }")
+    ensemble = build_ensemble(scene)
+    build = build_hierarchy(scene, ensemble)
+    assert build.diagnostics == ()
+    assert build.hierarchy.root == "B"
+    cites = [event.rule for event in build.trace if event.kind != "ensemble"]
+    assert list(dict.fromkeys(cites)) == ["r1", "r5", "r4", "r6", "r3", "r2"]
+    assert build == oracles.build_hierarchy(scene, ensemble)
