@@ -287,9 +287,10 @@ def test_predict_malformed_memory(capsys, tmp_path):
 
 def test_color_toggle(capsys, scenes_dir, monkeypatch):
     monkeypatch.setenv("CPL_COLOR", "1")
-    code, _, err = run(capsys, "check", str(scenes_dir / "inconsistent.cpl"))
-    assert code == 1
-    assert "\x1b[31m" in err
+    path = scenes_dir / "inconsistent.cpl"
+    err = (f"{path}:25:5: \x1b[31merror\x1b[0m: 'Cupboard < Kitchen' (r1) "
+           "contradicts 'Kitchen < Cupboard' (r9)\n")
+    assert run(capsys, "check", str(path)) == (1, "1 error\n", err)
     monkeypatch.setenv("CPL_COLOR", "0")
     code, _, err = run(capsys, "check", str(scenes_dir / "inconsistent.cpl"))
     assert "\x1b[31m" not in err

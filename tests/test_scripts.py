@@ -31,3 +31,14 @@ def test_memory_demo_prints_the_same_and_leaves_no_files(tmp_path):
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("stored 4 scenes\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cooking_report_on_an_inconsistent_scene_exits_1():
+    done = subprocess.run(
+        [sys.executable, "scripts/run_cooking_report.py",
+         "scenes/inconsistent.cpl"],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == (
+        "  scenes/inconsistent.cpl:25:5: error: 'Cupboard < Kitchen' (r1) "
+        "contradicts 'Kitchen < Cupboard' (r9)\n")
