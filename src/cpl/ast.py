@@ -1,10 +1,12 @@
-"""Core value types for CPL scenes and the pure rule algebra.
+"""Core value types for CPL scenes, the pure rule algebra and diagnostics.
 
 A scene is a named set of declared concepts plus an ordered list of rules.
 Each non-self-loop rule says: one or more output concepts receive the value
 change of an effector, delivered through an input chain that starts at a
 source concept and ends at the effector.  The derivation algebra below turns
-the left-hand side of such a rule into its expected result terms.
+the left-hand side of such a rule into its expected result terms; a rule's
+shape tells which rules reverse each other.  The parser and every
+derivation share this module alone, diagnostics included.
 
 Everything here is immutable after construction; source spans are carried
 for diagnostics but excluded from equality.  Every record is a NamedTuple.
@@ -45,6 +47,22 @@ class Span(NamedTuple):
 
 
 _NO_SPAN = Span()
+
+
+class Diagnostic(NamedTuple):
+    """A positioned parser or checker error."""
+
+    message: str
+    line: int
+    column: int
+    span_length: int = 1
+
+    def __str__(self) -> str:
+        return f"{self.line}:{self.column}: error: {self.message}"
+
+
+def error(message: str, span: Span) -> Diagnostic:
+    return Diagnostic(message, span.line, span.column, max(span.length, 1))
 
 
 class ConceptId(NamedTuple):
@@ -203,6 +221,15 @@ class Rule(NamedTuple):
             names += [c.name for c in chain.elements]
         return tuple(dict.fromkeys(names))
 
+    def shape(self) -> tuple[str, str, tuple[str, ...]] | None:
+        """(output, source, chain tail) of a rule with one output and one
+        chain; None for any other rule, self-loops included."""
+        if self.self_loop or len(self.outputs) != 1 or len(self.inputs) != 1:
+            return None
+        elements = self.inputs[0].elements
+        return (self.outputs[0].name, elements[0].name,
+                tuple(c.name for c in elements[1:]))
+
 
 class Scene(NamedTuple):
     """A named rule set over declared concepts, optionally rooted in an
@@ -285,23 +312,10 @@ def split_result(outputs: tuple[ConceptId, ...] | list[ConceptId],
 def is_reverse_pair(a: Rule, b: Rule) -> bool:
     """True when ``b`` re-states ``a`` with output and source swapped.
 
-    Only defined for distinct single-output, single-chain rules sharing the
-    same intermediate and effector elements.  Such a pair marks a repeatable
-    process rather than new structure.
+    Only defined for distinct rules with mirrored shapes (``Rule.shape``).
+    Such a pair marks a repeatable process rather than new structure.
     """
-    if a is b or a.self_loop or b.self_loop:
+    if a is b or (shape := b.shape()) is None:
         return False
-    if len(a.outputs) != 1 or len(b.outputs) != 1:
-        return False
-    if len(a.inputs) != 1 or len(b.inputs) != 1:
-        return False
-    chain_a, chain_b = a.inputs[0], b.inputs[0]
-    if len(chain_a.elements) != len(chain_b.elements):
-        return False
-    tail_a = tuple(c.name for c in chain_a.elements[1:])
-    tail_b = tuple(c.name for c in chain_b.elements[1:])
-    return (
-        a.outputs[0].name == chain_b.source.name
-        and b.outputs[0].name == chain_a.source.name
-        and tail_a == tail_b
-    )
+    output, source, tail = shape
+    return a.shape() == (source, output, tail)

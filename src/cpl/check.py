@@ -4,7 +4,7 @@ A rule is valid when its declared results match the derived ones and any
 numeric amounts are conserved.  A scene is consistent when no rule breaks a
 relation declared by another rule: no reversed sub-concept pairs, no pair
 that is both nested and associated, and no cycles in the transitive
-sub-concept or containment relations.
+sub-concept or containment relations.  Only ``ast`` and ``graph`` are read.
 """
 
 from __future__ import annotations
@@ -13,53 +13,16 @@ from itertools import product
 from typing import NamedTuple
 
 from .ast import (
+    Diagnostic,
     Quantity,
-    Relation,
     RelationKind,
     Rule,
     Scene,
     derive_result,
+    error,
     split_result,
 )
 from .graph import strongly_connected
-from .parser import Diagnostic, error
-
-
-class RelationStore:
-    """All relations of a scene merged, with the rules that declared them.
-
-    Duplicate declarations across rules are legal and merged silently.
-    """
-
-    __slots__ = ("sub_edges", "assoc_edges", "contained_edges")
-
-    def __init__(self) -> None:
-        self.sub_edges: dict[tuple[str, str], list[Rule]] = {}
-        self.assoc_edges: dict[frozenset[str], list[Rule]] = {}
-        self.contained_edges: dict[tuple[str, str], list[Rule]] = {}
-
-    @classmethod
-    def from_scene(cls, scene: Scene) -> "RelationStore":
-        store = cls()
-        for rule in scene.rules:
-            for rel in rule.relations:
-                store.add(rel, rule)
-        return store
-
-    def add(self, rel: Relation, rule: Rule) -> None:
-        if rel.kind is RelationKind.ASSOCIATION:
-            self.assoc_edges.setdefault(rel.pair(), []).append(rule)
-            return
-        edge = (rel.left.name, rel.right.name)
-        target = (self.sub_edges if rel.kind is RelationKind.SUB_CONCEPT
-                  else self.contained_edges)
-        target.setdefault(edge, []).append(rule)
-
-    def has_sub(self, child: str, parent: str) -> bool:
-        return (child, parent) in self.sub_edges
-
-    def has_assoc(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.assoc_edges
 
 
 class Contradiction(NamedTuple):
@@ -157,11 +120,22 @@ def _cycles(edges: dict[tuple[str, str], list[Rule]]) -> list[list[str]]:
 
 def scene_contradictions(scene: Scene) -> list[Contradiction]:
     """Cross-rule violations as structured records, deterministically ordered."""
-    store = RelationStore.from_scene(scene)
+    # Each relation with the rules declaring it; duplicates are legal.
+    sub_edges: dict[tuple[str, str], list[Rule]] = {}
+    assoc_edges: dict[frozenset[str], list[Rule]] = {}
+    contained_edges: dict[tuple[str, str], list[Rule]] = {}
+    for rule in scene.rules:
+        for rel in rule.relations:
+            if rel.kind is RelationKind.ASSOCIATION:
+                assoc_edges.setdefault(rel.pair(), []).append(rule)
+                continue
+            edges = (sub_edges if rel.kind is RelationKind.SUB_CONCEPT
+                     else contained_edges)
+            edges.setdefault((rel.left.name, rel.right.name), []).append(rule)
     found: list[Contradiction] = []
 
-    for (child, parent), rules in sorted(store.sub_edges.items()):
-        reverse = store.sub_edges.get((parent, child))
+    for (child, parent), rules in sorted(sub_edges.items()):
+        reverse = sub_edges.get((parent, child))
         if reverse and child < parent:
             cites = _cites(rules + reverse)
             found.append(Contradiction(
@@ -169,11 +143,11 @@ def scene_contradictions(scene: Scene) -> list[Contradiction]:
                 f"'{child} < {parent}' ({_cites(rules)[0]}) contradicts "
                 f"'{parent} < {child}' ({_cites(reverse)[0]})"))
 
-    for pair, assoc_rules in sorted(store.assoc_edges.items(),
+    for pair, assoc_rules in sorted(assoc_edges.items(),
                                     key=lambda item: sorted(item[0])):
         a, b = sorted(pair)
         for child, parent in ((a, b), (b, a)):
-            sub_rules = store.sub_edges.get((child, parent))
+            sub_rules = sub_edges.get((child, parent))
             if sub_rules:
                 cites = _cites(sub_rules + assoc_rules)
                 found.append(Contradiction(
@@ -183,8 +157,8 @@ def scene_contradictions(scene: Scene) -> list[Contradiction]:
 
     # Sub-concept two-cycles are already reported as reversed-sub.
     for kind, edges, smallest, prefix in (
-            ("sub-cycle", store.sub_edges, 3, "sub-concept relations form"),
-            ("containment-cycle", store.contained_edges, 2,
+            ("sub-cycle", sub_edges, 3, "sub-concept relations form"),
+            ("containment-cycle", contained_edges, 2,
              "containment forms")):
         for component in _cycles(edges):
             if len(component) < smallest:

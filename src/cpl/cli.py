@@ -6,12 +6,13 @@ scene and an ``--out`` file that cannot be written).
 Identical inputs produce byte-identical output; diagnostics go to stderr,
 results to stdout or to the file named by --out.
 
-Each subcommand's handler takes the parsed arguments and returns its result
-text; ``main`` writes that text to stdout or ``--out`` and exits 0.  A
-handler that cannot produce a result raises ``_Exit`` with the exit code and
-the text for stderr, diagnostics included.  ``check`` alone also writes its
-own result: when it reports diagnostics it writes the count line and then
-raises ``_Exit`` with code 1.
+Each subcommand's handler takes the parsed arguments, does its work and
+returns its result as text chunks (the grid CSV a line at a time); ``main``
+writes them to stdout or ``--out`` and exits 0.  A handler that cannot
+produce a result raises ``_Exit`` with the exit code and the text for
+stderr, diagnostics included.  ``check`` alone also writes its own result:
+when it reports diagnostics it writes the count line and then raises
+``_Exit`` with code 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import sys
 from pathlib import Path
 
 from . import check, forest, grid, hierarchy, memory
-from .parser import Diagnostic, parse_scene
+from .ast import Diagnostic
+from .parser import parse_scene
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -38,19 +40,13 @@ class _Exit(Exception):
         self.code = code
 
 
-_COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
+_RED_ERROR = "\x1b[31merror\x1b[0m"
 
 
 def _format_diagnostics(path: str, diagnostics) -> str:
-    use_color = os.environ.get("CPL_COLOR", "0") == "1"
-    lines = []
-    for diag in diagnostics:
-        severity = diag.severity
-        if use_color:
-            severity = f"{_COLORS.get(diag.severity, '')}{diag.severity}\x1b[0m"
-        lines.append(
-            f"{path}:{diag.line}:{diag.column}: {severity}: {diag.message}\n")
-    return "".join(lines)
+    label = _RED_ERROR if os.environ.get("CPL_COLOR", "0") == "1" else "error"
+    return "".join(f"{path}:{diag.line}:{diag.column}: {label}: {diag.message}\n"
+                   for diag in diagnostics)
 
 
 def _load_scene(path: str):
@@ -75,23 +71,23 @@ def _checked_scene(path: str):
     return scene
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(chunks, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
     except OSError as exc:
         raise _Exit(EXIT_FAILURE,
                     f"cpl: cannot write {out}: {exc.strerror}\n") from exc
 
 
-def _cmd_check(args) -> str:
+def _cmd_check(args) -> list[str]:
     scene = _load_scene(args.file)
     diagnostics = check.check_all(scene)
-    errors = sum(1 for d in diagnostics if d.severity == "error")
-    plural = "" if errors == 1 else "s"
-    count = f"{errors} error{plural}\n"
+    plural = "" if len(diagnostics) == 1 else "s"
+    count = [f"{len(diagnostics)} error{plural}\n"]
     if not diagnostics:
         return count
     sys.stderr.write(_format_diagnostics(args.file, diagnostics))
@@ -99,64 +95,64 @@ def _cmd_check(args) -> str:
     raise _Exit(EXIT_DIAGNOSTICS)
 
 
-def _cmd_grid(args) -> str:
+def _cmd_grid(args):
     freq, clustering = grid.cluster_scene(_checked_scene(args.file))
     if args.format == "json":
-        return grid.to_json(freq, clustering)
-    return grid.to_csv(freq)
+        return [grid.to_json(freq, clustering)]
+    return grid.csv_lines(freq)
 
 
-def _cmd_cluster(args) -> str:
+def _cmd_cluster(args) -> list[str]:
     freq, clustering = grid.cluster_scene(_checked_scene(args.file))
     lines = []
     for cluster in grid.ordered_clusters(clustering.clusters):
         lines.append("cluster: " + ", ".join(sorted(cluster)))
     for a, b, count in clustering.secondary_links:
         lines.append(f"link: {a} - {b} ({count})")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
-def _cmd_trees(args) -> str:
+def _cmd_trees(args) -> list[str]:
     built = forest.build_forest(_checked_scene(args.file))
     if args.dot:
-        return forest.forest_to_dot(built)
-    return forest.nested_notation(built, sort_children=args.sorted) + "\n"
+        return [forest.forest_to_dot(built)]
+    return [forest.nested_notation(built, sort_children=args.sorted), "\n"]
 
 
-def _cmd_cycles(args) -> str:
+def _cmd_cycles(args) -> list[str]:
     scene = _checked_scene(args.file)
     report = forest.extract_cycles(scene, forest.build_forest(scene))
     if args.dot:
-        return forest.report_to_dot(scene, report)
+        return [forest.report_to_dot(scene, report)]
     lines = ["uni-links:"]
     lines.extend(f"  {link.render()}" for link in report.uni_links)
     lines.append("cycles:")
     lines.extend(f"  {cycle.render()}" for cycle in report.cycles)
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
-def _cmd_hierarchy(args) -> str:
+def _cmd_hierarchy(args) -> list[str]:
     scene = _checked_scene(args.file)
     try:
         ensemble = hierarchy.build_ensemble(scene)
         build = hierarchy.build_hierarchy(scene, ensemble)
         diagnostics = build.diagnostics
     except ValueError as exc:
-        diagnostics = [Diagnostic("error", str(exc), 1, 1)]
+        diagnostics = [Diagnostic(str(exc), 1, 1)]
     if diagnostics:
         raise _Exit(EXIT_DIAGNOSTICS, _format_diagnostics(args.file, diagnostics))
     if args.dot:
-        return hierarchy.hierarchy_to_dot(build)
+        return [hierarchy.hierarchy_to_dot(build)]
     lines = [f"root: {build.hierarchy.root}"]
     lines.extend(f"{parent} -> {child}" for parent, child in build.hierarchy.edges)
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def _parse_feature_list(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _cmd_predict(args) -> str:
+def _cmd_predict(args) -> list[str]:
     if args.k < 1:
         raise _Exit(EXIT_FAILURE, f"cpl: -k must be at least 1, got {args.k}\n")
     if not Path(args.memory).is_dir():
@@ -172,7 +168,7 @@ def _cmd_predict(args) -> str:
     inputs = _parse_feature_list(args.input)
     legal = _parse_feature_list(args.legal) if args.legal is not None else None
     prediction = memory.predict(store, inputs, legal, args.k)
-    return "".join(f"{item.feature} {item.votes}\n" for item in prediction.ranked)
+    return [f"{item.feature} {item.votes}\n" for item in prediction.ranked]
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

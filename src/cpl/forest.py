@@ -13,7 +13,8 @@ Tracing repeated concepts across the trees yields uni-directional entry
 links, and the rule set yields closed process cycles: a reverse rule pair
 makes the walk between its output and source repeatable, and a self-loop
 rule lets a walk descend through the looping concept's subtree, cross an
-association, and climb back up.
+association, and climb back up.  The forest reads the scene's relations
+itself and depends only on ``ast`` and ``graph``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .ast import Relation, RelationKind, Rule, Scene, is_reverse_pair
-from .check import RelationStore
 from .graph import reachable, simple_cycles
 
 
@@ -60,14 +60,15 @@ class _Edge(NamedTuple):
     origin: str
 
 
-def _collect_edges(scene: Scene, store: RelationStore
-                   ) -> tuple[dict[tuple[str, str], _Edge],
-                              dict[tuple[str, str], int]]:
+def _collect_edges(scene: Scene) -> tuple[dict[tuple[str, str], _Edge],
+                                         dict[tuple[str, str], int]]:
     """Parent/child edges by pair in order of first mention, and the pairs
     numbered in order of their first non-containment mention.  Such a
     mention clears the containment flag; the first mention's origin stays."""
     merged: dict[tuple[str, str], _Edge] = {}
     free: dict[tuple[str, str], int] = {}
+    sub: set[tuple[str, str]] = set()  # (child, parent)
+    assoc: set[tuple[str, str]] = set()  # both orders
 
     def add(parent: str, child: str, contained: bool, origin: str) -> None:
         key = (parent, child)
@@ -79,10 +80,14 @@ def _collect_edges(scene: Scene, store: RelationStore
 
     for rule in scene.rules:
         for rel in rule.relations:
+            left, right = rel.left.name, rel.right.name
             if rel.kind is RelationKind.SUB_CONCEPT:
-                add(rel.right.name, rel.left.name, False, rule.cite)
+                sub.add((left, right))
+                add(right, left, False, rule.cite)
             elif rel.kind is RelationKind.CONTAINED_IN:
-                add(rel.right.name, rel.left.name, True, rule.cite)
+                add(right, left, True, rule.cite)
+            else:
+                assoc.update(((left, right), (right, left)))
     for rule in scene.rules:
         if rule.self_loop:
             continue
@@ -95,9 +100,8 @@ def _collect_edges(scene: Scene, store: RelationStore
                 continue
             for chain in rule.inputs:
                 source, effector = chain.source.name, chain.effector.name
-                if not store.has_sub(effector, source):
-                    continue
-                if store.has_assoc(output.name, source):
+                if ((effector, source) not in sub
+                        or (output.name, source) in assoc):
                     continue
                 if output.name != source:
                     add(source, output.name, False, rule.cite)
@@ -116,7 +120,7 @@ def build_forest(scene: Scene) -> OccurrenceForest:
             {occ.concept: [occ] for occ in roots},
             {occ.concept: occ for occ in roots})
 
-    merged, free = _collect_edges(scene, RelationStore.from_scene(scene))
+    merged, free = _collect_edges(scene)
 
     used = list(scene.used_names())
     root_name = scene.root.name if scene.root is not None else None
@@ -307,19 +311,16 @@ def reverse_pairs(scene: Scene) -> list[tuple[Rule, Rule]]:
     """Every (earlier, later) pair of rules that reverse each other, in
     scene order of the earlier rule, then of the later one.
 
-    Rules are hashed by (output, source, chain tail); a rule's partners can
-    only sit under the key with output and source swapped.
+    Rules are bucketed by ``Rule.shape``; a rule's partners can only sit
+    under its shape with output and source swapped.
     """
     rules = scene.rules
     shaped: dict[int, tuple[str, str, tuple[str, ...]]] = {}
     buckets: dict[tuple[str, str, tuple[str, ...]], list[int]] = {}
     for index, rule in enumerate(rules):
-        if len(rule.outputs) == 1 and len(rule.inputs) == 1:
-            chain = rule.inputs[0]
-            key = (rule.outputs[0].name, chain.source.name,
-                   tuple(c.name for c in chain.elements[1:]))
-            shaped[index] = key
-            buckets.setdefault(key, []).append(index)
+        if (shape := rule.shape()) is not None:
+            shaped[index] = shape
+            buckets.setdefault(shape, []).append(index)
     pairs = []
     for i, (output, source, tail) in shaped.items():
         for j in buckets.get((source, output, tail), ()):

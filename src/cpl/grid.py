@@ -5,13 +5,15 @@ Counting uses the left-hand side of each rule only: every unordered pair of
 distinct concepts among the outputs and chain elements bumps the count both
 ways round.  Self-loop rules register their concept but contribute no pairs,
 so no concept counts with itself.  The grid stores only the nonzero counts,
-as a neighbour map.  The CSV format reads that map directly; the JSON
-format builds the dense rows on demand.  Both print every cell.
+as a neighbour map.  The CSV format reads that map directly, one line at
+a time; the JSON format builds the dense rows on demand.  Both print every
+cell.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import combinations
 from typing import NamedTuple
 
@@ -180,16 +182,20 @@ def cluster_scene(scene: Scene) -> tuple[FrequencyGrid, Clustering]:
     return grid, Clustering(clustering.clusters, links)
 
 
-def to_csv(grid: FrequencyGrid) -> str:
-    """Grid as CSV; the diagonal is left empty."""
+def csv_lines(grid: FrequencyGrid) -> Iterator[str]:
+    """Grid as CSV, one line at a time; the diagonal is left empty."""
     names = grid.concepts
-    lines = ["," + ",".join(names)]
+    yield "," + ",".join(names) + "\n"
     for i, name in enumerate(names):
         near = grid.neighbours[name]
         cells = [str(near[b]) if b in near else "0" for b in names]
         cells[i] = ""
-        lines.append(name + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+        yield name + "," + ",".join(cells) + "\n"
+
+
+def to_csv(grid: FrequencyGrid) -> str:
+    """Grid as one CSV text."""
+    return "".join(csv_lines(grid))
 
 
 def to_json(grid: FrequencyGrid, clustering: Clustering) -> str:

@@ -37,11 +37,10 @@ import json
 from itertools import combinations
 from typing import NamedTuple
 
-from .ast import Rule, Scene, derive_result
+from .ast import Diagnostic, Rule, Scene, derive_result, error
 # Unused here, but perfbench/tracing.py counts calls by rebinding this name.
 from .ast import is_reverse_pair  # noqa: F401
 from .grid import FrequencyGrid, build_grid
-from .parser import Diagnostic, error
 
 
 class TraceEvent(NamedTuple):
@@ -84,24 +83,18 @@ def select_root(ensemble: FrequencyGrid) -> str:
 
 
 def _repeat_rules(scene: Scene) -> set[int]:
-    """Ordinals of rules that reverse an earlier, non-repeat rule.
-
-    A single-output, single-chain rule has the shape (output, source, chain
-    tail); it reverses an earlier rule whose shape is its own with output
-    and source swapped.
-    """
+    """Ordinals of rules that reverse an earlier, non-repeat rule: their
+    ``Rule.shape`` is the earlier one's with output and source swapped."""
     repeats: set[int] = set()
     shapes: set[tuple[str, str, tuple[str, ...]]] = set()
     for rule in scene.rules:
-        if len(rule.outputs) != 1 or len(rule.inputs) != 1:
+        if (shape := rule.shape()) is None:
             continue
-        chain = rule.inputs[0].elements
-        output, source = rule.outputs[0].name, chain[0].name
-        tail = tuple(c.name for c in chain[1:])
+        output, source, tail = shape
         if (source, output, tail) in shapes:
             repeats.add(rule.ordinal)
         else:
-            shapes.add((output, source, tail))
+            shapes.add(shape)
     return repeats
 
 

@@ -31,7 +31,7 @@ a punctuation text is its own kind, a leading letter makes an IDENT
 (keywords are IDENTs too), a leading digit a NUMBER, and the empty text is
 EOF.  Lines and columns are worked out only where a ``Span`` is built (for
 each declared concept, rule, relation operator, quantity, the scene and
-each diagnostic) by bisecting a table of line starts.
+each diagnostic, an ``ast.Diagnostic``) by bisecting a table of line starts.
 """
 
 from __future__ import annotations
@@ -44,33 +44,18 @@ from .ast import (
     Amount,
     Chain,
     ConceptId,
+    Diagnostic,
     Quantity,
     Relation,
     ResultTerm,
     Rule,
     Scene,
     Span,
+    error,
     normalize_relation,
 )
 
 KEYWORDS = frozenset({"scene", "entities", "root", "rules", "as", "where", "in"})
-
-
-class Diagnostic(NamedTuple):
-    """A positioned parser or checker message."""
-
-    severity: str  # "error" or "warning"
-    message: str
-    line: int
-    column: int
-    span_length: int = 1
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
-
-
-def error(message: str, span: Span) -> Diagnostic:
-    return Diagnostic("error", message, span.line, span.column, max(span.length, 1))
 
 
 class _Abort(Exception):

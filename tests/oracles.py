@@ -5,7 +5,9 @@ closure, the hierarchy builder's edge-scan reachability and the hierarchy's
 recursive acyclicity test as they stood before the traversals moved into
 ``cpl.graph``.  The scene-fact oracles are the grid's clustering over
 linearly scanned counts and the all-pairs reverse-rule scans of the forest
-and the hierarchy, as they stood before those facts were looked up by key.
+and the hierarchy, as they stood before those facts were looked up by key;
+the forest's scan calls ``_is_reverse_pair``, the reverse-pair test as it
+stood before it compared ``Rule.shape``s.
 The tokenizer oracle is the character loop that scanned ``.cpl`` text
 before the one-pass regex tokenizer, and ``parse_scene`` is the parser as
 it stood before it read flat token texts: it walks that loop's token
@@ -14,7 +16,8 @@ check as it stood before it compared sorted lists of term names: it
 compares ``Counter`` multisets.  The forest oracles are
 ``build_forest`` and its ``_collect_edges`` as they stood before the forest
 was layered and placed in one walk each: they merge a raw edge list in a
-second loop and rescan every merged edge once per tree level.  The attach
+second loop and rescan every merged edge once per tree level, and build
+their own sub-concept and association lookups.  The attach
 oracles are ``primary_clusters`` as it stood before each concept's top
 count and tied partners were worked out once, here ``rescan_clusters``,
 which rebuilds every attach candidate per step, and the hierarchy's
@@ -50,6 +53,7 @@ from cpl.ast import (
     Amount,
     Chain,
     ConceptId,
+    Diagnostic,
     Quantity,
     Relation,
     RelationKind,
@@ -58,11 +62,12 @@ from cpl.ast import (
     Scene,
     Span,
     derive_result,
+    error,
     is_reverse_pair,
     normalize_relation,
     split_result,
 )
-from cpl.check import RelationStore, _check_quantity, _names
+from cpl.check import _check_quantity, _names
 from cpl.forest import (
     Cycle,
     CycleReport,
@@ -78,7 +83,7 @@ from cpl.forest import (
 from cpl.graph import reachable
 from cpl.grid import Clustering, FrequencyGrid
 from cpl.hierarchy import Hierarchy, HierarchyBuild, TraceEvent, select_root
-from cpl.parser import KEYWORDS, Diagnostic, ParseResult, _Abort, error
+from cpl.parser import KEYWORDS, ParseResult, _Abort
 
 
 def strongly_connected(edges) -> list[list[str]]:
@@ -285,13 +290,33 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
     return Clustering(tuple(tuple(c) for c in clusters))
 
 
+def _is_reverse_pair(a: Rule, b: Rule) -> bool:
+    """``is_reverse_pair`` as it stood before it compared ``Rule.shape``s."""
+    if a is b or a.self_loop or b.self_loop:
+        return False
+    if len(a.outputs) != 1 or len(b.outputs) != 1:
+        return False
+    if len(a.inputs) != 1 or len(b.inputs) != 1:
+        return False
+    chain_a, chain_b = a.inputs[0], b.inputs[0]
+    if len(chain_a.elements) != len(chain_b.elements):
+        return False
+    tail_a = tuple(c.name for c in chain_a.elements[1:])
+    tail_b = tuple(c.name for c in chain_b.elements[1:])
+    return (
+        a.outputs[0].name == chain_b.source.name
+        and b.outputs[0].name == chain_a.source.name
+        and tail_a == tail_b
+    )
+
+
 def reverse_pairs(scene) -> list:
-    """``is_reverse_pair`` on every pair of rules, in scene order."""
+    """``_is_reverse_pair`` on every pair of rules, in scene order."""
     pairs = []
     rules = scene.rules
     for i, a in enumerate(rules):
         for b in rules[i + 1:]:
-            if is_reverse_pair(a, b):
+            if _is_reverse_pair(a, b):
                 pairs.append((a, b))
     return pairs
 
@@ -417,7 +442,7 @@ def tokenize(source: str) -> list[Token]:
             col += len(m.group())
             i = m.end()
             continue
-        raise _Abort(Diagnostic("error", f"unexpected character {ch!r}", line, col))
+        raise _Abort(Diagnostic(f"unexpected character {ch!r}", line, col))
     tokens.append(Token("EOF", "", line, col))
     return tokens
 
@@ -763,7 +788,12 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
     return diagnostics
 
 
-def _collect_edges(scene: Scene, store: RelationStore) -> list[_Edge]:
+def _collect_edges(scene: Scene) -> list[_Edge]:
+    sub = {(rel.left.name, rel.right.name)
+           for rule in scene.rules for rel in rule.relations
+           if rel.kind is RelationKind.SUB_CONCEPT}
+    assoc = {rel.pair() for rule in scene.rules for rel in rule.relations
+             if rel.kind is RelationKind.ASSOCIATION}
     edges: list[_Edge] = []
     for rule in scene.rules:
         for rel in rule.relations:
@@ -783,9 +813,9 @@ def _collect_edges(scene: Scene, store: RelationStore) -> list[_Edge]:
                 continue
             for chain in rule.inputs:
                 source, effector = chain.source.name, chain.effector.name
-                if not store.has_sub(effector, source):
+                if (effector, source) not in sub:
                     continue
-                if store.has_assoc(output.name, source):
+                if frozenset((output.name, source)) in assoc:
                     continue
                 if output.name != source:
                     edges.append(_Edge(source, output.name, False, rule.cite))
@@ -804,8 +834,7 @@ def build_forest(scene: Scene) -> OccurrenceForest:
             {occ.concept: [occ] for occ in roots},
             {occ.concept: occ for occ in roots})
 
-    store = RelationStore.from_scene(scene)
-    raw = _collect_edges(scene, store)
+    raw = _collect_edges(scene)
 
     # Merge duplicate parent/child pairs: position of the first mention wins,
     # a non-containment mention overrides the containment flag.

@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +15,13 @@ from cpl.ast import (
     RelationKind,
 )
 
+from cpl.parser import parse_scene
+
 import oracles
 from genhelpers import make_chain, make_entities, make_reverse_scene, make_scene
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import scenegen  # noqa: E402
 
 P, K, D = ConceptId("Pot", "P"), ConceptId("Kitchen", "K"), ConceptId("Cupboard", "D")
 H, C, B, G = (ConceptId("Heat", "H"), ConceptId("Cooker", "C"),
@@ -119,6 +126,37 @@ def test_reverse_pair_rejects_multi_shapes():
     a = Rule("a", (P, H), (Chain((B, H)),), (), ())
     b = _rule("b", B, (P, H), ordinal=2)
     assert not is_reverse_pair(a, b)
+
+
+def assert_reverse_pairs_match_oracle(rules):
+    for a in rules:
+        for b in rules:
+            assert is_reverse_pair(a, b) == oracles._is_reverse_pair(a, b)
+
+
+@given(st.integers(0, 10**9))
+def test_reverse_pair_matches_oracle_on_generated_scenes(seed):
+    rng = random.Random(seed)
+    assert_reverse_pairs_match_oracle(make_reverse_scene(rng).rules)
+    generated = scenegen.generate(rng, 8, 30, 0.3, 0.05)
+    assert_reverse_pairs_match_oracle(parse_scene(generated.text).scene.rules)
+
+
+def test_reverse_pair_matches_oracle_on_hand_built_rules():
+    r5 = _rule("r5", P, (B, H))
+    pot_from_pot = _rule("pp", P, (P, H))
+    rules = [
+        r5, _rule("r7", B, (P, H)), _rule("long", B, (P, H, C)),
+        r5._replace(ordinal=9), pot_from_pot, pot_from_pot._replace(),
+        Rule("two-outputs", (B, H), (Chain((P, H)),), (), ()),
+        Rule("two-chains", (B,), (Chain((P, H)), Chain((K, D))), (), ()),
+        Rule("loop", (P,), (), (), (), self_loop=True),
+        Rule("loop-with-chain", (B,), (Chain((P, H)),), (), (), self_loop=True),
+    ]
+    assert_reverse_pairs_match_oracle(rules)
+    assert is_reverse_pair(pot_from_pot, pot_from_pot._replace())
+    assert not is_reverse_pair(pot_from_pot, pot_from_pot)
+    assert not is_reverse_pair(r5, rules[-1])
 
 
 def test_lhs_concepts_order_and_dedup():

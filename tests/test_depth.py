@@ -1,9 +1,13 @@
 """Scenes deeper than the interpreter's recursion limit."""
 
+import io
+import sys
+
 import pytest
 
 from cpl.check import check_all
 from cpl.cli import main
+from cpl.grid import build_grid, to_csv
 from cpl.hierarchy import build_ensemble, build_hierarchy
 from cpl.parser import parse_scene
 
@@ -68,6 +72,27 @@ def test_deep_chain_cluster_cli(capsys, tmp_path):
     assert len(lines) == len(clusters) + len(links)
     assert clusters[0] == "cluster: " + ", ".join(
         f"C{i:05d}" for i in range(3, DEPTH - 1))
+
+
+class _LineWriter(io.StringIO):
+    """A stdout that refuses any write of more than one line."""
+
+    def write(self, text: str) -> int:
+        assert text.count("\n") <= 1, "more than one line in one write"
+        return super().write(text)
+
+
+def test_deep_chain_grid_cli_writes_one_line_at_a_time(tmp_path, monkeypatch):
+    path = tmp_path / "deep.cpl"
+    path.write_text(deep_chain_source(DEPTH), encoding="utf-8")
+    want = to_csv(build_grid(deep_chain_scene(DEPTH)))
+    target = tmp_path / "grid.csv"
+    assert main(["grid", str(path), "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == want
+    out = _LineWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["grid", str(path)]) == 0
+    assert out.getvalue() == want
 
 
 @pytest.mark.parametrize("flags", [[], ["--sorted"], ["--dot"]])

@@ -12,6 +12,7 @@ from cpl.grid import (
     FrequencyGrid,
     build_grid,
     cluster_scene,
+    csv_lines,
     primary_clusters,
     secondary_links,
     to_csv,
@@ -122,6 +123,14 @@ def test_secondary_links_empty_when_single_cluster():
         member = {n: i for i, c in enumerate(clustering.clusters) for n in c}
         for a, b, _ in secondary_links(grid, clustering):
             assert member[a] != member[b]
+
+
+def test_csv_lines_are_the_csv_one_line_each(cooking_scene):
+    grid = build_grid(cooking_scene)
+    lines = list(csv_lines(grid))
+    assert len(lines) == len(grid.concepts) + 1
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+    assert "".join(lines) == to_csv(grid)
 
 
 def test_csv_blank_diagonal(cooking_scene):

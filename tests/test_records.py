@@ -15,6 +15,7 @@ from cpl.ast import (
     Amount,
     Chain,
     ConceptId,
+    Diagnostic,
     Quantity,
     Relation,
     RelationKind,
@@ -35,7 +36,7 @@ from cpl.forest import (
 from cpl.grid import Clustering, FrequencyGrid
 from cpl.hierarchy import Hierarchy, HierarchyBuild, TraceEvent
 from cpl.memory import Prediction, RankedFeature
-from cpl.parser import Diagnostic, ParseResult
+from cpl.parser import ParseResult
 
 A, B = ConceptId("Alpha", "A"), ConceptId("Beta")
 GRID = FrequencyGrid(("Alpha", "Beta"),
@@ -48,7 +49,7 @@ RECORDS = [
     Amount(3, "x"),
     Chain((A, B), Quantity(Amount(1))),
     ResultTerm((A, B), (None, Amount(1))),
-    Diagnostic("error", "message", 1, 1),
+    Diagnostic("message", 1, 1),
     ParseResult(None, ()),
     Contradiction("sub-cycle", ("Alpha", "Beta"), ("r",), "message"),
     Clustering((("Alpha", "Beta"),)),
@@ -186,3 +187,20 @@ def test_importing_the_cli_skips_dataclasses_and_inspect():
     assert "cpl.cli" in imported
     assert "dataclasses" not in imported
     assert "inspect" not in imported
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("cpl.check", ("cpl.parser",)),
+    ("cpl.forest", ("cpl.parser", "cpl.check")),
+    ("cpl.grid", ("cpl.parser",)),
+    ("cpl.hierarchy", ("cpl.parser",)),
+])
+def test_derivations_share_only_ast(module, absent):
+    code = (f"import sys, {module}; "
+            f"print(' '.join(m for m in {absent!r} if m in sys.modules))")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
