@@ -8,6 +8,12 @@ the left-hand side of such a rule into its expected result terms; a rule's
 shape tells which rules reverse each other.  The parser and every
 derivation share this module alone, diagnostics included.
 
+A concept is declared once, as a ``ConceptId`` in ``Scene.entities``: its
+name, its optional alias and its declaration span live there only.  Every
+mention of a concept elsewhere (rule outputs, chain elements, result terms,
+relation ends and the scene root) is the declared name, a plain ``str``,
+whether the script wrote the name or the alias.
+
 Everything here is immutable after construction; source spans are carried
 for diagnostics but excluded from equality.  Every record is a NamedTuple.
 Fields left out of equality (spans, rule ordinals) come last, and the
@@ -74,21 +80,11 @@ class ConceptId(NamedTuple):
 
     __eq__, __ne__, __hash__ = _compared_first(2)
 
-    def short(self) -> str:
-        return self.abbrev or self.name
-
 
 class RelationKind(Enum):
     SUB_CONCEPT = "sub_concept"
     ASSOCIATION = "association"
     CONTAINED_IN = "contained_in"
-
-
-_SURFACE = {
-    RelationKind.SUB_CONCEPT: "<",
-    RelationKind.ASSOCIATION: "-",
-    RelationKind.CONTAINED_IN: "in",
-}
 
 
 class Relation(NamedTuple):
@@ -101,17 +97,14 @@ class Relation(NamedTuple):
     """
 
     kind: RelationKind
-    left: ConceptId
-    right: ConceptId
+    left: str
+    right: str
     span: Span = _NO_SPAN
 
     __eq__, __ne__, __hash__ = _compared_first(3)
 
     def pair(self) -> frozenset[str]:
-        return frozenset((self.left.name, self.right.name))
-
-    def surface(self) -> str:
-        return f"{self.left.short()} {_SURFACE[self.kind]} {self.right.short()}"
+        return frozenset((self.left, self.right))
 
 
 class Amount(NamedTuple):
@@ -157,15 +150,15 @@ class Quantity(NamedTuple):
 class Chain(NamedTuple):
     """An input chain: source first, measured effector last, length >= 2."""
 
-    elements: tuple[ConceptId, ...]
+    elements: tuple[str, ...]
     quantity: Quantity | None = None
 
     @property
-    def source(self) -> ConceptId:
+    def source(self) -> str:
         return self.elements[0]
 
     @property
-    def effector(self) -> ConceptId:
+    def effector(self) -> str:
         return self.elements[-1]
 
 
@@ -173,21 +166,8 @@ class ResultTerm(NamedTuple):
     """A declared result term; ``qtys`` aligns an optional amount with each
     element (the leading element never carries one)."""
 
-    concepts: tuple[ConceptId, ...]
+    concepts: tuple[str, ...]
     qtys: tuple[Amount | None, ...] = ()
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.concepts)
-
-    def render(self) -> str:
-        qtys = self.qtys or (None,) * len(self.concepts)
-        parts = []
-        for concept, qty in zip(self.concepts, qtys):
-            text = concept.short()
-            if qty is not None:
-                text += f"({qty.render()})"
-            parts.append(text)
-        return ".".join(parts)
 
 
 class Rule(NamedTuple):
@@ -199,7 +179,7 @@ class Rule(NamedTuple):
     """
 
     label: str | None
-    outputs: tuple[ConceptId, ...]
+    outputs: tuple[str, ...]
     inputs: tuple[Chain, ...]
     declared_results: tuple[ResultTerm, ...]
     relations: tuple[Relation, ...]
@@ -216,9 +196,9 @@ class Rule(NamedTuple):
 
     def lhs_names(self) -> tuple[str, ...]:
         """Distinct left-hand-side concept names, first-appearance order."""
-        names = [c.name for c in self.outputs]
+        names = self.outputs
         for chain in self.inputs:
-            names += [c.name for c in chain.elements]
+            names += chain.elements
         return tuple(dict.fromkeys(names))
 
     def shape(self) -> tuple[str, str, tuple[str, ...]] | None:
@@ -227,8 +207,7 @@ class Rule(NamedTuple):
         if self.self_loop or len(self.outputs) != 1 or len(self.inputs) != 1:
             return None
         elements = self.inputs[0].elements
-        return (self.outputs[0].name, elements[0].name,
-                tuple(c.name for c in elements[1:]))
+        return self.outputs[0], elements[0], elements[1:]
 
 
 class Scene(NamedTuple):
@@ -237,7 +216,7 @@ class Scene(NamedTuple):
 
     name: str
     entities: tuple[ConceptId, ...]
-    root: ConceptId | None
+    root: str | None
     rules: tuple[Rule, ...]
     span: Span = _NO_SPAN
 
@@ -248,17 +227,17 @@ class Scene(NamedTuple):
         first-appearance order."""
         names: list[str] = []
         for rule in self.rules:
-            names += [c.name for c in rule.outputs]
+            names += rule.outputs
             for chain in rule.inputs:
-                names += [c.name for c in chain.elements]
+                names += chain.elements
             for term in rule.declared_results:
-                names += [c.name for c in term.concepts]
+                names += term.concepts
             for rel in rule.relations:
-                names += (rel.left.name, rel.right.name)
+                names += rel.left, rel.right
         return tuple(dict.fromkeys(names))
 
 
-def normalize_relation(left: ConceptId, op: str, right: ConceptId,
+def normalize_relation(left: str, op: str, right: str,
                        span: Span = _NO_SPAN) -> Relation:
     """Map a written relation to its normalized form.
 
@@ -266,8 +245,8 @@ def normalize_relation(left: ConceptId, op: str, right: ConceptId,
     ``<``, ``-`` and ``in`` map directly.  Relating a concept to itself is
     invalid.
     """
-    if left.name == right.name:
-        raise ValueError(f"concept {left.name!r} cannot relate to itself")
+    if left == right:
+        raise ValueError(f"concept {left!r} cannot relate to itself")
     if op == "<":
         return Relation(RelationKind.SUB_CONCEPT, left, right, span)
     if op == ">":
@@ -279,8 +258,8 @@ def normalize_relation(left: ConceptId, op: str, right: ConceptId,
     raise ValueError(f"unknown relation operator {op!r}")
 
 
-def derive_result(outputs: tuple[ConceptId, ...] | list[ConceptId],
-                  inputs: tuple[Chain, ...] | list[Chain]) -> list[tuple[ConceptId, ...]]:
+def derive_result(outputs: tuple[str, ...] | list[str],
+                  inputs: tuple[Chain, ...] | list[Chain]) -> list[tuple[str, ...]]:
     """Derive the expected result terms of a rule left-hand side.
 
     Each output is linked with each inverted input chain: for output O and
@@ -288,24 +267,22 @@ def derive_result(outputs: tuple[ConceptId, ...] | list[ConceptId],
     chains the inner one, so the count is len(outputs) * len(inputs).
     """
     return [
-        (output, *reversed(chain.elements))
+        (output,) + chain.elements[::-1]
         for output in outputs
         for chain in inputs
     ]
 
 
-def split_result(outputs: tuple[ConceptId, ...] | list[ConceptId],
-                 chain: Chain) -> list[tuple[ConceptId, ...]]:
+def split_result(outputs: tuple[str, ...] | list[str],
+                 chain: Chain) -> list[tuple[str, ...]]:
     """Result terms in the split amount form for a single chain.
 
     When the chain carries a quantity, a rule may declare the moved part as
     O.F and the remainder as the untouched chain S...F instead of the fully
     inverted term.
     """
-    terms: list[tuple[ConceptId, ...]] = [
-        (output, chain.effector) for output in outputs
-    ]
-    terms.append(tuple(chain.elements))
+    terms = [(output, chain.effector) for output in outputs]
+    terms.append(chain.elements)
     return terms
 
 

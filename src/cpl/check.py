@@ -34,20 +34,15 @@ class Contradiction(NamedTuple):
     message: str
 
 
-def _names(term: tuple) -> tuple[str, ...]:
-    return tuple(c.name for c in term)
-
-
 def _acceptable_results(rule: Rule) -> list[list[tuple[str, ...]]]:
     """Acceptable result multisets, each a sorted list of term names: per
     chain either the inverted term or, when the chain carries an amount, the
     split form."""
     per_chain: list[list[list[tuple[str, ...]]]] = []
     for chain in rule.inputs:
-        inverted = [_names(t) for t in derive_result(rule.outputs, [chain])]
-        choice = [inverted]
+        choice = [derive_result(rule.outputs, [chain])]
         if chain.quantity is not None:
-            choice.append([_names(t) for t in split_result(rule.outputs, chain)])
+            choice.append(split_result(rule.outputs, chain))
         per_chain.append(choice)
     return [sorted(term for terms in combo for term in terms)
             for combo in product(*per_chain)]
@@ -82,10 +77,10 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
     if rule.self_loop:
         return []
     diagnostics: list[Diagnostic] = []
-    declared = sorted(term.names() for term in rule.declared_results)
+    declared = sorted(term.concepts for term in rule.declared_results)
     if declared not in _acceptable_results(rule):
         expected = " ^ ".join(
-            ".".join(_names(t)) for t in derive_result(rule.outputs, rule.inputs))
+            ".".join(t) for t in derive_result(rule.outputs, rule.inputs))
         diagnostics.append(error(
             f"results of {rule.cite} do not match the derivation; "
             f"expected {expected}", rule.span))
@@ -131,7 +126,7 @@ def scene_contradictions(scene: Scene) -> list[Contradiction]:
                 continue
             edges = (sub_edges if rel.kind is RelationKind.SUB_CONCEPT
                      else contained_edges)
-            edges.setdefault((rel.left.name, rel.right.name), []).append(rule)
+            edges.setdefault((rel.left, rel.right), []).append(rule)
     found: list[Contradiction] = []
 
     for (child, parent), rules in sorted(sub_edges.items()):

@@ -14,18 +14,18 @@ links, and the rule set yields closed process cycles: a reverse rule pair
 makes the walk between its output and source repeatable, and a self-loop
 rule lets a walk descend through the looping concept's subtree, cross an
 association, and climb back up.  The forest reads the scene's relations
-itself and depends only on ``ast`` and ``graph``.
+itself and depends only on ``ast``, ``graph`` and ``jsontext``.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from itertools import combinations
 from typing import NamedTuple
 
 from .ast import Relation, RelationKind, Rule, Scene, is_reverse_pair
 from .graph import reachable, simple_cycles
+from .jsontext import dumps
 
 
 class Occurrence:
@@ -80,7 +80,7 @@ def _collect_edges(scene: Scene) -> tuple[dict[tuple[str, str], _Edge],
 
     for rule in scene.rules:
         for rel in rule.relations:
-            left, right = rel.left.name, rel.right.name
+            left, right = rel.left, rel.right
             if rel.kind is RelationKind.SUB_CONCEPT:
                 sub.add((left, right))
                 add(right, left, False, rule.cite)
@@ -92,19 +92,19 @@ def _collect_edges(scene: Scene) -> tuple[dict[tuple[str, str], _Edge],
         if rule.self_loop:
             continue
         placed = {
-            rel.left.name for rel in rule.relations
+            rel.left for rel in rule.relations
             if rel.kind is RelationKind.SUB_CONCEPT
         }
         for output in rule.outputs:
-            if output.name in placed:
+            if output in placed:
                 continue
             for chain in rule.inputs:
-                source, effector = chain.source.name, chain.effector.name
+                source, effector = chain.source, chain.effector
                 if ((effector, source) not in sub
-                        or (output.name, source) in assoc):
+                        or (output, source) in assoc):
                     continue
-                if output.name != source:
-                    add(source, output.name, False, rule.cite)
+                if output != source:
+                    add(source, output, False, rule.cite)
     return merged, free
 
 
@@ -123,7 +123,7 @@ def build_forest(scene: Scene) -> OccurrenceForest:
     merged, free = _collect_edges(scene)
 
     used = list(scene.used_names())
-    root_name = scene.root.name if scene.root is not None else None
+    root_name = scene.root
     if root_name is not None and root_name not in used:
         used.insert(0, root_name)
 
@@ -293,14 +293,14 @@ def process_edges(scene: Scene) -> tuple[dict[tuple[str, str], tuple[str, ...]],
     loops: dict[str, list[str]] = {}
     for rule in scene.rules:
         if rule.self_loop:
-            loops.setdefault(rule.outputs[0].name, []).append(rule.cite)
+            loops.setdefault(rule.outputs[0], []).append(rule.cite)
             continue
         for chain in rule.inputs:
-            names = [c.name for c in chain.elements]
+            names = chain.elements
             for a, b in zip(names, names[1:]):
                 edges.setdefault((a, b), []).append(rule.cite)
             for output in rule.outputs:
-                edges.setdefault((names[-1], output.name), []).append(rule.cite)
+                edges.setdefault((names[-1], output), []).append(rule.cite)
     return (
         {edge: tuple(dict.fromkeys(cites)) for edge, cites in edges.items()},
         {name: tuple(dict.fromkeys(cites)) for name, cites in loops.items()},
@@ -331,9 +331,9 @@ def reverse_pairs(scene: Scene) -> list[tuple[Rule, Rule]]:
 
 def _pair_cycles(pair: tuple[Rule, Rule]) -> list[Cycle]:
     adjacency: dict[str, set[str]] = {}
-    outputs = {rule.outputs[0].name for rule in pair}
+    outputs = {rule.outputs[0] for rule in pair}
     for rule in pair:
-        names = [c.name for c in rule.inputs[0].elements] + [rule.outputs[0].name]
+        names = rule.inputs[0].elements + rule.outputs
         for a, b in zip(names, names[1:]):
             adjacency.setdefault(a, set()).add(b)
             adjacency.setdefault(b, set())
@@ -382,10 +382,10 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
     loops: dict[str, Rule] = {}
     for rule in scene.rules:
         if rule.self_loop:
-            loops.setdefault(rule.outputs[0].name, rule)
+            loops.setdefault(rule.outputs[0], rule)
         for rel in rule.relations:
             if rel.kind is RelationKind.ASSOCIATION:
-                by_left.setdefault(rel.left.name, []).append(len(associations))
+                by_left.setdefault(rel.left, []).append(len(associations))
                 associations.append((rule, rel))
     for looped, loop_rule in loops.items():
         anchor = forest.primary.get(looped)
@@ -395,13 +395,12 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
         for index in sorted(index for name in below
                             for index in by_left.get(name, ())):
             rule, rel = associations[index]
-            a, b = rel.left.name, rel.right.name
+            a, b = rel.left, rel.right
             if looped in (a, b) or b not in below:
                 continue
-            output_names = {o.name for o in rule.outputs}
-            if b in output_names and a not in output_names:
+            if b in rule.outputs and a not in rule.outputs:
                 a, b = b, a
-            elif a not in output_names and b not in output_names:
+            elif a not in rule.outputs and b not in rule.outputs:
                 a, b = sorted((a, b))
             down = list(reversed(_climb(below[a], anchor)))
             up = _climb(below[b], anchor)
@@ -555,17 +554,23 @@ def report_to_dot(scene: Scene, report: CycleReport) -> str:
 
 
 def forest_to_json(forest: OccurrenceForest, report: CycleReport | None = None) -> str:
-    def node(occ: Occurrence) -> dict:
-        payload: dict = {"concept": occ.concept, "origin": occ.origin}
+    roots: list[dict] = []
+    # Each occurrence with the list its payload joins; children are pushed
+    # in reverse so that every list fills in placement order.
+    stack = [(root, roots) for root in reversed(forest.roots)]
+    while stack:
+        occ, siblings = stack.pop()
+        node: dict = {"concept": occ.concept, "origin": occ.origin}
         if occ.contained:
-            payload["contained"] = True
+            node["contained"] = True
+        siblings.append(node)
         if occ.children:
-            payload["children"] = [node(child) for child in occ.children]
-        return payload
+            node["children"] = children = []
+            stack.extend((child, children) for child in reversed(occ.children))
 
     payload = {
         "format_version": 1,
-        "roots": [node(root) for root in forest.roots],
+        "roots": roots,
         "cross_links": [
             {"concept": link.concept, "parents": list(link.parents)}
             for link in cross_links(forest)
@@ -583,4 +588,4 @@ def forest_to_json(forest: OccurrenceForest, report: CycleReport | None = None) 
              "rules": list(cycle.rules)}
             for cycle in report.cycles
         ]
-    return json.dumps(payload, indent=2) + "\n"
+    return dumps(payload) + "\n"

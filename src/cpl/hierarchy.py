@@ -228,8 +228,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
             builder.trace.append(TraceEvent("ensemble", rule.cite, pair, weight))
         if rule.self_loop or rule.ordinal in repeats:
             continue
-        for term in derive_result(rule.outputs, rule.inputs):
-            path = tuple(c.name for c in term)
+        for path in derive_result(rule.outputs, rule.inputs):
             if not builder.insert_path(path, rule.cite):
                 builder.wait(rule, path)
         builder.retry()

@@ -22,7 +22,9 @@ letter.  Spaces, tabs and carriage returns are blanks.  ``#`` starts a
 comment that runs to the end of the line.  Positions are 1-based lines and
 columns that count characters, so a tab is one column.  Relation chains
 (``A - B < C``) desugar left-associatively into pairwise relations.  Scripts
-may refer to a concept by its declared name or its alias.
+may refer to a concept by its declared name or its alias; the parsed scene
+holds the declared name at every mention, and the formatter writes the
+alias back from ``Scene.entities``.
 
 The token stream is two flat lists built by one regular expression: each
 token's text and its start offset in the source.  Blanks, newlines and
@@ -47,6 +49,7 @@ from .ast import (
     Diagnostic,
     Quantity,
     Relation,
+    RelationKind,
     ResultTerm,
     Rule,
     Scene,
@@ -118,7 +121,7 @@ class _Parser:
                                self.span(eof)))
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
-        self.entities: dict[str, ConceptId] = {}  # name and alias lookup
+        self.entities: dict[str, str] = {}  # name or alias -> declared name
         self.declared: list[ConceptId] = []
 
     # token helpers
@@ -164,29 +167,29 @@ class _Parser:
             if ident in self.entities:
                 self.report(f"duplicate declaration of {ident!r}", pos)
                 return
+        name = texts[name_pos]
         alias = texts[alias_pos] if alias_pos is not None else None
-        concept = ConceptId(texts[name_pos], alias, self.span(name_pos))
-        self.entities[concept.name] = concept
+        self.entities[name] = name
         if alias:
-            self.entities[alias] = concept
-        self.declared.append(concept)
+            self.entities[alias] = name
+        self.declared.append(ConceptId(name, alias, self.span(name_pos)))
 
-    def resolve(self, pos: int) -> ConceptId:
+    def resolve(self, pos: int) -> str:
         text = self.texts[pos]
-        concept = self.entities.get(text)
-        if concept is None:
+        name = self.entities.get(text)
+        if name is None:
             self.report(f"unknown entity {text!r}", pos)
-            return ConceptId(text, None, self.span(pos))
-        return concept
+            return text
+        return name
 
-    def resolve_ident(self, what: str) -> ConceptId:
+    def resolve_ident(self, what: str) -> str:
         # A declared name is an IDENT, so a hit needs no further check.
         pos = self.pos
-        concept = self.entities.get(self.texts[pos])
-        if concept is None:
+        name = self.entities.get(self.texts[pos])
+        if name is None:
             return self.resolve(self.ident(what))
         self.pos = pos + 1
-        return concept
+        return name
 
     # grammar
 
@@ -256,8 +259,7 @@ class _Parser:
             self.report("a self-loop rule cannot declare relations", self.pos)
             self.skip_to_semi()
         self.expect(";")
-        concept = self.resolve(first)
-        return Rule(label, (concept,), (), (), (), self_loop=True,
+        return Rule(label, (self.resolve(first),), (), (), (), self_loop=True,
                     ordinal=ordinal, span=self.span(first))
 
     def skip_to_semi(self) -> None:
@@ -293,7 +295,7 @@ class _Parser:
         return Rule(label, tuple(outputs), tuple(chains), tuple(terms),
                     tuple(relations), ordinal=ordinal, span=self.span(start))
 
-    def parse_chain(self) -> tuple[tuple[ConceptId, ...], Amount | None, Span | None]:
+    def parse_chain(self) -> tuple[tuple[str, ...], Amount | None, Span | None]:
         texts = self.texts
         first = self.pos
         elements = [self.resolve_ident("chain source")]
@@ -303,10 +305,10 @@ class _Parser:
         if len(elements) < 2:
             self.report("a chain needs at least a source and an effector", first)
         seen: set[str] = set()
-        for concept in elements:
-            if concept.name in seen:
-                self.report(f"chain repeats {concept.name!r}", first)
-            seen.add(concept.name)
+        for name in elements:
+            if name in seen:
+                self.report(f"chain repeats {name!r}", first)
+            seen.add(name)
         qty = qty_span = None
         if texts[self.pos] == "(":
             qty_span = self.span(self.pos)
@@ -365,17 +367,17 @@ class _Parser:
                 return relations
             self.pos += 1
             right = self.resolve_ident("entity name")
-            if left.name == right.name:
+            if left == right:
                 self.report(
-                    f"concept {left.name!r} cannot relate to itself", op_pos)
+                    f"concept {left!r} cannot relate to itself", op_pos)
             else:
                 relations.append(
                     normalize_relation(left, op, right, self.span(op_pos)))
             left = right
 
     def assemble_quantity(self,
-                          raw: tuple[tuple[ConceptId, ...], Amount | None, Span | None],
-                          outputs: list[ConceptId],
+                          raw: tuple[tuple[str, ...], Amount | None, Span | None],
+                          outputs: list[str],
                           terms: list[ResultTerm]) -> Chain:
         """Join the chain's total with taken/remainder found on result terms.
 
@@ -386,19 +388,17 @@ class _Parser:
         elements, total, span = raw
         if total is None:
             return Chain(elements)
-        names = tuple(c.name for c in elements)
-        output_names = {o.name for o in outputs}
         taken = remainder = None
         for term in terms:
-            term_names = term.names()
+            term_names = term.concepts
             last_qty = term.qtys[-1] if term.qtys else None
             if last_qty is None:
                 continue
             if (taken is None and len(term_names) == 2
-                    and term_names[0] in output_names
-                    and term_names[1] == names[-1]):
+                    and term_names[0] in outputs
+                    and term_names[1] == elements[-1]):
                 taken = last_qty
-            elif remainder is None and term_names == names:
+            elif remainder is None and term_names == elements:
                 remainder = last_qty
         return Chain(elements, Quantity(total, taken, remainder, span))
 
@@ -423,30 +423,55 @@ def parse_scene(source: str) -> ParseResult:
     return ParseResult(scene, ())
 
 
-def _format_chain(chain: Chain) -> str:
-    text = ".".join(c.short() for c in chain.elements)
+_SURFACE = {
+    RelationKind.SUB_CONCEPT: "<",
+    RelationKind.ASSOCIATION: "-",
+    RelationKind.CONTAINED_IN: "in",
+}
+
+
+def _format_chain(chain: Chain, short: dict[str, str]) -> str:
+    text = ".".join(short[name] for name in chain.elements)
     if chain.quantity is not None and chain.quantity.total is not None:
         text += f"({chain.quantity.total.render()})"
     return text
 
 
-def _format_rule(rule: Rule) -> str:
+def _format_term(term: ResultTerm, short: dict[str, str]) -> str:
+    qtys = term.qtys or (None,) * len(term.concepts)
+    parts = []
+    for name, qty in zip(term.concepts, qtys):
+        text = short[name]
+        if qty is not None:
+            text += f"({qty.render()})"
+        parts.append(text)
+    return ".".join(parts)
+
+
+def _format_rule(rule: Rule, short: dict[str, str]) -> str:
     prefix = f"{rule.label}: " if rule.label else ""
     if rule.self_loop:
-        name = rule.outputs[0].short()
+        name = short[rule.outputs[0]]
         return f"{prefix}{name} -> {name};"
-    outputs = " ^ ".join(c.short() for c in rule.outputs)
-    chains = " ^ ".join(_format_chain(ch) for ch in rule.inputs)
-    terms = " ^ ".join(term.render() for term in rule.declared_results)
+    outputs = " ^ ".join(short[name] for name in rule.outputs)
+    chains = " ^ ".join(_format_chain(ch, short) for ch in rule.inputs)
+    terms = " ^ ".join(_format_term(term, short)
+                       for term in rule.declared_results)
     text = f"{prefix}{outputs} + {chains} -> {terms}"
     if rule.relations:
-        rels = ", ".join(rel.surface() for rel in rule.relations)
+        rels = ", ".join(
+            f"{short[rel.left]} {_SURFACE[rel.kind]} {short[rel.right]}"
+            for rel in rule.relations)
         text += f" where {rels}"
     return text + ";"
 
 
 def format_scene(scene: Scene) -> str:
-    """Render a scene to canonical text that reparses to an equal Scene."""
+    """Render a scene to canonical text that reparses to an equal Scene.
+
+    Every mention names a declared concept and is written as that
+    concept's alias when it has one."""
+    short = {c.name: c.abbrev or c.name for c in scene.entities}
     lines = [f"scene {scene.name} {{", "  entities {"]
     for concept in scene.entities:
         if concept.abbrev:
@@ -455,10 +480,10 @@ def format_scene(scene: Scene) -> str:
             lines.append(f"    {concept.name};")
     lines.append("  }")
     if scene.root is not None:
-        lines.append(f"  root {scene.root.name};")
+        lines.append(f"  root {scene.root};")
     lines.append("  rules {")
     for rule in scene.rules:
-        lines.append(f"    {_format_rule(rule)}")
+        lines.append(f"    {_format_rule(rule, short)}")
     lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

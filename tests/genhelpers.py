@@ -40,10 +40,10 @@ def make_entities(rng: random.Random, count: int) -> list[ConceptId]:
     return entities
 
 
-def make_chain(rng: random.Random, entities: list[ConceptId],
+def make_chain(rng: random.Random, names: list[str],
                max_len: int = 4, with_quantity: bool = False) -> Chain:
-    length = rng.randint(2, min(max_len, len(entities)))
-    elements = tuple(rng.sample(entities, length))
+    length = rng.randint(2, min(max_len, len(names)))
+    elements = tuple(rng.sample(names, length))
     quantity = None
     if with_quantity:
         quantity = Quantity(total=_amount(rng))
@@ -61,18 +61,19 @@ def correct_results(outputs, chains) -> tuple[ResultTerm, ...]:
                  for term in derive_result(outputs, chains))
 
 
-def make_rule(rng: random.Random, entities: list[ConceptId], ordinal: int,
+def make_rule(rng: random.Random, names: list[str], ordinal: int,
               labeled: bool = True) -> Rule:
+    """A rule over the declared ``names``, which every mention holds."""
     label = f"g{ordinal}" if labeled else None
-    if len(entities) >= 2 and rng.random() < 0.15:
-        concept = rng.choice(entities)
+    if len(names) >= 2 and rng.random() < 0.15:
+        concept = rng.choice(names)
         return Rule(label, (concept,), (), (), (), self_loop=True,
                     ordinal=ordinal)
-    outputs = tuple(rng.sample(entities, rng.randint(1, min(3, len(entities)))))
+    outputs = tuple(rng.sample(names, rng.randint(1, min(3, len(names)))))
     mode = rng.random()
     if mode < 0.2:
         # split amount form: one chain, total plus taken/remainder terms
-        chain = make_chain(rng, entities, with_quantity=False)
+        chain = make_chain(rng, names, with_quantity=False)
         taken, remainder = _amount(rng), _amount(rng)
         chain = Chain(chain.elements,
                       Quantity(_amount(rng), taken, remainder))
@@ -90,21 +91,21 @@ def make_rule(rng: random.Random, entities: list[ConceptId], ordinal: int,
     else:
         n_chains = rng.randint(1, 3)
         chains = tuple(
-            make_chain(rng, entities,
+            make_chain(rng, names,
                        with_quantity=rng.random() < 0.2)
             for _ in range(n_chains))
         declared = correct_results(outputs, chains)
-    relations = make_relations(rng, entities)
+    relations = make_relations(rng, names)
     return Rule(label, outputs, chains, declared, relations, ordinal=ordinal)
 
 
 def make_relations(rng: random.Random,
-                   entities: list[ConceptId]) -> tuple[Relation, ...]:
-    if len(entities) < 2:
+                   names: list[str]) -> tuple[Relation, ...]:
+    if len(names) < 2:
         return ()
     relations = []
     for _ in range(rng.randint(0, 3)):
-        left, right = rng.sample(entities, 2)
+        left, right = rng.sample(names, 2)
         kind = rng.choice(list(RelationKind))
         relations.append(Relation(kind, left, right))
     return tuple(relations)
@@ -112,10 +113,11 @@ def make_relations(rng: random.Random,
 
 def make_scene(rng: random.Random, name: str = "Generated") -> Scene:
     entities = make_entities(rng, rng.randint(2, 6))
-    root = rng.choice(entities) if rng.random() < 0.5 else None
+    names = [c.name for c in entities]
+    root = rng.choice(names) if rng.random() < 0.5 else None
     labeled = rng.random() < 0.8
     rules = tuple(
-        make_rule(rng, entities, ordinal, labeled)
+        make_rule(rng, names, ordinal, labeled)
         for ordinal in range(1, rng.randint(0, 6) + 1))
     return Scene(name, tuple(entities), root, rules)
 
@@ -125,7 +127,7 @@ def make_reverse_scene(rng: random.Random) -> Scene:
     and source swapped, some repeated as equal copies (kept ordinal or a
     fresh one), all in shuffled order."""
     scene = make_scene(rng)
-    entities = list(scene.entities)
+    names = [c.name for c in scene.entities]
     rules = list(scene.rules)
     ordinal = len(rules)
 
@@ -137,8 +139,8 @@ def make_reverse_scene(rng: random.Random) -> Scene:
                     correct_results((output,), chains), (), ordinal=ordinal)
 
     for _ in range(rng.randint(0, 8)):
-        output, source = rng.sample(entities, 2)
-        tail = [rng.choice(entities) for _ in range(rng.randint(1, 2))]
+        output, source = rng.sample(names, 2)
+        tail = [rng.choice(names) for _ in range(rng.randint(1, 2))]
         rules.append(simple(output, [source, *tail]))
         for _ in range(rng.choice((0, 1, 1, 2))):
             rules.append(simple(source, [output, *tail]))

@@ -6,8 +6,8 @@ recursive acyclicity test as they stood before the traversals moved into
 ``cpl.graph``.  The scene-fact oracles are the grid's clustering over
 linearly scanned counts and the all-pairs reverse-rule scans of the forest
 and the hierarchy, as they stood before those facts were looked up by key;
-the forest's scan calls ``_is_reverse_pair``, the reverse-pair test as it
-stood before it compared ``Rule.shape``s.
+both scans call ``_is_reverse_pair``, the reverse-pair test as it stood
+before it compared ``Rule.shape``s.
 The tokenizer oracle is the character loop that scanned ``.cpl`` text
 before the one-pass regex tokenizer, and ``parse_scene`` is the parser as
 it stood before it read flat token texts: it walks that loop's token
@@ -38,11 +38,19 @@ stood before the associations were indexed by concept: every self-loop
 rule walks its concept's subtree and scans every association, every
 rotation of a walk is compared, successor lists are sorted on every visit
 and each occurrence's source path is worked out every time it is cited.
+``forest_to_json`` is the forest's JSON writer as it stood before it
+wrote its text with an explicit stack: it builds the nested payload
+recursively and hands it to ``json.dumps``.
 They recurse and rescan freely, so use them on small inputs only.
+
+Every oracle reads a concept mention as what it now is, the declared name
+(``_names`` is the checker's term-to-names helper as it stood before terms
+held names); each keeps its own algorithm.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from collections import Counter
@@ -63,11 +71,10 @@ from cpl.ast import (
     Span,
     derive_result,
     error,
-    is_reverse_pair,
     normalize_relation,
     split_result,
 )
-from cpl.check import _check_quantity, _names
+from cpl.check import _check_quantity
 from cpl.forest import (
     Cycle,
     CycleReport,
@@ -79,6 +86,7 @@ from cpl.forest import (
     _source_path,
     _subtree_occurrences,
     _target_path,
+    cross_links,
 )
 from cpl.graph import reachable
 from cpl.grid import Clustering, FrequencyGrid
@@ -301,11 +309,11 @@ def _is_reverse_pair(a: Rule, b: Rule) -> bool:
     chain_a, chain_b = a.inputs[0], b.inputs[0]
     if len(chain_a.elements) != len(chain_b.elements):
         return False
-    tail_a = tuple(c.name for c in chain_a.elements[1:])
-    tail_b = tuple(c.name for c in chain_b.elements[1:])
+    tail_a = tuple(chain_a.elements[1:])
+    tail_b = tuple(chain_b.elements[1:])
     return (
-        a.outputs[0].name == chain_b.source.name
-        and b.outputs[0].name == chain_a.source.name
+        a.outputs[0] == chain_b.source
+        and b.outputs[0] == chain_a.source
         and tail_a == tail_b
     )
 
@@ -330,27 +338,31 @@ def repeat_rules(scene) -> set[int]:
         for i in range(j):
             if rules[i].ordinal in repeats:
                 continue
-            if is_reverse_pair(rules[i], later):
+            if _is_reverse_pair(rules[i], later):
                 repeats.add(later.ordinal)
                 break
     return repeats
 
 
-def _first_by_name(concepts) -> tuple[ConceptId, ...]:
+def _names(term) -> tuple[str, ...]:
+    return tuple(term)
+
+
+def _first_by_name(concepts) -> tuple[str, ...]:
     """The first concept seen under each name, in first-appearance order."""
-    seen: dict[str, ConceptId] = {}
+    seen: dict[str, str] = {}
     for concept in concepts:
-        seen.setdefault(concept.name, concept)
+        seen.setdefault(concept, concept)
     return tuple(seen.values())
 
 
-def lhs_concepts(rule: Rule) -> tuple[ConceptId, ...]:
+def lhs_concepts(rule: Rule) -> tuple[str, ...]:
     """Distinct left-hand-side concepts, first-appearance order."""
     return _first_by_name(chain(
         rule.outputs, *(ch.elements for ch in rule.inputs)))
 
 
-def mentioned_concepts(rule: Rule) -> tuple[ConceptId, ...]:
+def mentioned_concepts(rule: Rule) -> tuple[str, ...]:
     """Every concept the rule touches anywhere, first-appearance order."""
     return _first_by_name(chain(
         rule.outputs, *(ch.elements for ch in rule.inputs),
@@ -358,7 +370,7 @@ def mentioned_concepts(rule: Rule) -> tuple[ConceptId, ...]:
         *((rel.left, rel.right) for rel in rule.relations)))
 
 
-def used_concepts(scene: Scene) -> tuple[ConceptId, ...]:
+def used_concepts(scene: Scene) -> tuple[str, ...]:
     """Concepts mentioned by at least one rule, first-appearance order."""
     return _first_by_name(chain.from_iterable(
         mentioned_concepts(rule) for rule in scene.rules))
@@ -452,7 +464,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
-        self.entities: dict[str, ConceptId] = {}  # name and alias lookup
+        self.entities: dict[str, str] = {}  # name or alias -> declared name
         self.declared: list[ConceptId] = []
 
     # token helpers
@@ -506,19 +518,19 @@ class _Parser:
                 return
         alias = alias_tok.text if alias_tok else None
         concept = ConceptId(name_tok.text, alias, name_tok.span)
-        self.entities[concept.name] = concept
+        self.entities[concept.name] = concept.name
         if alias:
-            self.entities[alias] = concept
+            self.entities[alias] = concept.name
         self.declared.append(concept)
 
-    def resolve(self, tok: Token) -> ConceptId:
-        concept = self.entities.get(tok.text)
-        if concept is None:
+    def resolve(self, tok: Token) -> str:
+        name = self.entities.get(tok.text)
+        if name is None:
             self.report(f"unknown entity {tok.text!r}", tok.span)
-            return ConceptId(tok.text, None, tok.span)
-        return concept
+            return tok.text
+        return name
 
-    def resolve_ident(self, what: str) -> ConceptId:
+    def resolve_ident(self, what: str) -> str:
         return self.resolve(self.expect("IDENT", what))
 
     # grammar
@@ -620,7 +632,7 @@ class _Parser:
         return Rule(label, tuple(outputs), tuple(chains), tuple(terms),
                     tuple(relations), ordinal=ordinal, span=start.span)
 
-    def parse_chain(self) -> tuple[tuple[ConceptId, ...], Amount | None, Span | None]:
+    def parse_chain(self) -> tuple[tuple[str, ...], Amount | None, Span | None]:
         first = self.peek()
         elements = [self.resolve_ident("chain source")]
         while self.peek().kind == "DOT":
@@ -631,9 +643,9 @@ class _Parser:
                         first.span)
         seen: set[str] = set()
         for concept in elements:
-            if concept.name in seen:
-                self.report(f"chain repeats {concept.name!r}", first.span)
-            seen.add(concept.name)
+            if concept in seen:
+                self.report(f"chain repeats {concept!r}", first.span)
+            seen.add(concept)
         qty = qty_span = None
         if self.peek().kind == "LPAREN":
             qty_span = self.peek().span
@@ -697,16 +709,16 @@ class _Parser:
                         tok.span))
                 return relations
             right = self.resolve_ident("entity name")
-            if left.name == right.name:
+            if left == right:
                 self.report(
-                    f"concept {left.name!r} cannot relate to itself", tok.span)
+                    f"concept {left!r} cannot relate to itself", tok.span)
             else:
                 relations.append(normalize_relation(left, op, right, tok.span))
             left = right
 
     def assemble_quantity(self,
-                          raw: tuple[tuple[ConceptId, ...], Amount | None, Span | None],
-                          outputs: list[ConceptId],
+                          raw: tuple[tuple[str, ...], Amount | None, Span | None],
+                          outputs: list[str],
                           terms: list[ResultTerm]) -> Chain:
         """Join the chain's total with taken/remainder found on result terms.
 
@@ -717,11 +729,11 @@ class _Parser:
         elements, total, span = raw
         if total is None:
             return Chain(elements)
-        names = tuple(c.name for c in elements)
-        output_names = {o.name for o in outputs}
+        names = _names(elements)
+        output_names = set(outputs)
         taken = remainder = None
         for term in terms:
-            term_names = term.names()
+            term_names = _names(term.concepts)
             last_qty = term.qtys[-1] if term.qtys else None
             if last_qty is None:
                 continue
@@ -775,7 +787,7 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
     if rule.self_loop:
         return []
     diagnostics: list[Diagnostic] = []
-    declared = Counter(term.names() for term in rule.declared_results)
+    declared = Counter(_names(term.concepts) for term in rule.declared_results)
     if declared not in _acceptable_counters(rule):
         expected = " ^ ".join(
             ".".join(_names(t)) for t in derive_result(rule.outputs, rule.inputs))
@@ -789,7 +801,7 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
 
 
 def _collect_edges(scene: Scene) -> list[_Edge]:
-    sub = {(rel.left.name, rel.right.name)
+    sub = {(rel.left, rel.right)
            for rule in scene.rules for rel in rule.relations
            if rel.kind is RelationKind.SUB_CONCEPT}
     assoc = {rel.pair() for rule in scene.rules for rel in rule.relations
@@ -798,27 +810,27 @@ def _collect_edges(scene: Scene) -> list[_Edge]:
     for rule in scene.rules:
         for rel in rule.relations:
             if rel.kind is RelationKind.SUB_CONCEPT:
-                edges.append(_Edge(rel.right.name, rel.left.name, False, rule.cite))
+                edges.append(_Edge(rel.right, rel.left, False, rule.cite))
             elif rel.kind is RelationKind.CONTAINED_IN:
-                edges.append(_Edge(rel.right.name, rel.left.name, True, rule.cite))
+                edges.append(_Edge(rel.right, rel.left, True, rule.cite))
     for rule in scene.rules:
         if rule.self_loop:
             continue
         placed = {
-            rel.left.name for rel in rule.relations
+            rel.left for rel in rule.relations
             if rel.kind is RelationKind.SUB_CONCEPT
         }
         for output in rule.outputs:
-            if output.name in placed:
+            if output in placed:
                 continue
             for chain in rule.inputs:
-                source, effector = chain.source.name, chain.effector.name
+                source, effector = chain.source, chain.effector
                 if (effector, source) not in sub:
                     continue
-                if frozenset((output.name, source)) in assoc:
+                if frozenset((output, source)) in assoc:
                     continue
-                if output.name != source:
-                    edges.append(_Edge(source, output.name, False, rule.cite))
+                if output != source:
+                    edges.append(_Edge(source, output, False, rule.cite))
     return edges
 
 
@@ -849,8 +861,8 @@ def build_forest(scene: Scene) -> OccurrenceForest:
         if not edge.contained and key not in noncontained_at:
             noncontained_at[key] = idx
 
-    used = [c.name for c in used_concepts(scene)]
-    root_name = scene.root.name if scene.root is not None else None
+    used = list(used_concepts(scene))
+    root_name = scene.root
     if root_name is not None and root_name not in used:
         used.insert(0, root_name)
 
@@ -1091,7 +1103,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
                     progress = True
 
     for rule in scene.rules:
-        members = [c.name for c in lhs_concepts(rule)]
+        members = list(lhs_concepts(rule))
         for a, b in combinations(members, 2):
             pair = frozenset((a, b))
             running[pair] = running.get(pair, 0) + 1
@@ -1100,7 +1112,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
         if rule.self_loop or rule.ordinal in repeats:
             continue
         for term in derive_result(rule.outputs, rule.inputs):
-            path = tuple(c.name for c in term)
+            path = _names(term)
             if not builder.insert_path(path, rule.cite):
                 pending.append((rule, path))
         retry_pending()
@@ -1135,9 +1147,9 @@ def simple_cycles(adjacency) -> list[tuple[str, ...]]:
 
 def _pair_cycles(pair) -> list[Cycle]:
     adjacency: dict[str, set[str]] = {}
-    outputs = {rule.outputs[0].name for rule in pair}
+    outputs = {rule.outputs[0] for rule in pair}
     for rule in pair:
-        names = [c.name for c in rule.inputs[0].elements] + [rule.outputs[0].name]
+        names = list(rule.inputs[0].elements) + [rule.outputs[0]]
         for a, b in zip(names, names[1:]):
             adjacency.setdefault(a, set()).add(b)
             adjacency.setdefault(b, set())
@@ -1162,16 +1174,16 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
     for loop_rule in scene.rules:
         if not loop_rule.self_loop:
             continue
-        looped = loop_rule.outputs[0].name
+        looped = loop_rule.outputs[0]
         anchor = forest.primary.get(looped)
         if anchor is None:
             continue
         below = _subtree_occurrences(anchor)
         for rule, rel in associations:
-            a, b = rel.left.name, rel.right.name
+            a, b = rel.left, rel.right
             if looped in (a, b) or a not in below or b not in below:
                 continue
-            output_names = {o.name for o in rule.outputs}
+            output_names = set(rule.outputs)
             if b in output_names and a not in output_names:
                 a, b = b, a
             elif a not in output_names and b not in output_names:
@@ -1231,3 +1243,35 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
     unique = sorted(set(links),
                     key=lambda l: (l.concept, l.source_path, l.target_path))
     return CycleReport(tuple(unique), tuple(cycles))
+
+
+def forest_to_json(forest: OccurrenceForest, report: CycleReport | None = None) -> str:
+    def node(occ: Occurrence) -> dict:
+        payload: dict = {"concept": occ.concept, "origin": occ.origin}
+        if occ.contained:
+            payload["contained"] = True
+        if occ.children:
+            payload["children"] = [node(child) for child in occ.children]
+        return payload
+
+    payload = {
+        "format_version": 1,
+        "roots": [node(root) for root in forest.roots],
+        "cross_links": [
+            {"concept": link.concept, "parents": list(link.parents)}
+            for link in cross_links(forest)
+        ],
+    }
+    if report is not None:
+        payload["uni_links"] = [
+            {"concept": link.concept,
+             "source_path": list(link.source_path),
+             "target_path": list(link.target_path)}
+            for link in report.uni_links
+        ]
+        payload["cycles"] = [
+            {"concepts": list(cycle.concepts), "kind": cycle.kind,
+             "rules": list(cycle.rules)}
+            for cycle in report.cycles
+        ]
+    return json.dumps(payload, indent=2) + "\n"

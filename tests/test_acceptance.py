@@ -137,8 +137,8 @@ def test_c07_derivation_algebra():
     rng = random.Random(0xC07)
     checked = 0
     while checked < 1000:
-        entities = make_entities(rng, rng.randint(3, 6))
-        rule = make_rule(rng, entities, checked + 1)
+        names = [c.name for c in make_entities(rng, rng.randint(3, 6))]
+        rule = make_rule(rng, names, checked + 1)
         if rule.self_loop:
             continue
         checked += 1
@@ -155,8 +155,7 @@ def test_c07_derivation_algebra():
     from cpl.ast import derive_result
 
     derived = derive_result(gas.rules[0].outputs, gas.rules[0].inputs)
-    assert [tuple(c.name for c in t) for t in derived] == [
-        ("Heat", "Gas", "Hob", "Cooker")]
+    assert derived == [("Heat", "Gas", "Hob", "Cooker")]
 
 
 def test_c08_quantity_conservation():

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from cpl.ast import (
     Chain,
-    ConceptId,
     Rule,
     derive_result,
     is_reverse_pair,
@@ -23,39 +22,32 @@ from genhelpers import make_chain, make_entities, make_reverse_scene, make_scene
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import scenegen  # noqa: E402
 
-P, K, D = ConceptId("Pot", "P"), ConceptId("Kitchen", "K"), ConceptId("Cupboard", "D")
-H, C, B, G = (ConceptId("Heat", "H"), ConceptId("Cooker", "C"),
-              ConceptId("Hob", "B"), ConceptId("Gas", "G"))
-
-
-def names(term):
-    return tuple(c.name for c in term)
+# Mentions are declared names.
+P, K, D = "Pot", "Kitchen", "Cupboard"
+H, C, B, G = "Heat", "Cooker", "Hob", "Gas"
 
 
 def test_derive_single_chain():
     terms = derive_result([P], [Chain((K, D))])
-    assert [names(t) for t in terms] == [("Pot", "Cupboard", "Kitchen")]
+    assert terms == [("Pot", "Cupboard", "Kitchen")]
 
 
 def test_derive_gas_chain():
     terms = derive_result([H], [Chain((C, B, G))])
-    assert [names(t) for t in terms] == [("Heat", "Gas", "Hob", "Cooker")]
+    assert terms == [("Heat", "Gas", "Hob", "Cooker")]
 
 
 def test_derive_multi_output_cross_product():
-    e1, e2, e3, e4 = (ConceptId("E1"), ConceptId("E2"),
-                      ConceptId("E3"), ConceptId("E4"))
-    terms = derive_result([e1, e4], [Chain((e2, e3))])
-    assert [names(t) for t in terms] == [
-        ("E1", "E3", "E2"), ("E4", "E3", "E2")]
+    terms = derive_result(["E1", "E4"], [Chain(("E2", "E3"))])
+    assert terms == [("E1", "E3", "E2"), ("E4", "E3", "E2")]
 
 
 @given(st.integers(0, 10_000))
 def test_derive_count_and_involution(seed):
     rng = random.Random(seed)
-    entities = make_entities(rng, rng.randint(3, 6))
-    outputs = rng.sample(entities, rng.randint(1, 3))
-    chains = [make_chain(rng, entities) for _ in range(rng.randint(1, 3))]
+    names = [c.name for c in make_entities(rng, rng.randint(3, 6))]
+    outputs = rng.sample(names, rng.randint(1, 3))
+    chains = [make_chain(rng, names) for _ in range(rng.randint(1, 3))]
     terms = derive_result(outputs, chains)
     assert len(terms) == len(outputs) * len(chains)
     for index, term in enumerate(terms):
@@ -67,10 +59,10 @@ def test_derive_count_and_involution(seed):
 def test_normalize_directions():
     rel = normalize_relation(D, "<", K)
     assert rel.kind is RelationKind.SUB_CONCEPT
-    assert (rel.left.name, rel.right.name) == ("Cupboard", "Kitchen")
+    assert (rel.left, rel.right) == ("Cupboard", "Kitchen")
     flipped = normalize_relation(P, ">", D)
     assert flipped.kind is RelationKind.SUB_CONCEPT
-    assert (flipped.left.name, flipped.right.name) == ("Cupboard", "Pot")
+    assert (flipped.left, flipped.right) == ("Cupboard", "Pot")
     assoc = normalize_relation(D, "-", P)
     assert assoc.kind is RelationKind.ASSOCIATION
     contained = normalize_relation(P, "in", D)
@@ -79,7 +71,7 @@ def test_normalize_directions():
 
 def test_normalize_rejects_self_relation():
     with pytest.raises(ValueError):
-        normalize_relation(P, "<", ConceptId("Pot", "P"))
+        normalize_relation(P, "<", "Pot")
 
 
 def test_normalize_idempotent():
@@ -104,7 +96,7 @@ def test_reverse_pair_detected():
 
 
 def test_reverse_pair_disjoint_sources():
-    W, T = ConceptId("Water", "W"), ConceptId("Tap", "T")
+    W, T = "Water", "Tap"
     r1 = _rule("r1", P, (K, D))
     r2 = _rule("r2", P, (T, W), ordinal=2)
     assert not is_reverse_pair(r1, r2)
@@ -116,7 +108,7 @@ def test_rule_is_not_its_own_reverse():
 
 
 def test_reverse_pair_needs_matching_tail():
-    W = ConceptId("Water", "W")
+    W = "Water"
     a = _rule("a", P, (B, H))
     b = _rule("b", B, (P, W), ordinal=2)
     assert not is_reverse_pair(a, b)
@@ -168,8 +160,6 @@ def test_lhs_concepts_order_and_dedup():
        st.integers(0, 10**9))
 def test_names_match_first_concept_scan(make, seed):
     scene = make(random.Random(seed))
-    assert scene.used_names() == tuple(
-        c.name for c in oracles.used_concepts(scene))
+    assert scene.used_names() == oracles.used_concepts(scene)
     for rule in scene.rules:
-        assert rule.lhs_names() == tuple(
-            c.name for c in oracles.lhs_concepts(rule))
+        assert rule.lhs_names() == oracles.lhs_concepts(rule)

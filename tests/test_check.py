@@ -86,8 +86,8 @@ def test_symbolic_amounts_unchecked():
 @given(st.integers(0, 10**9))
 def test_generated_rules_validate_iff_uncorrupted(seed):
     rng = random.Random(seed)
-    entities = make_entities(rng, rng.randint(3, 6))
-    rule = make_rule(rng, entities, 1)
+    names = [c.name for c in make_entities(rng, rng.randint(3, 6))]
+    rule = make_rule(rng, names, 1)
     if rule.self_loop:
         assert validate_rule(rule) == []
         return
@@ -104,8 +104,8 @@ def test_validate_rule_matches_counter_oracle(seed):
     generated rules (split forms and amounts included), their declared
     results shuffled, and their corrupted copies."""
     rng = random.Random(seed)
-    entities = make_entities(rng, rng.randint(3, 6))
-    rule = make_rule(rng, entities, 1)
+    names = [c.name for c in make_entities(rng, rng.randint(3, 6))]
+    rule = make_rule(rng, names, 1)
     variants = [rule]
     if not rule.self_loop:
         terms = list(rule.declared_results)

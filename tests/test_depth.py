@@ -7,6 +7,7 @@ import pytest
 
 from cpl.check import check_all
 from cpl.cli import main
+from cpl.forest import build_forest, extract_cycles, forest_to_json
 from cpl.grid import build_grid, to_csv
 from cpl.hierarchy import build_ensemble, build_hierarchy
 from cpl.parser import parse_scene
@@ -130,3 +131,15 @@ def test_deep_chain_cycles_cli(capsys, tmp_path, flags):
         links, cycles = out.split("cycles:\n")
         assert cycles == f"  {' -> '.join(walk)}  [loop, r0]\n"
         assert links.count("\n") == 1 + len(names)
+
+
+def test_deep_chain_forest_json():
+    """5000 links: the chain's bottom concept is written 5000 levels down,
+    four columns of indentation per level, inside its root's dict."""
+    scene = deep_chain_scene(5000)
+    forest = build_forest(scene)
+    text = forest_to_json(forest, extract_cycles(scene, forest))
+    assert text.startswith('{\n  "format_version": 1,\n')
+    assert text.endswith("\n}\n")
+    assert text.count('"concept": "C') == 5001
+    assert '\n' + ' ' * (6 + 4 * 5000) + '"concept": "C00000",\n' in text

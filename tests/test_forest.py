@@ -251,7 +251,7 @@ def test_no_cycles_without_enablers():
 def test_every_cycle_has_an_enabler(cooking_scene):
     forest = build_forest(cooking_scene)
     report = extract_cycles(cooking_scene, forest)
-    loop_owners = {r.outputs[0].name for r in cooking_scene.rules if r.self_loop}
+    loop_owners = {r.outputs[0] for r in cooking_scene.rules if r.self_loop}
     pair_members = {"Pot", "Hob"}  # outputs of the r5/r7 pair
     for cycle in report.cycles:
         members = set(cycle.concepts)
@@ -381,3 +381,39 @@ def test_loop_cycle_cites_first_loop_and_association_in_scene_order():
     assert [cycle.render() for cycle in report.cycles] == [
         "L -> P -> A -> B -> Q -> L  [l1, r2]"]
     assert_cycles_match_oracle(scene)
+
+
+def assert_forest_json_matches_oracle(scene):
+    forest = build_forest(scene)
+    assert forest_to_json(forest) == oracles.forest_to_json(forest)
+    if not check_all(scene):
+        report = extract_cycles(scene, forest)
+        assert forest_to_json(forest, report) == \
+            oracles.forest_to_json(forest, report)
+
+
+def test_forest_json_matches_oracle_on_bundled_scenes(scenes_dir):
+    for path in sorted(scenes_dir.glob("*.cpl")):
+        scene = parse_scene(path.read_text(encoding="utf-8")).scene
+        if scene is not None:
+            assert_forest_json_matches_oracle(scene)
+
+
+@given(st.sampled_from([make_scene, make_reverse_scene]),
+       st.integers(0, 10**9))
+def test_forest_json_matches_oracle_on_generated_scenes(make, seed):
+    assert_forest_json_matches_oracle(make(random.Random(seed)))
+
+
+@pytest.mark.parametrize("shape", [(64, 128, 0.10, 0.03), (24, 200, 0.30, 0.05),
+                                   (16, 60, 0.20, 0.20)])
+def test_forest_json_matches_oracle_on_workload_scenes(shape):
+    rng = random.Random(1)
+    for _ in range(4):
+        assert_forest_json_matches_oracle(
+            scene_of(scenegen.generate(rng, *shape).text))
+
+
+def test_forest_json_matches_oracle_on_deep_chain():
+    assert_forest_json_matches_oracle(deep_chain_scene(300))
+    assert_forest_json_matches_oracle(scene_of(deep_loop_source(300)))

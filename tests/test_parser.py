@@ -2,6 +2,7 @@ import random
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpl.ast import Amount, Quantity, RelationKind
@@ -57,21 +58,21 @@ def diags(text):
 def test_parse_mini_scene_shape():
     scene = parsed(MINI)
     assert scene.name == "Mini"
-    assert scene.root.name == "Kitchen"
+    assert scene.root == "Kitchen"
     assert [c.name for c in scene.entities] == [
         "Pot", "Kitchen", "Cupboard", "Egg", "Heat"]
     r1, r2, r3 = scene.rules
     assert r1.label == "r1" and not r1.self_loop
-    assert [c.name for c in r1.outputs] == ["Pot"]
-    assert [c.name for c in r1.inputs[0].elements] == ["Kitchen", "Cupboard"]
-    assert r1.declared_results[0].names() == ("Pot", "Cupboard", "Kitchen")
-    assert r3.self_loop and r3.outputs[0].name == "Pot"
+    assert r1.outputs == ("Pot",)
+    assert r1.inputs[0].elements == ("Kitchen", "Cupboard")
+    assert r1.declared_results[0].concepts == ("Pot", "Cupboard", "Kitchen")
+    assert r3.self_loop and r3.outputs[0] == "Pot"
 
 
 def test_relation_chain_desugars_pairwise():
     scene = parsed(MINI)
     r2 = scene.rules[1]
-    kinds = [(rel.kind, rel.left.name, rel.right.name) for rel in r2.relations]
+    kinds = [(rel.kind, rel.left, rel.right) for rel in r2.relations]
     assert kinds == [
         (RelationKind.ASSOCIATION, "Egg", "Heat"),
         (RelationKind.SUB_CONCEPT, "Heat", "Pot"),
@@ -81,7 +82,7 @@ def test_relation_chain_desugars_pairwise():
 def test_references_resolve_through_aliases():
     scene = parsed(MINI)
     r1 = scene.rules[0]
-    assert r1.outputs[0] is scene.entities[0]
+    assert r1.outputs[0] is scene.entities[0].name
 
 
 def test_unknown_entity_is_positioned():
@@ -327,3 +328,61 @@ def test_generated_scene_round_trip(seed):
     assert once.scene == scene
     twice = parse_scene(format_scene(once.scene))
     assert twice.scene == once.scene
+
+
+def mentions(scene):
+    """Every concept mention a scene holds, the root included."""
+    found = [] if scene.root is None else [scene.root]
+    for rule in scene.rules:
+        found += rule.outputs
+        for chain in rule.inputs:
+            found += chain.elements
+        for term in rule.declared_results:
+            found += term.concepts
+        for rel in rule.relations:
+            found += (rel.left, rel.right)
+    return found
+
+
+def respell(text, scene, rng):
+    """Canonical text with each alias mention in the rules written as the
+    alias or as the declared name, at random; a self-loop (a rule line
+    with no "+") writes its concept twice, so it spells both alike."""
+    names = {c.abbrev: c.name for c in scene.entities if c.abbrev}
+    lines = text.split("\n")
+    body = lines.index("  }") + 1  # the end of the entities block
+    for i in range(body, len(lines)):
+        alike = rng.random() < 0.5
+
+        def spell(m):
+            use_name = rng.random() < 0.5 if "+" in lines[i] else alike
+            return names.get(m[0], m[0]) if use_name else m[0]
+
+        lines[i] = re.sub(r"[A-Za-z][A-Za-z0-9_]*", spell, lines[i])
+    return "\n".join(lines)
+
+
+def assert_mentions_are_declared_names(text, rng):
+    scene = parsed(text)
+    declared = {c.name for c in scene.entities}
+    assert all(type(m) is str and m in declared for m in mentions(scene))
+    respelled = parsed(respell(format_scene(scene), scene, rng))
+    assert respelled == scene
+
+
+PARSED = {"mini": MINI, **{
+    path.name: path.read_text(encoding="utf-8")
+    for path in sorted(SCENES.glob("*.cpl"))
+    if parse_scene(path.read_text(encoding="utf-8")).ok}}
+
+
+@pytest.mark.parametrize("name", PARSED)
+@given(seed=st.integers(0, 10**9))
+def test_bundled_mentions_are_declared_names(name, seed):
+    assert_mentions_are_declared_names(PARSED[name], random.Random(seed))
+
+
+@given(st.integers(0, 10**9))
+def test_generated_mentions_are_declared_names(seed):
+    rng = random.Random(seed)
+    assert_mentions_are_declared_names(format_scene(make_scene(rng)), rng)

@@ -38,7 +38,9 @@ from cpl.hierarchy import Hierarchy, HierarchyBuild, TraceEvent
 from cpl.memory import Prediction, RankedFeature
 from cpl.parser import ParseResult
 
-A, B = ConceptId("Alpha", "A"), ConceptId("Beta")
+# Mentions are declared names; ConceptId is the declaration record.
+A, B = "Alpha", "Beta"
+ALPHA, BETA = ConceptId("Alpha", "A"), ConceptId("Beta")
 GRID = FrequencyGrid(("Alpha", "Beta"),
                      {"Alpha": {"Beta": 2}, "Beta": {"Alpha": 2}})
 HIERARCHY = Hierarchy("Alpha", ("Alpha", "Beta"), (("Alpha", "Beta"),))
@@ -64,11 +66,11 @@ RECORDS = [
     HierarchyBuild(HIERARCHY, (), ()),
     RankedFeature("f", 2),
     Prediction(()),
-    A,
+    ALPHA,
     Relation(RelationKind.SUB_CONCEPT, A, B),
     Quantity(Amount(2), Amount(1), Amount(1)),
     RULE,
-    Scene("S", (A, B), A, (RULE,)),
+    Scene("S", (ALPHA, BETA), A, (RULE,)),
     GRID,
 ]
 
@@ -90,8 +92,8 @@ def test_spans_and_ordinals_stay_out_of_equality():
         (Quantity(Amount(1), span=here), Quantity(Amount(1), span=there)),
         (RULE._replace(ordinal=1, span=here),
          RULE._replace(ordinal=2, span=there)),
-        (Scene("S", (A,), None, (RULE,), here),
-         Scene("S", (A,), None, (RULE,), there)),
+        (Scene("S", (ALPHA,), None, (RULE,), here),
+         Scene("S", (ALPHA,), None, (RULE,), there)),
     ]
     for left, right in pairs:
         assert left == right
@@ -115,8 +117,7 @@ HERE, THERE = Span(1, 1, 5), Span(7, 3, 2)
 COMPARED = [
     (ConceptId("Alpha", "A", HERE), {"name": "Gamma", "abbrev": None}),
     (Relation(RelationKind.ASSOCIATION, A, B, HERE),
-     {"kind": RelationKind.SUB_CONCEPT, "left": ConceptId("Gamma"),
-      "right": ConceptId("Gamma")}),
+     {"kind": RelationKind.SUB_CONCEPT, "left": "Gamma", "right": "Gamma"}),
     (Quantity(Amount(2), Amount(1), Amount(1), HERE),
      {"total": Amount(3), "taken": None, "remainder": Amount(2)}),
     (RULE._replace(ordinal=1, span=HERE),
@@ -124,8 +125,8 @@ COMPARED = [
       "declared_results": (),
       "relations": (Relation(RelationKind.SUB_CONCEPT, A, B),),
       "self_loop": True}),
-    (Scene("S", (A,), None, (RULE,), HERE),
-     {"name": "T", "entities": (A, B), "root": A, "rules": ()}),
+    (Scene("S", (ALPHA,), None, (RULE,), HERE),
+     {"name": "T", "entities": (ALPHA, BETA), "root": A, "rules": ()}),
 ]
 COMPARED_IDS = [type(record).__name__ for record, _ in COMPARED]
 

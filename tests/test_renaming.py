@@ -4,7 +4,8 @@ Every alias is renamed to a fresh one of the same length, keeping the
 names, and the scene is re-rendered with ``format_scene``.  Equal lengths
 keep every token at its column, so even the diagnostics' positions must
 match.  None of the compared outputs prints an alias, so they are compared
-as they are.
+as they are.  A mention holds the declared name, so the parsed rules and
+root must not change either.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from cpl.ast import ConceptId, Scene
+from cpl.ast import Scene
 from cpl.check import check_all
 from cpl.forest import build_forest, extract_cycles, nested_notation
 from cpl.grid import cluster_scene, to_csv
@@ -52,27 +53,9 @@ def fresh_aliases(scene: Scene, rng: random.Random) -> dict[str, str]:
 
 
 def rename(scene: Scene, renames: dict[str, str]) -> Scene:
-    def concept(c: ConceptId) -> ConceptId:
-        return c._replace(abbrev=renames.get(c.abbrev))
-
-    def concepts(cs):
-        return tuple(concept(c) for c in cs)
-
-    rules = tuple(
-        rule._replace(
-            outputs=concepts(rule.outputs),
-            inputs=tuple(ch._replace(elements=concepts(ch.elements))
-                         for ch in rule.inputs),
-            declared_results=tuple(t._replace(concepts=concepts(t.concepts))
-                                   for t in rule.declared_results),
-            relations=tuple(
-                rel._replace(left=concept(rel.left),
-                             right=concept(rel.right))
-                for rel in rule.relations))
-        for rule in scene.rules)
-    root = concept(scene.root) if scene.root is not None else None
-    return scene._replace(entities=concepts(scene.entities),
-                          root=root, rules=rules)
+    """Aliases live only in the declarations; every mention is a name."""
+    return scene._replace(entities=tuple(
+        c._replace(abbrev=renames.get(c.abbrev)) for c in scene.entities))
 
 
 def derived(text: str) -> dict:
@@ -104,6 +87,9 @@ def assert_renaming_invariant(scene: Scene, rng: random.Random) -> None:
     assert renamed_scene is not None, renamed
     assert {c.abbrev for c in renamed_scene.entities} - {None} == set(
         renames.values())
+    original_scene = parse_scene(original).scene
+    assert renamed_scene.rules == original_scene.rules
+    assert renamed_scene.root == original_scene.root
     assert derived(renamed) == derived(original)
 
 
