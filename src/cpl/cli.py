@@ -7,10 +7,10 @@ Identical inputs produce byte-identical output; diagnostics go to stderr,
 results to stdout or to the file named by --out.
 
 Each subcommand's handler takes the parsed arguments, does its work and
-returns its result as text chunks (the grid CSV a line at a time); ``main``
-writes them to stdout or ``--out`` and exits 0.  A handler that cannot
-produce a result raises ``_Exit`` with the exit code and the text for
-stderr, diagnostics included.  ``check`` alone also writes its own result:
+returns its result as text chunks (the grid a row at a time, as CSV or
+JSON); ``main`` writes them to stdout or ``--out`` and exits 0.  A handler
+that cannot produce a result raises ``_Exit`` with the exit code and the
+text for stderr, diagnostics included.  ``check`` alone also writes its own result:
 when it reports diagnostics it writes the count line and then raises
 ``_Exit`` with code 1.
 """
@@ -98,7 +98,7 @@ def _cmd_check(args) -> list[str]:
 def _cmd_grid(args):
     freq, clustering = grid.cluster_scene(_checked_scene(args.file))
     if args.format == "json":
-        return [grid.to_json(freq, clustering)]
+        return grid.json_chunks(freq, clustering)
     return grid.csv_lines(freq)
 
 

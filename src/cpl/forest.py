@@ -20,7 +20,7 @@ itself and depends only on ``ast``, ``graph`` and ``jsontext``.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .ast import Relation, RelationKind, Rule, Scene, is_reverse_pair
@@ -53,29 +53,20 @@ class OccurrenceForest(NamedTuple):
             name for name, occs in self.occurrences.items() if len(occs) > 1))
 
 
-class _Edge(NamedTuple):
-    parent: str
-    child: str
-    contained: bool
-    origin: str
-
-
-def _collect_edges(scene: Scene) -> tuple[dict[tuple[str, str], _Edge],
+def _collect_edges(scene: Scene) -> tuple[dict[tuple[str, str], str],
                                          dict[tuple[str, str], int]]:
-    """Parent/child edges by pair in order of first mention, and the pairs
-    numbered in order of their first non-containment mention.  Such a
-    mention clears the containment flag; the first mention's origin stays."""
-    merged: dict[tuple[str, str], _Edge] = {}
+    """The origin of each parent/child pair's first mention, in order of
+    first mention, and the pairs numbered in order of their first
+    non-containment mention; a pair without a number is a containment."""
+    merged: dict[tuple[str, str], str] = {}
     free: dict[tuple[str, str], int] = {}
     sub: set[tuple[str, str]] = set()  # (child, parent)
     assoc: set[tuple[str, str]] = set()  # both orders
 
     def add(parent: str, child: str, contained: bool, origin: str) -> None:
         key = (parent, child)
-        edge = merged.setdefault(key, _Edge(parent, child, contained, origin))
+        merged.setdefault(key, origin)
         if not contained:
-            if edge.contained:
-                merged[key] = edge._replace(contained=False)
             free.setdefault(key, len(free))
 
     for rule in scene.rules:
@@ -127,12 +118,13 @@ def build_forest(scene: Scene) -> OccurrenceForest:
     if root_name is not None and root_name not in used:
         used.insert(0, root_name)
 
+    # Each root edge is a new pair, numbered free.
     with_parent = {child for _, child in merged}
     if root_name is not None:
         for name in used:
             if name != root_name and name not in with_parent:
-                merged.setdefault(
-                    (root_name, name), _Edge(root_name, name, False, "root"))
+                merged[root_name, name] = "root"
+                free[root_name, name] = len(free)
         root_names = [root_name]
     else:
         root_names = [n for n in used if n not in with_parent]
@@ -146,7 +138,8 @@ def build_forest(scene: Scene) -> OccurrenceForest:
     while unreachable := set(used) - reached:
         name = min(unreachable)
         if root_name is not None:
-            merged[root_name, name] = _Edge(root_name, name, False, "root")
+            merged[root_name, name] = "root"
+            free[root_name, name] = len(free)
             children.setdefault(root_name, []).append(name)
         else:
             root_names.append(name)
@@ -158,24 +151,24 @@ def build_forest(scene: Scene) -> OccurrenceForest:
     # construction.  ``at`` is the position of a concept's primary edge and
     # ``rounds`` the placement round that realizes it: an edge is placed in
     # its parent's round if it comes after the parent's primary edge, else
-    # one round later, and each round places edges in merged order.
+    # one round later, and each round places edges in merged order.  Free
+    # edges rank by number, ahead of containments in merged order.
     position = {key: i for i, key in enumerate(merged)}
     rounds = dict.fromkeys(root_names, 0)
     at = dict.fromkeys(root_names, -1)
     frontier = root_names
     while frontier:
-        best: dict[str, tuple[tuple[bool, int, int], str]] = {}
+        best: dict[str, tuple[int, str]] = {}
         for parent in frontier:
             for child in children.get(parent, ()):
                 if child in rounds:
                     continue
                 key = (parent, child)
-                rank = (merged[key].contained,
-                        free.get(key, len(free) + position[key]),
-                        position[key])
+                rank = free.get(key, len(free) + position[key])
                 if child not in best or rank < best[child][0]:
                     best[child] = (rank, parent)
-        for child, ((_, _, i), parent) in best.items():
+        for child, (_, parent) in best.items():
+            i = position[parent, child]
             rounds[child] = rounds[parent] + (i < at[parent])
             at[child] = i
         frontier = list(best)
@@ -193,9 +186,9 @@ def build_forest(scene: Scene) -> OccurrenceForest:
         i, (parent, _) = item
         return rounds[parent] + (i < at[parent]), i
 
-    for i, (parent, child) in sorted(enumerate(merged), key=placement):
-        edge = merged[parent, child]
-        occ = Occurrence(child, primary[parent], edge.origin, edge.contained)
+    for i, key in sorted(enumerate(merged), key=placement):
+        parent, child = key
+        occ = Occurrence(child, primary[parent], merged[key], key not in free)
         primary[parent].children.append(occ)
         occurrences.setdefault(child, []).append(occ)
         if at.get(child) == i:
@@ -376,7 +369,6 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
     the associations in scene order.  A later self-loop rule on the same
     concept gives the same walks."""
     cycles: list[Cycle] = []
-    seen: set[tuple[str, ...]] = set()
     associations: list[tuple[Rule, Relation]] = []
     by_left: dict[str, list[int]] = {}
     loops: dict[str, Rule] = {}
@@ -405,38 +397,26 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
             down = list(reversed(_climb(below[a], anchor)))
             up = _climb(below[b], anchor)
             walk = tuple([looped] + down + up)
-            if walk in seen:
-                continue
-            seen.add(walk)
             cycles.append(Cycle(
                 walk, "self-loop",
                 tuple(sorted({loop_rule.cite, rule.cite}))))
     return cycles
 
 
-def _tree_base(forest: OccurrenceForest, occ: Occurrence,
-               multi: set[str]) -> Occurrence:
-    """Nearest strict ancestor that is the primary occurrence of a repeated
-    concept; otherwise the occurrence's tree root."""
+def _base_path(forest: OccurrenceForest, occ: Occurrence,
+               multi: set[str]) -> list[str]:
+    """Concepts from ``occ`` up to its base: the nearest strict ancestor
+    that is the primary occurrence of a repeated concept, otherwise the tree
+    root, which at a root is ``occ`` itself."""
+    names = [occ.concept]
     node = occ.parent
     while node is not None:
-        if node.concept in multi and forest.primary.get(node.concept) is node:
-            return node
-        if node.parent is None:
-            return node
+        names.append(node.concept)
+        if node.parent is None or (node.concept in multi
+                                   and forest.primary.get(node.concept) is node):
+            break
         node = node.parent
-    return occ
-
-
-def _source_path(forest: OccurrenceForest, occ: Occurrence,
-                 multi: set[str]) -> tuple[str, ...]:
-    base = _tree_base(forest, occ, multi)
-    return tuple(reversed(_climb(occ, base) + [base.concept]))
-
-
-def _target_path(forest: OccurrenceForest, occ: Occurrence,
-                 multi: set[str]) -> tuple[str, ...]:
-    return tuple(_climb(occ, _tree_base(forest, occ, multi))) or (occ.concept,)
+    return names
 
 
 def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
@@ -451,24 +431,16 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
     when several reverse pairs, or several rules under a self-loop, give
     the same cycle, the first in scene order is the one reported.
     """
-    cycles: list[Cycle] = []
-    seen: set[tuple[tuple[str, ...], str]] = set()
-    for pair in reverse_pairs(scene):
-        for cycle in _pair_cycles(pair):
-            key = (_rotation_key(cycle.concepts), cycle.kind)
-            if key not in seen:
-                seen.add(key)
-                cycles.append(cycle)
-    for cycle in _loop_cycles(scene, forest):
-        key = (_rotation_key(cycle.concepts), cycle.kind)
-        if key not in seen:
-            seen.add(key)
-            cycles.append(cycle)
-    cycles.sort(key=lambda c: (c.kind, c.concepts))
+    first: dict[tuple[tuple[str, ...], str], Cycle] = {}
+    pair_cycles = (cycle for pair in reverse_pairs(scene)
+                   for cycle in _pair_cycles(pair))
+    for cycle in chain(pair_cycles, _loop_cycles(scene, forest)):
+        first.setdefault((_rotation_key(cycle.concepts), cycle.kind), cycle)
+    cycles = sorted(first.values(), key=lambda c: (c.kind, c.concepts))
 
     multi = set(forest.multi_occurrence_concepts())
     cycle_concepts = sorted({name for cycle in cycles for name in cycle.concepts})
-    source = {occ: _source_path(forest, occ, multi)
+    source = {occ: tuple(reversed(_base_path(forest, occ, multi)))
               for concept in multi.union(cycle_concepts)
               for occ in forest.occurrences.get(concept, ())}
     links: list[UniLink] = []
@@ -476,16 +448,15 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
         prim = forest.primary.get(concept)
         if prim is None:
             continue
-        target = _target_path(forest, prim, multi)
+        # The primary's own climb, short of its base.
+        target = source[prim][:0:-1] or (concept,)
         for occ in forest.occurrences[concept]:
             if occ is not prim:
                 links.append(UniLink(concept, source[occ], target))
     for concept in cycle_concepts:
         for occ in forest.occurrences.get(concept, ()):
             links.append(UniLink(concept, source[occ], (concept,)))
-    unique = sorted(set(links),
-                    key=lambda l: (l.concept, l.source_path, l.target_path))
-    return CycleReport(tuple(unique), tuple(cycles))
+    return CycleReport(tuple(sorted(set(links))), tuple(cycles))
 
 
 def _rotation_key(walk: tuple[str, ...]) -> tuple[str, ...]:

@@ -5,9 +5,9 @@ Counting uses the left-hand side of each rule only: every unordered pair of
 distinct concepts among the outputs and chain elements bumps the count both
 ways round.  Self-loop rules register their concept but contribute no pairs,
 so no concept counts with itself.  The grid stores only the nonzero counts,
-as a neighbour map.  The CSV format reads that map directly, one line at
-a time; the JSON format builds the dense rows on demand.  Both print every
-cell.
+as a neighbour map.  Both formats read that map directly and stream one
+row at a time: the CSV a line per concept, the JSON a count row per
+concept.  Both print every cell.
 """
 
 from __future__ import annotations
@@ -198,16 +198,29 @@ def to_csv(grid: FrequencyGrid) -> str:
     return "".join(csv_lines(grid))
 
 
-def to_json(grid: FrequencyGrid, clustering: Clustering) -> str:
-    payload = {
-        "format_version": 1,
-        "concepts": list(grid.concepts),
-        "counts": [list(row) for row in grid.counts],
+def json_chunks(grid: FrequencyGrid, clustering: Clustering) -> Iterator[str]:
+    """Grid and clustering as the text of ``json.dumps(payload, indent=2)``,
+    one dense count row at a time; the keys before and after the counts
+    come from ``json.dumps`` itself."""
+    names = grid.concepts
+    head = json.dumps({"format_version": 1, "concepts": list(names)}, indent=2)
+    tail = json.dumps({
         "clusters": [sorted(cluster)
                      for cluster in ordered_clusters(clustering.clusters)],
         "secondary_links": [list(link) for link in clustering.secondary_links],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    }, indent=2)
+    # Drop the head's closing "\n}" and the tail's opening "{\n".
+    yield head[:-2] + ',\n  "counts": [' + ("" if names else "]")
+    for i, name in enumerate(names):
+        near = grid.neighbours[name]
+        cells = ",\n      ".join(str(near.get(b, 0)) for b in names)
+        yield ("," if i else "") + "\n    [\n      " + cells + "\n    ]"
+    yield ("\n  ]" if names else "") + ",\n" + tail[2:] + "\n"
+
+
+def to_json(grid: FrequencyGrid, clustering: Clustering) -> str:
+    """Grid and clustering as one JSON text."""
+    return "".join(json_chunks(grid, clustering))
 
 
 def ordered_clusters(

@@ -248,10 +248,13 @@ class _Parser:
         return self.parse_triple(label, ordinal, first, start)
 
     def parse_selfloop(self, label: str | None, ordinal: int, first: int) -> Rule:
-        texts = self.texts
+        texts, entities = self.texts, self.entities
         self.pos += 1  # the "->"
         second = self.ident("entity name")
-        if texts[second] != texts[first]:
+        # Either side may be the name or the alias; unknown texts compare
+        # as written, and ``resolve`` reports the first side below.
+        if (entities.get(texts[second], texts[second])
+                != entities.get(texts[first], texts[first])):
             self.report(
                 f"a self-loop must repeat the same concept, got "
                 f"{texts[first]!r} -> {texts[second]!r}", second)

@@ -27,6 +27,8 @@ beside their index and remove retried paths with ``list.remove``.  The
 ensemble argument lost its default when the ensemble became the grid.
 ``to_csv`` is the grid's CSV format as it stood before it read the
 neighbour map directly: it formats every cell of the dense rows.
+``to_json`` is the grid's JSON format as it stood before it streamed by
+row: one ``json.dumps`` of the whole payload.
 ``build_hierarchy`` takes its repeat rules from ``repeat_rules`` and its
 left-hand sides from ``lhs_concepts``, not from the code under test.
 ``lhs_concepts`` and
@@ -38,6 +40,11 @@ stood before the associations were indexed by concept: every self-loop
 rule walks its concept's subtree and scans every association, every
 rotation of a walk is compared, successor lists are sorted on every visit
 and each occurrence's source path is worked out every time it is cited.
+The forest oracles keep their own ``_Edge`` record and the forest's path
+helpers ``_subtree_occurrences``, ``_climb``, ``_tree_base``,
+``_source_path`` and ``_target_path`` as they stood before the forest kept
+only each edge's origin and climbed each occurrence once to its base; they
+borrow no private name from ``cpl.forest``.
 ``forest_to_json`` is the forest's JSON writer as it stood before it
 wrote its text with an explicit stack: it builds the nested payload
 recursively and hands it to ``json.dumps``.
@@ -53,8 +60,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from collections import Counter
+from collections import Counter, deque
 from itertools import chain, combinations, product
+from typing import NamedTuple
 
 from cpl import graph
 from cpl.ast import (
@@ -81,11 +89,6 @@ from cpl.forest import (
     Occurrence,
     OccurrenceForest,
     UniLink,
-    _Edge,
-    _climb,
-    _source_path,
-    _subtree_occurrences,
-    _target_path,
     cross_links,
 )
 from cpl.graph import reachable
@@ -199,6 +202,20 @@ def to_csv(grid: FrequencyGrid) -> str:
         cells = ["" if i == j else str(count) for j, count in enumerate(row)]
         lines.append(name + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def to_json(grid: FrequencyGrid, clustering: Clustering) -> str:
+    """``grid.to_json`` as one ``json.dumps`` of the whole payload, the
+    dense rows of ``grid.counts`` included."""
+    ordered = sorted(clustering.clusters, key=lambda c: (-len(c), min(c)))
+    payload = {
+        "format_version": 1,
+        "concepts": list(grid.concepts),
+        "counts": [list(row) for row in grid.counts],
+        "clusters": [sorted(cluster) for cluster in ordered],
+        "secondary_links": [list(link) for link in clustering.secondary_links],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _outside_mass(grid: FrequencyGrid, pair: tuple[str, str]) -> int:
@@ -800,6 +817,13 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
     return diagnostics
 
 
+class _Edge(NamedTuple):
+    parent: str
+    child: str
+    contained: bool
+    origin: str
+
+
 def _collect_edges(scene: Scene) -> list[_Edge]:
     sub = {(rel.left, rel.right)
            for rule in scene.rules for rel in rule.relations
@@ -1198,6 +1222,52 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
                 walk, "self-loop",
                 tuple(sorted({loop_rule.cite, rule.cite}))))
     return cycles
+
+
+def _subtree_occurrences(root: Occurrence) -> dict[str, Occurrence]:
+    """First occurrence per concept strictly below ``root``, breadth first."""
+    found: dict[str, Occurrence] = {}
+    queue = deque(root.children)
+    while queue:
+        occ = queue.popleft()
+        found.setdefault(occ.concept, occ)
+        queue.extend(occ.children)
+    return found
+
+
+def _climb(occ: Occurrence, stop: Occurrence) -> list[str]:
+    """Concepts from ``occ`` up its parents to, not including, ``stop``."""
+    names: list[str] = []
+    node: Occurrence | None = occ
+    while node is not None and node is not stop:
+        names.append(node.concept)
+        node = node.parent
+    return names
+
+
+def _tree_base(forest: OccurrenceForest, occ: Occurrence,
+               multi: set[str]) -> Occurrence:
+    """Nearest strict ancestor that is the primary occurrence of a repeated
+    concept; otherwise the occurrence's tree root."""
+    node = occ.parent
+    while node is not None:
+        if node.concept in multi and forest.primary.get(node.concept) is node:
+            return node
+        if node.parent is None:
+            return node
+        node = node.parent
+    return occ
+
+
+def _source_path(forest: OccurrenceForest, occ: Occurrence,
+                 multi: set[str]) -> tuple[str, ...]:
+    base = _tree_base(forest, occ, multi)
+    return tuple(reversed(_climb(occ, base) + [base.concept]))
+
+
+def _target_path(forest: OccurrenceForest, occ: Occurrence,
+                 multi: set[str]) -> tuple[str, ...]:
+    return tuple(_climb(occ, _tree_base(forest, occ, multi))) or (occ.concept,)
 
 
 def _rotation_key(walk: tuple[str, ...]) -> tuple[str, ...]:

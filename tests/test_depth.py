@@ -8,7 +8,7 @@ import pytest
 from cpl.check import check_all
 from cpl.cli import main
 from cpl.forest import build_forest, extract_cycles, forest_to_json
-from cpl.grid import build_grid, to_csv
+from cpl.grid import build_grid, cluster_scene, to_csv, to_json
 from cpl.hierarchy import build_ensemble, build_hierarchy
 from cpl.parser import parse_scene
 
@@ -94,6 +94,29 @@ def test_deep_chain_grid_cli_writes_one_line_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["grid", str(path)]) == 0
     assert out.getvalue() == want
+
+
+class _WriteCounter(io.StringIO):
+    """A stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+def test_deep_chain_grid_json_cli_writes_one_row_at_a_time(tmp_path, monkeypatch):
+    """One write for the keys before the counts, one per count row and one
+    for the keys after them."""
+    path = tmp_path / "deep.cpl"
+    path.write_text(deep_chain_source(DEPTH), encoding="utf-8")
+    freq, clustering = cluster_scene(deep_chain_scene(DEPTH))
+    out = _WriteCounter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["grid", str(path), "--format", "json"]) == 0
+    assert out.getvalue() == to_json(freq, clustering)
+    assert out.writes == len(freq.concepts) + 2
 
 
 @pytest.mark.parametrize("flags", [[], ["--sorted"], ["--dot"]])

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from itertools import combinations
@@ -13,9 +14,11 @@ from cpl.grid import (
     build_grid,
     cluster_scene,
     csv_lines,
+    json_chunks,
     primary_clusters,
     secondary_links,
     to_csv,
+    to_json,
 )
 from cpl.parser import parse_scene
 
@@ -321,3 +324,48 @@ def test_csv_matches_dense_rows_on_hub_grids(grid):
 def test_csv_matches_dense_rows_on_a_deep_chain():
     grid = build_grid(deep_chain_scene(300))
     assert to_csv(grid) == oracles.to_csv(grid)
+
+
+def assert_json_matches_payload_dump(grid: FrequencyGrid) -> None:
+    clustering = primary_clusters(grid)
+    clustering = clustering._replace(
+        secondary_links=secondary_links(grid, clustering))
+    assert to_json(grid, clustering) == oracles.to_json(grid, clustering)
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.stem)
+def test_json_matches_payload_dump_on_bundled_scenes(path):
+    scene = parse_scene(path.read_text(encoding="utf-8")).scene
+    assert_json_matches_payload_dump(build_grid(scene))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", [(64, 128, 0.10, 0.03), (24, 200, 0.30, 0.05)],
+                         ids=["concept-wide", "rule-dense"])
+def test_json_matches_payload_dump_on_workload_scenes(shape, seed):
+    scene = parse_scene(scenegen.generate(random.Random(seed), *shape).text).scene
+    assert_json_matches_payload_dump(build_grid(scene))
+
+
+@given(st.integers(0, 10**9))
+def test_json_matches_payload_dump_on_generated_scenes(seed):
+    assert_json_matches_payload_dump(build_grid(make_scene(random.Random(seed))))
+
+
+@given(hub_grids())
+def test_json_matches_payload_dump_on_hub_grids(grid):
+    assert_json_matches_payload_dump(grid)
+
+
+def test_json_of_an_empty_grid_matches_payload_dump():
+    assert_json_matches_payload_dump(build_grid(Scene("Empty", (), None, ())))
+
+
+def test_json_chunks_are_one_count_row_each(cooking_scene):
+    grid, clustering = cluster_scene(cooking_scene)
+    chunks = list(json_chunks(grid, clustering))
+    assert len(chunks) == len(grid.concepts) + 2
+    for name, chunk in zip(grid.concepts, chunks[1:-1]):
+        assert json.loads(chunk.lstrip(",")) == [grid.count(name, other)
+                                                 for other in grid.concepts]
+    assert "".join(chunks) == to_json(grid, clustering)

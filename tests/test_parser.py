@@ -128,6 +128,16 @@ def test_self_loop_must_repeat_concept():
     assert any("must repeat the same concept" in d.message for d in diags(text))
 
 
+def test_self_loop_may_mix_a_name_and_its_alias():
+    text = ("scene S { entities { Pot as P; Tap; } rules { %s; "
+            "Tap + Tap.Pot -> Tap.Pot.Tap where Pot < Tap; } }")
+    want = parse_scene(text % "Pot -> Pot").scene
+    for loop in ("Pot -> P", "P -> Pot", "P -> P"):
+        assert parse_scene(text % loop).scene == want, loop
+    assert any("must repeat the same concept" in d.message
+               for d in diags(text % "P -> Tap"))
+
+
 def test_self_loop_rejects_relations():
     text = "scene S { entities { A; B; } rules { A -> A where A < B; } }"
     assert any("cannot declare relations" in d.message for d in diags(text))
@@ -346,20 +356,14 @@ def mentions(scene):
 
 def respell(text, scene, rng):
     """Canonical text with each alias mention in the rules written as the
-    alias or as the declared name, at random; a self-loop (a rule line
-    with no "+") writes its concept twice, so it spells both alike."""
+    alias or as the declared name, at random."""
     names = {c.abbrev: c.name for c in scene.entities if c.abbrev}
-    lines = text.split("\n")
-    body = lines.index("  }") + 1  # the end of the entities block
-    for i in range(body, len(lines)):
-        alike = rng.random() < 0.5
+    body = text.index("\n  }\n")  # the end of the entities block
 
-        def spell(m):
-            use_name = rng.random() < 0.5 if "+" in lines[i] else alike
-            return names.get(m[0], m[0]) if use_name else m[0]
+    def spell(m):
+        return names.get(m[0], m[0]) if rng.random() < 0.5 else m[0]
 
-        lines[i] = re.sub(r"[A-Za-z][A-Za-z0-9_]*", spell, lines[i])
-    return "\n".join(lines)
+    return text[:body] + re.sub(r"[A-Za-z][A-Za-z0-9_]*", spell, text[body:])
 
 
 def assert_mentions_are_declared_names(text, rng):

@@ -31,7 +31,6 @@ from cpl.forest import (
     CycleReport,
     OccurrenceForest,
     UniLink,
-    _Edge,
 )
 from cpl.grid import Clustering, FrequencyGrid
 from cpl.hierarchy import Hierarchy, HierarchyBuild, TraceEvent
@@ -55,7 +54,6 @@ RECORDS = [
     ParseResult(None, ()),
     Contradiction("sub-cycle", ("Alpha", "Beta"), ("r",), "message"),
     Clustering((("Alpha", "Beta"),)),
-    _Edge("Alpha", "Beta", False, "r"),
     CrossLink("Alpha", (None, "Beta")),
     UniLink("Alpha", ("Beta", "Alpha"), ("Alpha",)),
     Cycle(("Alpha", "Beta"), "reverse-pair", ("r",)),
