@@ -45,11 +45,10 @@ def _compared_first(n: int):
 
 
 class Span(NamedTuple):
-    """1-based source position; length counts characters."""
+    """1-based source position."""
 
     line: int = 0
     column: int = 0
-    length: int = 0
 
 
 _NO_SPAN = Span()
@@ -61,14 +60,13 @@ class Diagnostic(NamedTuple):
     message: str
     line: int
     column: int
-    span_length: int = 1
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: error: {self.message}"
 
 
 def error(message: str, span: Span) -> Diagnostic:
-    return Diagnostic(message, span.line, span.column, max(span.length, 1))
+    return Diagnostic(message, span.line, span.column)
 
 
 class ConceptId(NamedTuple):
@@ -130,21 +128,19 @@ class Amount(NamedTuple):
 
 
 class Quantity(NamedTuple):
-    """Amount bookkeeping on a chain effector.
+    """The amount annotated on a chain: ``total`` is what the source holds.
 
-    ``total`` is the annotated amount available at the source, ``taken`` the
-    amount moved to the output, ``remainder`` what stays behind.  ``taken``
-    and ``remainder`` are filled in when the rule is written in the split
-    result form; conservation of the numeric values is checked by
-    ``cpl.check.validate_rule``.
+    The split amounts live on the rule's result terms, where the script
+    writes them: the amount taken is the last one of the ``O.F`` term, the
+    remainder the last one of the term that repeats the chain.
+    ``cpl.check.validate_rule`` reads them there and checks that numeric
+    values are conserved.
     """
 
-    total: Amount | None = None
-    taken: Amount | None = None
-    remainder: Amount | None = None
+    total: Amount
     span: Span = _NO_SPAN
 
-    __eq__, __ne__, __hash__ = _compared_first(3)
+    __eq__, __ne__, __hash__ = _compared_first(1)
 
 
 class Chain(NamedTuple):
@@ -163,11 +159,11 @@ class Chain(NamedTuple):
 
 
 class ResultTerm(NamedTuple):
-    """A declared result term; ``qtys`` aligns an optional amount with each
-    element (the leading element never carries one)."""
+    """A declared result term; ``qtys`` holds an optional amount for each
+    element, one slot per concept (the leading element never carries one)."""
 
     concepts: tuple[str, ...]
-    qtys: tuple[Amount | None, ...] = ()
+    qtys: tuple[Amount | None, ...]
 
 
 class Rule(NamedTuple):

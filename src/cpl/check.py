@@ -13,8 +13,9 @@ from itertools import product
 from typing import NamedTuple
 
 from .ast import (
+    Amount,
+    Chain,
     Diagnostic,
-    Quantity,
     RelationKind,
     Rule,
     Scene,
@@ -48,27 +49,45 @@ def _acceptable_results(rule: Rule) -> list[list[tuple[str, ...]]]:
             for combo in product(*per_chain)]
 
 
-def _check_quantity(qty: Quantity, cite: str) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    total = qty.total.value() if qty.total else None
-    taken = qty.taken.value() if qty.taken else None
-    remainder = qty.remainder.value() if qty.remainder else None
-    if taken is not None and taken < 0:
-        diags.append(error(
-            f"quantity taken {qty.taken.render()} is negative ({cite})",
-            qty.span))
-        return diags
-    if total is not None and taken is not None:
-        if taken > total:
-            diags.append(error(
-                f"quantity taken {qty.taken.render()} exceeds total "
-                f"{qty.total.render()} ({cite})", qty.span))
-        elif remainder is not None and taken + remainder != total:
-            diags.append(error(
-                f"quantity does not balance: taken {qty.taken.render()} plus "
-                f"remainder {qty.remainder.render()} is not total "
-                f"{qty.total.render()} ({cite})", qty.span))
-    return diags
+def _split_amounts(rule: Rule,
+                   chain: Chain) -> tuple[Amount | None, Amount | None]:
+    """The split amounts the rule's result terms write for ``chain``: taken
+    is the last amount of the first ``O.F`` term, remainder that of the
+    first term equal to the chain.  Terms with no last amount are passed
+    over, and a term read as taken is not read as the remainder."""
+    taken = remainder = None
+    for term in rule.declared_results:
+        names, last = term.concepts, term.qtys[-1]
+        if last is None:
+            continue
+        if (taken is None and len(names) == 2 and names[0] in rule.outputs
+                and names[1] == chain.effector):
+            taken = last
+        elif remainder is None and names == chain.elements:
+            remainder = last
+    return taken, remainder
+
+
+def _check_quantity(rule: Rule, chain: Chain) -> list[Diagnostic]:
+    """Numeric conservation of the chain's total over its split amounts."""
+    qty, cite = chain.quantity, rule.cite
+    taken, remainder = _split_amounts(rule, chain)
+    total = qty.total.value()
+    taken_value = taken.value() if taken else None
+    if taken_value is not None and taken_value < 0:
+        return [error(f"quantity taken {taken.render()} is negative ({cite})",
+                      qty.span)]
+    if total is None or taken_value is None:
+        return []
+    if taken_value > total:
+        return [error(f"quantity taken {taken.render()} exceeds total "
+                      f"{qty.total.render()} ({cite})", qty.span)]
+    left = remainder.value() if remainder else None
+    if left is not None and taken_value + left != total:
+        return [error(f"quantity does not balance: taken {taken.render()} "
+                      f"plus remainder {remainder.render()} is not total "
+                      f"{qty.total.render()} ({cite})", qty.span)]
+    return []
 
 
 def validate_rule(rule: Rule) -> list[Diagnostic]:
@@ -86,7 +105,7 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
             f"expected {expected}", rule.span))
     for chain in rule.inputs:
         if chain.quantity is not None:
-            diagnostics.extend(_check_quantity(chain.quantity, rule.cite))
+            diagnostics.extend(_check_quantity(rule, chain))
     return diagnostics
 
 

@@ -96,10 +96,10 @@ def _cmd_check(args) -> list[str]:
 
 
 def _cmd_grid(args):
-    freq, clustering = grid.cluster_scene(_checked_scene(args.file))
+    scene = _checked_scene(args.file)
     if args.format == "json":
-        return grid.json_chunks(freq, clustering)
-    return grid.csv_lines(freq)
+        return grid.json_chunks(*grid.cluster_scene(scene))
+    return grid.csv_lines(grid.build_grid(scene))
 
 
 def _cmd_cluster(args) -> list[str]:

@@ -380,9 +380,7 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
                 by_left.setdefault(rel.left, []).append(len(associations))
                 associations.append((rule, rel))
     for looped, loop_rule in loops.items():
-        anchor = forest.primary.get(looped)
-        if anchor is None:
-            continue
+        anchor = forest.primary[looped]
         below = _subtree_occurrences(anchor)
         for index in sorted(index for name in below
                             for index in by_left.get(name, ())):
@@ -445,9 +443,7 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
               for occ in forest.occurrences.get(concept, ())}
     links: list[UniLink] = []
     for concept in sorted(multi):
-        prim = forest.primary.get(concept)
-        if prim is None:
-            continue
+        prim = forest.primary[concept]
         # The primary's own climb, short of its base.
         target = source[prim][:0:-1] or (concept,)
         for occ in forest.occurrences[concept]:

@@ -85,7 +85,10 @@ def load_memory_dir(path: str | Path) -> MemoryStore:
     store = MemoryStore()
     directory = Path(path)
     for file in sorted(directory.glob("*.json")):
-        payload = json.loads(file.read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(file.read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError(f"{file.name}: nested too deeply") from None
         if not isinstance(payload, dict):
             raise ValueError(f"{file.name}: top level is not an object")
         scene_id, features = payload["id"], payload["features"]

@@ -130,8 +130,7 @@ class _Parser:
         """The source position of token ``pos``, worked out on demand."""
         offset = self.offsets[pos]
         line = bisect_right(self.line_starts, offset)
-        return Span(line, offset - self.line_starts[line - 1] + 1,
-                    len(self.texts[pos]))
+        return Span(line, offset - self.line_starts[line - 1] + 1)
 
     def unexpected(self, what: str) -> _Abort:
         text = self.texts[self.pos] or "end of input"
@@ -277,10 +276,10 @@ class _Parser:
             self.pos += 1
             outputs.append(self.resolve_ident("output entity"))
         self.expect("+")
-        chains_raw = [self.parse_chain()]
+        chains = [self.parse_chain()]
         while texts[self.pos] == "^":
             self.pos += 1
-            chains_raw.append(self.parse_chain())
+            chains.append(self.parse_chain())
         self.expect("->")
         terms = [self.parse_term()]
         while texts[self.pos] == "^":
@@ -294,11 +293,10 @@ class _Parser:
                 self.pos += 1
                 relations.extend(self.parse_relation_chain())
         self.expect(";")
-        chains = [self.assemble_quantity(ch, outputs, terms) for ch in chains_raw]
         return Rule(label, tuple(outputs), tuple(chains), tuple(terms),
                     tuple(relations), ordinal=ordinal, span=self.span(start))
 
-    def parse_chain(self) -> tuple[tuple[str, ...], Amount | None, Span | None]:
+    def parse_chain(self) -> Chain:
         texts = self.texts
         first = self.pos
         elements = [self.resolve_ident("chain source")]
@@ -312,11 +310,10 @@ class _Parser:
             if name in seen:
                 self.report(f"chain repeats {name!r}", first)
             seen.add(name)
-        qty = qty_span = None
         if texts[self.pos] == "(":
-            qty_span = self.span(self.pos)
-            qty = self.parse_qty()
-        return tuple(elements), qty, qty_span
+            span = self.span(self.pos)
+            return Chain(tuple(elements), Quantity(self.parse_qty(), span))
+        return Chain(tuple(elements))
 
     def parse_term(self) -> ResultTerm:
         texts = self.texts
@@ -378,33 +375,6 @@ class _Parser:
                     normalize_relation(left, op, right, self.span(op_pos)))
             left = right
 
-    def assemble_quantity(self,
-                          raw: tuple[tuple[str, ...], Amount | None, Span | None],
-                          outputs: list[str],
-                          terms: list[ResultTerm]) -> Chain:
-        """Join the chain's total with taken/remainder found on result terms.
-
-        The split form declares the moved part as ``O.F(y)`` and the
-        remainder as the original chain ``S...F(x-y)``; amounts in other
-        positions stay surface-only.
-        """
-        elements, total, span = raw
-        if total is None:
-            return Chain(elements)
-        taken = remainder = None
-        for term in terms:
-            term_names = term.concepts
-            last_qty = term.qtys[-1] if term.qtys else None
-            if last_qty is None:
-                continue
-            if (taken is None and len(term_names) == 2
-                    and term_names[0] in outputs
-                    and term_names[1] == elements[-1]):
-                taken = last_qty
-            elif remainder is None and term_names == elements:
-                remainder = last_qty
-        return Chain(elements, Quantity(total, taken, remainder, span))
-
 
 def parse_scene(source: str) -> ParseResult:
     """Parse a scene script into a Scene, or report positioned diagnostics.
@@ -435,15 +405,14 @@ _SURFACE = {
 
 def _format_chain(chain: Chain, short: dict[str, str]) -> str:
     text = ".".join(short[name] for name in chain.elements)
-    if chain.quantity is not None and chain.quantity.total is not None:
+    if chain.quantity is not None:
         text += f"({chain.quantity.total.render()})"
     return text
 
 
 def _format_term(term: ResultTerm, short: dict[str, str]) -> str:
-    qtys = term.qtys or (None,) * len(term.concepts)
     parts = []
-    for name, qty in zip(term.concepts, qtys):
+    for name, qty in zip(term.concepts, term.qtys):
         text = short[name]
         if qty is not None:
             text += f"({qty.render()})"

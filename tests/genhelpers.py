@@ -72,11 +72,11 @@ def make_rule(rng: random.Random, names: list[str], ordinal: int,
     outputs = tuple(rng.sample(names, rng.randint(1, min(3, len(names)))))
     mode = rng.random()
     if mode < 0.2:
-        # split amount form: one chain, total plus taken/remainder terms
+        # split amount form: one chain with a total; taken and remainder
+        # are written on the terms only
         chain = make_chain(rng, names, with_quantity=False)
         taken, remainder = _amount(rng), _amount(rng)
-        chain = Chain(chain.elements,
-                      Quantity(_amount(rng), taken, remainder))
+        chain = Chain(chain.elements, Quantity(_amount(rng)))
         split = split_result(outputs, chain)
         terms = []
         for i, term in enumerate(split):

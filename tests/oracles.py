@@ -13,7 +13,11 @@ before the one-pass regex tokenizer, and ``parse_scene`` is the parser as
 it stood before it read flat token texts: it walks that loop's token
 records, kind, text, line and column each.  ``validate_rule`` is the rule
 check as it stood before it compared sorted lists of term names: it
-compares ``Counter`` multisets.  The forest oracles are
+compares ``Counter`` multisets, and conserves amounts with
+``check_quantity``, this module's own copy of the checker's conservation
+rules: it picks the taken and the remainder term by index from the terms
+that write a last amount.  Nothing here comes from ``cpl.check``.  The
+forest oracles are
 ``build_forest`` and its ``_collect_edges`` as they stood before the forest
 was layered and placed in one walk each: they merge a raw edge list in a
 second loop and rescan every merged edge once per tree level, and build
@@ -82,7 +86,6 @@ from cpl.ast import (
     normalize_relation,
     split_result,
 )
-from cpl.check import _check_quantity
 from cpl.forest import (
     Cycle,
     CycleReport,
@@ -402,7 +405,7 @@ class Token:
 
     @property
     def span(self) -> Span:
-        return Span(self.line, self.column, len(self.text))
+        return Span(self.line, self.column)
 
 
 _PUNCT = {
@@ -628,10 +631,10 @@ class _Parser:
             self.advance()
             outputs.append(self.resolve_ident("output entity"))
         self.expect("PLUS", "'+'")
-        chains_raw = [self.parse_chain()]
+        chains = [self.parse_chain()]
         while self.peek().kind == "CARET":
             self.advance()
-            chains_raw.append(self.parse_chain())
+            chains.append(self.parse_chain())
         self.expect("ARROW", "'->'")
         terms = [self.parse_term()]
         while self.peek().kind == "CARET":
@@ -645,11 +648,10 @@ class _Parser:
                 self.advance()
                 relations.extend(self.parse_relation_chain())
         self.expect("SEMI", "';'")
-        chains = [self.assemble_quantity(ch, outputs, terms) for ch in chains_raw]
         return Rule(label, tuple(outputs), tuple(chains), tuple(terms),
                     tuple(relations), ordinal=ordinal, span=start.span)
 
-    def parse_chain(self) -> tuple[tuple[str, ...], Amount | None, Span | None]:
+    def parse_chain(self) -> Chain:
         first = self.peek()
         elements = [self.resolve_ident("chain source")]
         while self.peek().kind == "DOT":
@@ -663,11 +665,11 @@ class _Parser:
             if concept in seen:
                 self.report(f"chain repeats {concept!r}", first.span)
             seen.add(concept)
-        qty = qty_span = None
+        quantity = None
         if self.peek().kind == "LPAREN":
-            qty_span = self.peek().span
-            qty = self.parse_qty()
-        return tuple(elements), qty, qty_span
+            span = self.peek().span
+            quantity = Quantity(self.parse_qty(), span)
+        return Chain(tuple(elements), quantity)
 
     def parse_term(self) -> ResultTerm:
         concepts = [self.resolve_ident("result entity")]
@@ -733,35 +735,6 @@ class _Parser:
                 relations.append(normalize_relation(left, op, right, tok.span))
             left = right
 
-    def assemble_quantity(self,
-                          raw: tuple[tuple[str, ...], Amount | None, Span | None],
-                          outputs: list[str],
-                          terms: list[ResultTerm]) -> Chain:
-        """Join the chain's total with taken/remainder found on result terms.
-
-        The split form declares the moved part as ``O.F(y)`` and the
-        remainder as the original chain ``S...F(x-y)``; amounts in other
-        positions stay surface-only.
-        """
-        elements, total, span = raw
-        if total is None:
-            return Chain(elements)
-        names = _names(elements)
-        output_names = set(outputs)
-        taken = remainder = None
-        for term in terms:
-            term_names = _names(term.concepts)
-            last_qty = term.qtys[-1] if term.qtys else None
-            if last_qty is None:
-                continue
-            if (taken is None and len(term_names) == 2
-                    and term_names[0] in output_names
-                    and term_names[1] == names[-1]):
-                taken = last_qty
-            elif remainder is None and term_names == names:
-                remainder = last_qty
-        return Chain(elements, Quantity(total, taken, remainder, span))
-
 
 def parse_scene(source: str) -> ParseResult:
     """``cpl.parser.parse_scene`` over ``tokenize``'s token records."""
@@ -799,8 +772,40 @@ def _acceptable_counters(rule: Rule) -> list[Counter]:
     return variants
 
 
+def check_quantity(rule: Rule, chain: Chain) -> list[Diagnostic]:
+    """Conservation of ``chain``'s total over the split amounts its rule's
+    terms write: taken on the first ``O.F`` term with a last amount, the
+    remainder on the first other such term that repeats the chain."""
+    qty, cite = chain.quantity, rule.cite
+    written = [(i, _names(term.concepts), term.qtys[-1])
+               for i, term in enumerate(rule.declared_results)
+               if term.qtys[-1] is not None]
+    took = next(((i, amount) for i, names, amount in written
+                 if len(names) == 2 and names[0] in rule.outputs
+                 and names[1] == _names(chain.elements)[-1]), (None, None))
+    left = next((amount for i, names, amount in written
+                 if i != took[0] and names == _names(chain.elements)), None)
+    taken = took[1]
+    if taken is None or taken.value() is None:
+        return []
+    if taken.value() < 0:
+        return [error(f"quantity taken {taken.render()} is negative ({cite})",
+                      qty.span)]
+    total = qty.total.value()
+    if total is not None and taken.value() > total:
+        return [error(f"quantity taken {taken.render()} exceeds total "
+                      f"{qty.total.render()} ({cite})", qty.span)]
+    if (total is not None and left is not None and left.value() is not None
+            and taken.value() + left.value() != total):
+        return [error(f"quantity does not balance: taken {taken.render()} "
+                      f"plus remainder {left.render()} is not total "
+                      f"{qty.total.render()} ({cite})", qty.span)]
+    return []
+
+
 def validate_rule(rule: Rule) -> list[Diagnostic]:
-    """``cpl.check.validate_rule`` with each multiset of terms a ``Counter``."""
+    """``cpl.check.validate_rule`` with each multiset of terms a ``Counter``
+    and its own ``check_quantity``."""
     if rule.self_loop:
         return []
     diagnostics: list[Diagnostic] = []
@@ -813,7 +818,7 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
             f"expected {expected}", rule.span))
     for chain in rule.inputs:
         if chain.quantity is not None:
-            diagnostics.extend(_check_quantity(chain.quantity, rule.cite))
+            diagnostics.extend(check_quantity(rule, chain))
     return diagnostics
 
 

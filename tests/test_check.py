@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from cpl.ast import Scene
+from cpl.ast import Amount, Chain, ConceptId, Quantity, ResultTerm, Rule, Scene
 from cpl.check import (
     Contradiction,
     check_all,
@@ -10,7 +10,7 @@ from cpl.check import (
     scene_contradictions,
     validate_rule,
 )
-from cpl.parser import parse_scene
+from cpl.parser import format_scene, parse_scene
 
 import oracles
 from genhelpers import corrupt_results, make_entities, make_rule
@@ -77,10 +77,38 @@ def test_quantity_unbalanced_remainder():
     assert any("does not balance" in d.message for d in found)
 
 
-def test_symbolic_amounts_unchecked():
+def test_quantity_remainder_written_before_taken():
     scene = scene_of(WRAP.format(
-        rules="r1: P + T.W(x) -> P.W(y) ^ T.W(x-y);"))
-    assert validate_rule(scene.rules[0]) == []
+        rules="r1: P + T.W(5) -> T.W(5-2) ^ P.W(1);"))
+    found = validate_rule(scene.rules[0])
+    assert [d.message for d in found] == [
+        "quantity does not balance: taken 1 plus remainder 5-2 is not "
+        "total 5 (r1)"]
+
+
+def test_hand_built_split_form_checks_as_parsed():
+    """Split amounts are read off the result terms, so a rule built in
+    code checks as its formatted and reparsed text does."""
+    pot, tap, water = "Pot", "Tap", "Water"
+    rule = Rule("r1", (pot,), (Chain((tap, water), Quantity(Amount(3))),),
+                (ResultTerm((pot, water), (None, Amount(5))),
+                 ResultTerm((tap, water), (None, Amount(3, 5)))), (),
+                ordinal=1)
+    scene = Scene("S", (ConceptId(pot, "P"), ConceptId(tap, "T"),
+                        ConceptId(water, "W")), None, (rule,))
+    message = "quantity taken 5 exceeds total 3 (r1)"
+    assert [d.message for d in check_all(scene)] == [message]
+    again = scene_of(format_scene(scene))
+    assert [d.message for d in check_all(again)] == [message]
+    assert again == scene
+
+
+def test_symbolic_amounts_unchecked():
+    # A symbolic remainder is not checked beside a numeric total either.
+    for rules in ("r1: P + T.W(x) -> P.W(y) ^ T.W(x-y);",
+                  "r1: P + T.W(2) -> P.W(1) ^ T.W(2-x);"):
+        scene = scene_of(WRAP.format(rules=rules))
+        assert validate_rule(scene.rules[0]) == []
 
 
 @given(st.integers(0, 10**9))

@@ -285,6 +285,18 @@ def test_predict_malformed_memory(capsys, tmp_path):
                    "s1.json: features is not a list of strings\n")
 
 
+def test_predict_deeply_nested_memory(capsys, tmp_path):
+    depth = 200000
+    (tmp_path / "a.json").write_text("[" * depth + "]" * depth,
+                                     encoding="utf-8")
+    code, out, err = run(
+        capsys, "predict", "--memory", str(tmp_path), "--input", "A")
+    assert code == 2
+    assert out == ""
+    assert err == (f"cpl: cannot load memory from {tmp_path}: "
+                   "a.json: nested too deeply\n")
+
+
 def test_color_toggle(capsys, scenes_dir, monkeypatch):
     monkeypatch.setenv("CPL_COLOR", "1")
     path = scenes_dir / "inconsistent.cpl"

@@ -161,6 +161,12 @@ def test_first_attempt_notation_rejected(scenes_dir):
     assert where.line == 11 and where.column == 16
 
 
+def test_trailing_input_after_scene_rejected():
+    found = diags("scene S { entities { A; B; } rules { } } extra")
+    assert [str(d) for d in found] == [
+        "1:42: error: expected end of input, found 'extra'"]
+
+
 def test_diagnostics_inside_source_bounds():
     text = "scene S { entities { A; B; } rules { A + B -> A.B; } }"
     lines = text.split("\n")
@@ -304,10 +310,13 @@ def test_empty_rules_block_allowed():
 def test_quantity_annotations_survive_round_trip(scenes_dir):
     scene = parsed((scenes_dir / "quantities.cpl").read_text(encoding="utf-8"))
     r1 = scene.rules[0]
-    assert r1.inputs[0].quantity == Quantity(
-        Amount("x"), Amount("y"), Amount("x", "y"))
+    assert r1.inputs[0].quantity == Quantity(Amount("x"))
+    assert [t.qtys[-1] for t in r1.declared_results] == [
+        Amount("y"), Amount("x", "y")]
     r2 = scene.rules[1]
-    assert r2.inputs[0].quantity == Quantity(Amount(2), Amount(1), Amount(2, 1))
+    assert r2.inputs[0].quantity == Quantity(Amount(2))
+    assert [t.qtys[-1] for t in r2.declared_results] == [
+        Amount(1), Amount(2, 1)]
     assert parsed(format_scene(scene)) == scene
 
 

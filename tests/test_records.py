@@ -43,10 +43,11 @@ ALPHA, BETA = ConceptId("Alpha", "A"), ConceptId("Beta")
 GRID = FrequencyGrid(("Alpha", "Beta"),
                      {"Alpha": {"Beta": 2}, "Beta": {"Alpha": 2}})
 HIERARCHY = Hierarchy("Alpha", ("Alpha", "Beta"), (("Alpha", "Beta"),))
-RULE = Rule("r", (A,), (Chain((B, A)),), (ResultTerm((A, A, B)),), ())
+RULE = Rule("r", (A,), (Chain((B, A)),),
+            (ResultTerm((A, A, B), (None, None, None)),), ())
 
 RECORDS = [
-    Span(1, 2, 3),
+    Span(1, 2),
     Amount(3, "x"),
     Chain((A, B), Quantity(Amount(1))),
     ResultTerm((A, B), (None, Amount(1))),
@@ -66,7 +67,7 @@ RECORDS = [
     Prediction(()),
     ALPHA,
     Relation(RelationKind.SUB_CONCEPT, A, B),
-    Quantity(Amount(2), Amount(1), Amount(1)),
+    Quantity(Amount(2)),
     RULE,
     Scene("S", (ALPHA, BETA), A, (RULE,)),
     GRID,
@@ -82,7 +83,7 @@ def test_record_fields_cannot_be_assigned(record):
 
 
 def test_spans_and_ordinals_stay_out_of_equality():
-    here, there = Span(1, 1, 5), Span(7, 3, 2)
+    here, there = Span(1, 1), Span(7, 3)
     pairs = [
         (ConceptId("Alpha", "A", here), ConceptId("Alpha", "A", there)),
         (Relation(RelationKind.ASSOCIATION, A, B, here),
@@ -108,7 +109,7 @@ def test_grid_builds_from_names_and_cells():
     assert grid.strength("Beta") == 3
 
 
-HERE, THERE = Span(1, 1, 5), Span(7, 3, 2)
+HERE, THERE = Span(1, 1), Span(7, 3)
 
 # The records with equality-blind fields, each beside a different value for
 # every compared field, in field order.
@@ -116,8 +117,7 @@ COMPARED = [
     (ConceptId("Alpha", "A", HERE), {"name": "Gamma", "abbrev": None}),
     (Relation(RelationKind.ASSOCIATION, A, B, HERE),
      {"kind": RelationKind.SUB_CONCEPT, "left": "Gamma", "right": "Gamma"}),
-    (Quantity(Amount(2), Amount(1), Amount(1), HERE),
-     {"total": Amount(3), "taken": None, "remainder": Amount(2)}),
+    (Quantity(Amount(2), HERE), {"total": Amount(3)}),
     (RULE._replace(ordinal=1, span=HERE),
      {"label": None, "outputs": (B,), "inputs": (Chain((A, B)),),
       "declared_results": (),
