@@ -85,6 +85,8 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
     position = {name: i for i, name in enumerate(names)}
     best = {name: max(near.values(), default=0)
             for name, near in neighbours.items()}
+    # Summed once: a hub's neighbour map spans the grid.
+    strength = {name: sum(near.values()) for name, near in neighbours.items()}
 
     mutual = [
         (a, b)
@@ -94,8 +96,7 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
     ]
     mutual.sort(key=lambda pair: (
         -grid.count(*pair),
-        grid.strength(pair[0]) + grid.strength(pair[1])
-        - 2 * grid.count(*pair),
+        strength[pair[0]] + strength[pair[1]] - 2 * grid.count(*pair),
         tuple(sorted(pair))))
 
     clusters: list[list[str]] = []

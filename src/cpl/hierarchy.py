@@ -11,7 +11,9 @@ and inserts nothing.
 
 Construction is sequential by contract: the trace logs every ensemble
 weight update and hierarchy insertion, and a hierarchy link only ever
-follows the ensemble update of its concept pair.
+follows the ensemble update of its concept pair.  The build stores only the
+insertions, and where each rule's turn ends among them; the weight updates
+are recounted from the rules' left-hand sides when ``trace`` is read.
 
 The builder keeps a rank for every node such that every link runs from a
 lower to a higher rank; a new child takes the next rank.  A link whose
@@ -59,9 +61,32 @@ class Hierarchy(NamedTuple):
 
 
 class HierarchyBuild(NamedTuple):
+    """The hierarchy, and the node and edge ``steps`` that built it;
+    ``ends[i]`` counts the steps taken when ``rules[i]``'s turn ended."""
+
     hierarchy: Hierarchy
-    trace: tuple[TraceEvent, ...]
     diagnostics: tuple[Diagnostic, ...]
+    rules: tuple[Rule, ...]
+    steps: tuple[TraceEvent, ...]
+    ends: tuple[int, ...]
+
+    @property
+    def trace(self) -> tuple[TraceEvent, ...]:
+        """The construction log: for each rule in turn, its ensemble weight
+        updates, one per pair of its left-hand side, then its turn's steps.
+        Recounted on every read."""
+        events: list[TraceEvent] = []
+        running: dict[tuple[str, str], int] = {}
+        start = 0
+        for rule, end in zip(self.rules, self.ends):
+            cite = rule.cite
+            for a, b in combinations(rule.lhs_names(), 2):
+                pair = (a, b) if a < b else (b, a)
+                running[pair] = weight = running.get(pair, 0) + 1
+                events.append(TraceEvent("ensemble", cite, pair, weight))
+            events += self.steps[start:end]
+            start = end
+        return tuple(events)
 
 
 def build_ensemble(scene: Scene) -> FrequencyGrid:
@@ -105,7 +130,7 @@ class _Builder:
         self.children: dict[str, dict[str, None]] = {root: {}}
         self.parents: dict[str, list[str]] = {root: []}
         self.edges: list[tuple[str, str]] = []
-        self.trace: list[TraceEvent] = []
+        self.steps: list[TraceEvent] = []
         # Waiting paths by number, the numbers under each concept they
         # name, and the numbers that a new node has woken.
         self.pending: dict[int, tuple[Rule, tuple[str, ...]]] = {}
@@ -121,7 +146,7 @@ class _Builder:
             self.rank[child] = len(self.rank)
             self.children[child] = {}
             self.parents[child] = []
-            self.trace.append(TraceEvent("node", cite, (child,)))
+            self.steps.append(TraceEvent("node", cite, (child,)))
             for number in self.waiting.pop(child, ()):
                 if number in self.pending:
                     self.woken.add(number)
@@ -132,7 +157,7 @@ class _Builder:
         self.children[parent][child] = None
         self.parents[child].append(parent)
         self.edges.append((parent, child))
-        self.trace.append(TraceEvent("edge", cite, (parent, child)))
+        self.steps.append(TraceEvent("edge", cite, (parent, child)))
 
     def rerank(self, parent: str, child: str) -> bool:
         """Ranks that let the link parent -> child rise; False, ranks
@@ -210,28 +235,24 @@ class _Builder:
 def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
     """Grow the hierarchy from the rule paths in scene order.
 
-    Every rule first updates the ensemble weights; insertions follow, so
-    each hierarchy link is preceded by the matching ensemble update.  Rules
-    whose path shares no concept with the root component stay pending and
-    are retried once a concept they name joins; whatever never connects is
+    Every rule's turn inserts its paths; the ensemble update that precedes
+    them in the trace is recounted when ``trace`` is read.  Rules whose
+    path shares no concept with the root component stay pending and are
+    retried once a concept they name joins; whatever never connects is
     reported.
     """
     root = select_root(ensemble)
     repeats = _repeat_rules(scene)
     builder = _Builder(root)
-    running: dict[tuple[str, str], int] = {}
+    ends: list[int] = []
 
     for rule in scene.rules:
-        for a, b in combinations(rule.lhs_names(), 2):
-            pair = (a, b) if a < b else (b, a)
-            running[pair] = weight = running.get(pair, 0) + 1
-            builder.trace.append(TraceEvent("ensemble", rule.cite, pair, weight))
-        if rule.self_loop or rule.ordinal in repeats:
-            continue
-        for path in derive_result(rule.outputs, rule.inputs):
-            if not builder.insert_path(path, rule.cite):
-                builder.wait(rule, path)
-        builder.retry()
+        if not (rule.self_loop or rule.ordinal in repeats):
+            for path in derive_result(rule.outputs, rule.inputs):
+                if not builder.insert_path(path, rule.cite):
+                    builder.wait(rule, path)
+            builder.retry()
+        ends.append(len(builder.steps))
 
     diagnostics: list[Diagnostic] = []
     if builder.pending:
@@ -243,7 +264,8 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
             + ", ".join(stranded), first.span))
 
     hierarchy = Hierarchy(root, tuple(builder.depth), tuple(builder.edges))
-    return HierarchyBuild(hierarchy, tuple(builder.trace), tuple(diagnostics))
+    return HierarchyBuild(hierarchy, tuple(diagnostics), scene.rules,
+                          tuple(builder.steps), tuple(ends))
 
 
 def hierarchy_to_dot(build: HierarchyBuild) -> str:

@@ -26,8 +26,8 @@ may refer to a concept by its declared name or its alias; the parsed scene
 holds the declared name at every mention, and the formatter writes the
 alias back from ``Scene.entities``.
 
-The token stream is two flat lists built by one regular expression: each
-token's text and its start offset in the source.  Blanks, newlines and
+The token stream is a list and an array built by one regular expression:
+each token's text and its start offset in the source.  Blanks, newlines and
 comments are the prefix skipped before a token.  No token carries a kind:
 a punctuation text is its own kind, a leading letter makes an IDENT
 (keywords are IDENTs too), a leading digit a NUMBER, and the empty text is
@@ -39,6 +39,7 @@ each diagnostic, an ``ast.Diagnostic``) by bisecting a table of line starts.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -104,7 +105,7 @@ class _Parser:
 
     def __init__(self, source: str):
         texts: list[str] = []
-        offsets: list[int] = []
+        offsets = array("q")  # 8 bytes a token, not a pointer and an int
         add_text, add_offset = texts.append, offsets.append
         for m in _TOKEN_RE.finditer(source):
             add_text(m[1])

@@ -33,8 +33,11 @@ ensemble argument lost its default when the ensemble became the grid.
 neighbour map directly: it formats every cell of the dense rows.
 ``to_json`` is the grid's JSON format as it stood before it streamed by
 row: one ``json.dumps`` of the whole payload.
-``build_hierarchy`` takes its repeat rules from ``repeat_rules`` and its
-left-hand sides from ``lhs_concepts``, not from the code under test.
+``build_hierarchy`` takes its repeat rules from ``repeat_rules``, its
+left-hand sides from ``lhs_concepts`` and its root from ``select_root``, not
+from the code under test.  It returns an ``EagerBuild``: the hierarchy
+build as it stood before the trace was recounted when read, logging every
+ensemble weight update as it is made.
 ``lhs_concepts`` and
 ``used_concepts`` are the rule and scene methods that kept the first
 concept record under each name, before they returned names only.
@@ -96,7 +99,7 @@ from cpl.forest import (
 )
 from cpl.graph import reachable
 from cpl.grid import Clustering, FrequencyGrid
-from cpl.hierarchy import Hierarchy, HierarchyBuild, TraceEvent, select_root
+from cpl.hierarchy import Hierarchy, TraceEvent
 from cpl.parser import KEYWORDS, ParseResult, _Abort
 
 
@@ -1055,6 +1058,21 @@ def rescan_clusters(grid: FrequencyGrid) -> Clustering:
     return Clustering(tuple(tuple(c) for c in clusters))
 
 
+class EagerBuild(NamedTuple):
+    hierarchy: Hierarchy
+    trace: tuple[TraceEvent, ...]
+    diagnostics: tuple[Diagnostic, ...]
+
+
+def select_root(ensemble: FrequencyGrid) -> str:
+    """The strongest concept anchors the hierarchy; ties break by name."""
+    if not ensemble.concepts:
+        raise ValueError("cannot select a root from an empty ensemble")
+    neighbours = ensemble.neighbours
+    return min(ensemble.concepts, key=lambda name: (
+        -sum(neighbours.get(name, {}).values()), name))
+
+
 class _Builder:
     def __init__(self, root: str):
         self.root = root
@@ -1107,7 +1125,7 @@ class _Builder:
         return True
 
 
-def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
+def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> EagerBuild:
     """Grow the hierarchy from the rule paths in scene order.
 
     Every rule first updates the ensemble weights; insertions follow, so
@@ -1155,7 +1173,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
             + ", ".join(stranded), first.span))
 
     hierarchy = Hierarchy(root, tuple(builder.nodes), tuple(builder.edges))
-    return HierarchyBuild(hierarchy, tuple(builder.trace), tuple(diagnostics))
+    return EagerBuild(hierarchy, tuple(builder.trace), tuple(diagnostics))
 
 
 def simple_cycles(adjacency) -> list[tuple[str, ...]]:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import oracles
 from cpl.check import check_all
 from cpl.cli import main
 from cpl.forest import build_forest, extract_cycles, forest_to_json
@@ -42,6 +43,21 @@ def deep_loop_source(depth: int) -> str:
     ).replace("  }\n}\n", f"    loop: {top} -> {top};\n  }}\n}}\n")
 
 
+def fan_source(n: int) -> str:
+    """A hub ``H`` and ``n`` spoke pairs ``L``, ``M``: rule ``r{i}`` is
+    ``H + L{i}.M{i} -> H.M{i}.L{i}``, so every count is 1, every pair is a
+    mutual best pair and ``H`` neighbours every other concept."""
+    lines = ["scene Fan {", "  entities {", "    H;"]
+    for i in range(n):
+        lines.extend((f"    L{i:05d};", f"    M{i:05d};"))
+    lines.extend(["  }", "  rules {"])
+    for i in range(n):
+        lo, mi = f"L{i:05d}", f"M{i:05d}"
+        lines.append(f"    r{i}: H + {lo}.{mi} -> H.{mi}.{lo} where {mi} < {lo};")
+    lines.extend(["  }", "}"])
+    return "\n".join(lines) + "\n"
+
+
 def deep_chain_scene(depth: int):
     result = parse_scene(deep_chain_source(depth))
     assert result.scene is not None, result.diagnostics
@@ -57,6 +73,20 @@ def test_deep_sub_concept_chain():
     assert is_acyclic(hierarchy)
     assert reachable_from_root(hierarchy) == set(hierarchy.nodes)
     assert len(hierarchy.nodes) == DEPTH + 2
+
+
+@pytest.mark.parametrize("n", [2, 8, 40])
+def test_fan_clusters_match_oracle(n):
+    """Each spoke pair, whose bond is the most exclusive, seeds a cluster
+    before any pair with the hub; the hub stays a singleton."""
+    scene = parse_scene(fan_source(n)).scene
+    assert check_all(scene) == []
+    grid, clustering = cluster_scene(scene)
+    assert clustering.clusters == oracles.rescan_clusters(grid).clusters
+    if n <= 8:  # the linear-scan oracle rebuilds the dense rows per count
+        assert clustering.clusters == oracles.primary_clusters(grid).clusters
+    assert clustering.clusters[-1] == ("H",)
+    assert len(clustering.clusters) == n + 1
 
 
 def test_deep_chain_cluster_cli(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -163,6 +164,21 @@ def test_build_is_deterministic(cooking_scene):
     assert first.trace == second.trace
 
 
+def test_build_stores_no_ensemble_event(cooking_scene):
+    build = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
+    assert build.steps
+    assert {event.kind for event in build.steps} == {"node", "edge"}
+    assert len(build.ends) == len(build.rules) == len(cooking_scene.rules)
+    assert build.ends[-1] == len(build.steps)
+
+
+def test_trace_reads_the_same_twice(cooking_scene):
+    build = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
+    first, second = build.trace, build.trace
+    assert first == second
+    assert [e for e in first if e.kind != "ensemble"] == list(build.steps)
+
+
 @given(st.integers(0, 10**9))
 def test_generated_hierarchies_stay_sound(seed):
     scene = make_scene(random.Random(seed))
@@ -198,6 +214,15 @@ def test_json_round_trips_trace(cooking_scene):
     assert len(payload["trace"]) == len(build.trace)
 
 
+def test_json_on_cooking_is_pinned(cooking_scene):
+    """Recounting the trace when it is read changes no byte."""
+    ensemble = build_ensemble(cooking_scene)
+    text = hierarchy_to_json(build_hierarchy(cooking_scene, ensemble), ensemble)
+    assert len(text) == 5401
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "eb70cf45830c18fbe8d6c36288d414219b296b248b60a40145a78f5e17c96475")
+
+
 @given(st.integers(0, 10**9))
 def test_repeat_rules_match_earlier_rule_scan(seed):
     scene = make_reverse_scene(random.Random(seed))
@@ -215,11 +240,21 @@ def test_repeat_rules_walk_by_later_position():
     assert _repeat_rules(scene) == oracles.repeat_rules(scene) == {2, 3}
 
 
+def assert_same_build(build, oracle):
+    """The oracle logs the trace as it builds; the build recounts it."""
+    assert build.hierarchy == oracle.hierarchy
+    assert build.diagnostics == oracle.diagnostics
+    trace = build.trace
+    assert len(trace) == len(oracle.trace)
+    for at, (event, want) in enumerate(zip(trace, oracle.trace)):
+        assert event == want, at
+
+
 def assert_build_matches_oracle(scene):
     ensemble = build_ensemble(scene)
     if ensemble.concepts:
-        assert (build_hierarchy(scene, ensemble)
-                == oracles.build_hierarchy(scene, ensemble))
+        assert_same_build(build_hierarchy(scene, ensemble),
+                          oracles.build_hierarchy(scene, ensemble))
 
 
 def test_build_matches_oracle_on_bundled_scenes(scenes_dir):
@@ -253,7 +288,8 @@ def test_cycle_guard_refuses_link_between_known_nodes():
         " r1: A + B.C -> A.C.B; r2: A + C.B -> A.B.C; } }")
     build = build_hierarchy(scene, build_ensemble(scene))
     assert build.hierarchy.edges == (("A", "C"), ("C", "B"), ("A", "B"))
-    assert build == oracles.build_hierarchy(scene, build_ensemble(scene))
+    assert_same_build(build,
+                      oracles.build_hierarchy(scene, build_ensemble(scene)))
 
 
 def test_pending_path_anchored_by_later_pending_path():
@@ -268,7 +304,8 @@ def test_pending_path_anchored_by_later_pending_path():
     assert build.hierarchy.root == "B"
     cites = [event.rule for event in build.trace if event.kind != "ensemble"]
     assert cites == ["r1"] * 4 + ["r4"] * 4 + ["r3"] * 4 + ["r2"] * 4
-    assert build == oracles.build_hierarchy(scene, build_ensemble(scene))
+    assert_same_build(build,
+                      oracles.build_hierarchy(scene, build_ensemble(scene)))
 
 
 def test_equal_pending_paths_keep_their_own_place():
@@ -308,7 +345,8 @@ def test_cycle_guard_refuses_self_link():
     build = build_hierarchy(scene, build_ensemble(scene))
     assert build.hierarchy.root == "B"
     assert build.hierarchy.edges == (("B", "C"), ("C", "A"))
-    assert build == oracles.build_hierarchy(scene, build_ensemble(scene))
+    assert_same_build(build,
+                      oracles.build_hierarchy(scene, build_ensemble(scene)))
 
 
 def test_pending_paths_woken_behind_and_ahead_of_the_pass():
@@ -328,4 +366,4 @@ def test_pending_paths_woken_behind_and_ahead_of_the_pass():
     assert build.hierarchy.root == "B"
     cites = [event.rule for event in build.trace if event.kind != "ensemble"]
     assert list(dict.fromkeys(cites)) == ["r1", "r5", "r4", "r6", "r3", "r2"]
-    assert build == oracles.build_hierarchy(scene, ensemble)
+    assert_same_build(build, oracles.build_hierarchy(scene, ensemble))

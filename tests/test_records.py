@@ -62,7 +62,7 @@ RECORDS = [
     OccurrenceForest([], {}, {}),
     TraceEvent("edge", "r", ("Alpha", "Beta")),
     HIERARCHY,
-    HierarchyBuild(HIERARCHY, (), ()),
+    HierarchyBuild(HIERARCHY, (), (RULE,), (), (0,)),
     RankedFeature("f", 2),
     Prediction(()),
     ALPHA,
@@ -97,6 +97,18 @@ def test_spans_and_ordinals_stay_out_of_equality():
     for left, right in pairs:
         assert left == right
         assert hash(left) == hash(right)
+
+
+def test_hierarchy_build_compares_only_what_it_stores():
+    """The trace is derived when read, so it is no field of its own."""
+    step = TraceEvent("node", "r", ("Beta",))
+    build = HierarchyBuild(HIERARCHY, (), (RULE,), (step,), (1,))
+    assert "trace" not in HierarchyBuild._fields
+    assert build == HierarchyBuild(*build)
+    assert hash(build) == hash(HierarchyBuild(*build))
+    for name, value in {"diagnostics": (Diagnostic("m", 1, 1),),
+                        "rules": (), "steps": (), "ends": (0,)}.items():
+        assert build._replace(**{name: value}) != build, name
 
 
 def test_grid_builds_from_names_and_cells():
