@@ -5,8 +5,9 @@ Each non-self-loop rule says: one or more output concepts receive the value
 change of an effector, delivered through an input chain that starts at a
 source concept and ends at the effector.  The derivation algebra below turns
 the left-hand side of such a rule into its expected result terms; a rule's
-shape tells which rules reverse each other.  The parser and every
-derivation share this module alone, diagnostics included.
+shape tells which rules reverse each other, and ``reverse_pairs`` finds
+those pairs once, by position.  The parser and every derivation share
+this module alone, diagnostics included.
 
 A concept is declared once, as a ``ConceptId`` in ``Scene.entities``: its
 name, its optional alias and its declaration span live there only.  Every
@@ -292,3 +293,19 @@ def is_reverse_pair(a: Rule, b: Rule) -> bool:
         return False
     output, source, tail = shape
     return a.shape() == (source, output, tail)
+
+
+def reverse_pairs(rules: tuple[Rule, ...]) -> list[tuple[int, int]]:
+    """Positions ``(i, j)``, ``i < j``, of every two rules that reverse each
+    other, ordered by ``i`` and then ``j``.
+
+    Rules are bucketed by ``Rule.shape``: the rules that reverse a rule are
+    exactly those under its shape with output and source swapped.
+    """
+    buckets: dict[tuple[str, str, tuple[str, ...]], list[int]] = {}
+    for j, rule in enumerate(rules):
+        if (shape := rule.shape()) is not None:
+            buckets.setdefault(shape, []).append(j)
+    return sorted((i, j) for (output, source, tail), earlier in buckets.items()
+                  for j in buckets.get((source, output, tail), ())
+                  for i in earlier if i < j)

@@ -121,9 +121,10 @@ def _cmd_trees(args) -> list[str]:
 
 def _cmd_cycles(args) -> list[str]:
     scene = _checked_scene(args.file)
-    report = forest.extract_cycles(scene, forest.build_forest(scene))
+    built = forest.build_forest(scene)
     if args.dot:
-        return [forest.report_to_dot(scene, report)]
+        return [forest.report_to_dot(scene, forest.find_cycles(scene, built))]
+    report = forest.extract_cycles(scene, built)
     lines = ["uni-links:"]
     lines.extend(f"  {link.render()}" for link in report.uni_links)
     lines.append("cycles:")

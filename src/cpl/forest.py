@@ -23,7 +23,9 @@ from collections import deque
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from .ast import Relation, RelationKind, Rule, Scene, is_reverse_pair
+from .ast import Relation, RelationKind, Rule, Scene, reverse_pairs
+# Unused here, but perfbench/tracing.py counts calls by rebinding this name.
+from .ast import is_reverse_pair  # noqa: F401
 from .graph import reachable, simple_cycles
 from .jsontext import dumps
 
@@ -300,28 +302,6 @@ def process_edges(scene: Scene) -> tuple[dict[tuple[str, str], tuple[str, ...]],
     )
 
 
-def reverse_pairs(scene: Scene) -> list[tuple[Rule, Rule]]:
-    """Every (earlier, later) pair of rules that reverse each other, in
-    scene order of the earlier rule, then of the later one.
-
-    Rules are bucketed by ``Rule.shape``; a rule's partners can only sit
-    under its shape with output and source swapped.
-    """
-    rules = scene.rules
-    shaped: dict[int, tuple[str, str, tuple[str, ...]]] = {}
-    buckets: dict[tuple[str, str, tuple[str, ...]], list[int]] = {}
-    for index, rule in enumerate(rules):
-        if (shape := rule.shape()) is not None:
-            shaped[index] = shape
-            buckets.setdefault(shape, []).append(index)
-    pairs = []
-    for i, (output, source, tail) in shaped.items():
-        for j in buckets.get((source, output, tail), ()):
-            if j > i and is_reverse_pair(rules[i], rules[j]):
-                pairs.append((rules[i], rules[j]))
-    return pairs
-
-
 def _pair_cycles(pair: tuple[Rule, Rule]) -> list[Cycle]:
     adjacency: dict[str, set[str]] = {}
     outputs = {rule.outputs[0] for rule in pair}
@@ -417,8 +397,8 @@ def _base_path(forest: OccurrenceForest, occ: Occurrence,
     return names
 
 
-def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
-    """Uni-directional entry links and the repeatable process cycles.
+def find_cycles(scene: Scene, forest: OccurrenceForest) -> tuple[Cycle, ...]:
+    """The repeatable process cycles, sorted by kind and then by walk.
 
     Cycles are admitted only when a reverse rule pair or a self-loop rule
     enables them; the raw rule adjacencies alone do not make a walk a
@@ -429,13 +409,18 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
     when several reverse pairs, or several rules under a self-loop, give
     the same cycle, the first in scene order is the one reported.
     """
+    rules = scene.rules
     first: dict[tuple[tuple[str, ...], str], Cycle] = {}
-    pair_cycles = (cycle for pair in reverse_pairs(scene)
-                   for cycle in _pair_cycles(pair))
+    pair_cycles = (cycle for i, j in reverse_pairs(rules)
+                   for cycle in _pair_cycles((rules[i], rules[j])))
     for cycle in chain(pair_cycles, _loop_cycles(scene, forest)):
         first.setdefault((_rotation_key(cycle.concepts), cycle.kind), cycle)
-    cycles = sorted(first.values(), key=lambda c: (c.kind, c.concepts))
+    return tuple(sorted(first.values(), key=lambda c: (c.kind, c.concepts)))
 
+
+def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
+    """Uni-directional entry links and the cycles of ``find_cycles``."""
+    cycles = find_cycles(scene, forest)
     multi = set(forest.multi_occurrence_concepts())
     cycle_concepts = sorted({name for cycle in cycles for name in cycle.concepts})
     source = {occ: tuple(reversed(_base_path(forest, occ, multi)))
@@ -452,7 +437,7 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
     for concept in cycle_concepts:
         for occ in forest.occurrences.get(concept, ()):
             links.append(UniLink(concept, source[occ], (concept,)))
-    return CycleReport(tuple(sorted(set(links))), tuple(cycles))
+    return CycleReport(tuple(sorted(set(links))), cycles)
 
 
 def _rotation_key(walk: tuple[str, ...]) -> tuple[str, ...]:
@@ -496,12 +481,12 @@ def forest_to_dot(forest: OccurrenceForest) -> str:
 _PALETTE = ("red", "blue", "darkgreen", "orange", "purple", "brown")
 
 
-def report_to_dot(scene: Scene, report: CycleReport) -> str:
+def report_to_dot(scene: Scene, cycles: tuple[Cycle, ...]) -> str:
     """Process adjacencies in gray with each cycle's edges colored."""
     edges, loops = process_edges(scene)
     lines = ["digraph process_cycles {", "  node [shape=ellipse];"]
     colored: dict[tuple[str, str], str] = {}
-    for index, cycle in enumerate(report.cycles):
+    for index, cycle in enumerate(cycles):
         color = _PALETTE[index % len(_PALETTE)]
         walk = cycle.concepts + (cycle.concepts[0],)
         for a, b in zip(walk, walk[1:]):

@@ -7,7 +7,8 @@ used) concept: each rule's derived path is oriented so its end nearest the
 root comes first and is inserted link by link.  Because every concept
 keeps a single node, shared steps converge and the result is a DAG rather
 than a tree.  A rule that merely reverses an earlier one repeats a process
-and inserts nothing.
+and inserts nothing; it is known by its position in ``cpl.ast.reverse_pairs``,
+so equal scenes build equal hierarchies.
 
 Construction is sequential by contract: the trace logs every ensemble
 weight update and hierarchy insertion, and a hierarchy link only ever
@@ -39,7 +40,7 @@ import json
 from itertools import combinations
 from typing import NamedTuple
 
-from .ast import Diagnostic, Rule, Scene, derive_result, error
+from .ast import Diagnostic, Rule, Scene, derive_result, error, reverse_pairs
 # Unused here, but perfbench/tracing.py counts calls by rebinding this name.
 from .ast import is_reverse_pair  # noqa: F401
 from .grid import FrequencyGrid, build_grid
@@ -108,18 +109,13 @@ def select_root(ensemble: FrequencyGrid) -> str:
 
 
 def _repeat_rules(scene: Scene) -> set[int]:
-    """Ordinals of rules that reverse an earlier, non-repeat rule: their
-    ``Rule.shape`` is the earlier one's with output and source swapped."""
+    """Positions of rules that reverse an earlier, non-repeat rule.  The
+    pairs come by earlier position, so every pair that can make a rule a
+    repeat is read before the pairs where it is the earlier rule."""
     repeats: set[int] = set()
-    shapes: set[tuple[str, str, tuple[str, ...]]] = set()
-    for rule in scene.rules:
-        if (shape := rule.shape()) is None:
-            continue
-        output, source, tail = shape
-        if (source, output, tail) in shapes:
-            repeats.add(rule.ordinal)
-        else:
-            shapes.add(shape)
+    for i, j in reverse_pairs(scene.rules):
+        if i not in repeats:
+            repeats.add(j)
     return repeats
 
 
@@ -246,8 +242,8 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
     builder = _Builder(root)
     ends: list[int] = []
 
-    for rule in scene.rules:
-        if not (rule.self_loop or rule.ordinal in repeats):
+    for position, rule in enumerate(scene.rules):
+        if not (rule.self_loop or position in repeats):
             for path in derive_result(rule.outputs, rule.inputs):
                 if not builder.insert_path(path, rule.cite):
                     builder.wait(rule, path)

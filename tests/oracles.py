@@ -7,7 +7,7 @@ recursive acyclicity test as they stood before the traversals moved into
 linearly scanned counts and the all-pairs reverse-rule scans of the forest
 and the hierarchy, as they stood before those facts were looked up by key;
 both scans call ``_is_reverse_pair``, the reverse-pair test as it stood
-before it compared ``Rule.shape``s.
+before it compared ``Rule.shape``s, and both give rule positions.
 The tokenizer oracle is the character loop that scanned ``.cpl`` text
 before the one-pass regex tokenizer, and ``parse_scene`` is the parser as
 it stood before it read flat token texts: it walks that loop's token
@@ -57,6 +57,14 @@ wrote its text with an explicit stack: it builds the nested payload
 recursively and hands it to ``json.dumps``.
 They recurse and rescan freely, so use them on small inputs only.
 
+The oracles borrow no code from ``cpl``: they import only the records
+they build and compare, ``RelationKind`` and the parser's ``KEYWORDS``
+(``tests/test_records.py`` reads the imports to hold this).  They keep
+their own copies of ``error``, ``normalize_relation``, ``derive_result``,
+``split_result``, ``reachable``, ``cross_links`` and the parser's
+``_Abort``, so a fault in one of those cannot hide in both sides of a
+differential test.
+
 Every oracle reads a concept mention as what it now is, the declared name
 (``_names`` is the checker's term-to-names helper as it stood before terms
 held names); each keeps its own algorithm.
@@ -71,7 +79,6 @@ from collections import Counter, deque
 from itertools import chain, combinations, product
 from typing import NamedTuple
 
-from cpl import graph
 from cpl.ast import (
     Amount,
     Chain,
@@ -84,23 +91,82 @@ from cpl.ast import (
     Rule,
     Scene,
     Span,
-    derive_result,
-    error,
-    normalize_relation,
-    split_result,
 )
 from cpl.forest import (
+    CrossLink,
     Cycle,
     CycleReport,
     Occurrence,
     OccurrenceForest,
     UniLink,
-    cross_links,
 )
-from cpl.graph import reachable
 from cpl.grid import Clustering, FrequencyGrid
 from cpl.hierarchy import Hierarchy, TraceEvent
-from cpl.parser import KEYWORDS, ParseResult, _Abort
+from cpl.parser import KEYWORDS, ParseResult
+
+
+class _Abort(Exception):
+    """Unrecoverable syntax error; carries the diagnostic."""
+
+    def __init__(self, diagnostic: Diagnostic):
+        super().__init__(diagnostic.message)
+        self.diagnostic = diagnostic
+
+
+def error(message: str, span: Span) -> Diagnostic:
+    return Diagnostic(message, span.line, span.column)
+
+
+def normalize_relation(left: str, op: str, right: str, span: Span) -> Relation:
+    """``x > y`` is flipped to ``y < x``; ``<``, ``-`` and ``in`` map
+    directly; relating a concept to itself is invalid."""
+    if left == right:
+        raise ValueError(f"concept {left!r} cannot relate to itself")
+    if op == "<":
+        return Relation(RelationKind.SUB_CONCEPT, left, right, span)
+    if op == ">":
+        return Relation(RelationKind.SUB_CONCEPT, right, left, span)
+    if op == "-":
+        return Relation(RelationKind.ASSOCIATION, left, right, span)
+    if op == "in":
+        return Relation(RelationKind.CONTAINED_IN, left, right, span)
+    raise ValueError(f"unknown relation operator {op!r}")
+
+
+def derive_result(outputs, inputs) -> list[tuple[str, ...]]:
+    """For output O and chain S.M1...F the term O.F...M1.S, outputs outer."""
+    return [(output,) + chain.elements[::-1]
+            for output in outputs for chain in inputs]
+
+
+def split_result(outputs, chain: Chain) -> list[tuple[str, ...]]:
+    """O.F for each output, then the untouched chain S...F."""
+    return [(output, chain.effector) for output in outputs] + [chain.elements]
+
+
+def reachable(adjacency, starts) -> set[str]:
+    """The starts plus every node a path leads to from one of them."""
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for nxt in adjacency.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def cross_links(forest: OccurrenceForest) -> tuple[CrossLink, ...]:
+    """Every two occurrences of one concept, by concept, parents sorted
+    with a missing parent first."""
+    links: list[CrossLink] = []
+    for concept in sorted(forest.occurrences):
+        for a, b in combinations(forest.occurrences[concept], 2):
+            parents = tuple(sorted(
+                (o.parent.concept if o.parent else None for o in (a, b)),
+                key=lambda p: (p is not None, p)))
+            links.append(CrossLink(concept, parents))
+    return tuple(links)
 
 
 def strongly_connected(edges) -> list[list[str]]:
@@ -341,28 +407,23 @@ def _is_reverse_pair(a: Rule, b: Rule) -> bool:
     )
 
 
-def reverse_pairs(scene) -> list:
-    """``_is_reverse_pair`` on every pair of rules, in scene order."""
-    pairs = []
-    rules = scene.rules
-    for i, a in enumerate(rules):
-        for b in rules[i + 1:]:
-            if _is_reverse_pair(a, b):
-                pairs.append((a, b))
-    return pairs
+def reverse_pairs(rules) -> list[tuple[int, int]]:
+    """Positions ``(i, j)``, ``i < j``, of every pair of rules that
+    ``_is_reverse_pair`` accepts, in scene order."""
+    return [(i, j) for i in range(len(rules))
+            for j in range(i + 1, len(rules))
+            if _is_reverse_pair(rules[i], rules[j])]
 
 
 def repeat_rules(scene) -> set[int]:
-    """Ordinals of rules that reverse an earlier, non-repeat rule, by
+    """Positions of rules that reverse an earlier, non-repeat rule, by
     checking every earlier rule for each rule."""
     repeats: set[int] = set()
     rules = scene.rules
     for j, later in enumerate(rules):
         for i in range(j):
-            if rules[i].ordinal in repeats:
-                continue
-            if _is_reverse_pair(rules[i], later):
-                repeats.add(later.ordinal)
+            if i not in repeats and _is_reverse_pair(rules[i], later):
+                repeats.add(j)
                 break
     return repeats
 
@@ -1091,7 +1152,7 @@ class _Builder:
     def add_edge(self, parent: str, child: str, cite: str) -> None:
         if (parent, child) in self.edge_set:
             return
-        if parent in graph.reachable(self.children, [child]):
+        if parent in reachable(self.children, [child]):
             return  # a link back toward the root would fold the DAG shut
         self.edges.append((parent, child))
         self.edge_set.add((parent, child))
@@ -1149,14 +1210,14 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> EagerBuild:
                     pending.remove(entry)
                     progress = True
 
-    for rule in scene.rules:
+    for position, rule in enumerate(scene.rules):
         members = list(lhs_concepts(rule))
         for a, b in combinations(members, 2):
             pair = frozenset((a, b))
             running[pair] = running.get(pair, 0) + 1
             builder.trace.append(TraceEvent(
                 "ensemble", rule.cite, tuple(sorted(pair)), running[pair]))
-        if rule.self_loop or rule.ordinal in repeats:
+        if rule.self_loop or position in repeats:
             continue
         for term in derive_result(rule.outputs, rule.inputs):
             path = _names(term)
@@ -1302,8 +1363,9 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
     """Uni-directional entry links and the repeatable process cycles."""
     cycles: list[Cycle] = []
     seen: set[tuple[tuple[str, ...], str]] = set()
-    for pair in reverse_pairs(scene):
-        for cycle in _pair_cycles(pair):
+    rules = scene.rules
+    for i, j in reverse_pairs(rules):
+        for cycle in _pair_cycles((rules[i], rules[j])):
             key = (_rotation_key(cycle.concepts), cycle.kind)
             if key not in seen:
                 seen.add(key)

@@ -12,6 +12,7 @@ from cpl.ast import (
     is_reverse_pair,
     normalize_relation,
     RelationKind,
+    reverse_pairs,
 )
 
 from cpl.parser import parse_scene
@@ -132,6 +133,13 @@ def test_reverse_pair_matches_oracle_on_generated_scenes(seed):
     assert_reverse_pairs_match_oracle(make_reverse_scene(rng).rules)
     generated = scenegen.generate(rng, 8, 30, 0.3, 0.05)
     assert_reverse_pairs_match_oracle(parse_scene(generated.text).scene.rules)
+
+
+@given(st.integers(0, 10**9))
+def test_reverse_pairs_match_all_pairs_scan(seed):
+    # By position: equal copies of a rule are different rules.
+    rules = make_reverse_scene(random.Random(seed)).rules
+    assert reverse_pairs(rules) == oracles.reverse_pairs(rules)
 
 
 def test_reverse_pair_matches_oracle_on_hand_built_rules():

@@ -149,6 +149,17 @@ def test_cycles_dot(capsys, cooking_path):
     assert "penwidth=2" in out  # cycle edges are highlighted in color
 
 
+def test_cycles_dot_builds_no_uni_link(capsys, cooking_path, monkeypatch):
+    """The DOT form draws only the cycles, so it never builds the links."""
+    _, want, _ = run(capsys, "cycles", str(cooking_path), "--dot")
+
+    def refuse(*args):
+        raise AssertionError("cycles --dot built the uni-links")
+
+    monkeypatch.setattr("cpl.forest.extract_cycles", refuse)
+    assert run(capsys, "cycles", str(cooking_path), "--dot") == (0, want, "")
+
+
 def test_hierarchy_text(capsys, cooking_path):
     code, out, _ = run(capsys, "hierarchy", str(cooking_path))
     assert code == 0

@@ -17,7 +17,6 @@ from cpl.forest import (
     forest_to_dot,
     forest_to_json,
     nested_notation,
-    reverse_pairs,
 )
 from cpl.parser import parse_scene
 
@@ -276,15 +275,6 @@ def test_json_export_shape(cooking_scene):
     assert payload["format_version"] == 1
     assert payload["roots"][0]["concept"] == "Kitchen"
     assert {tuple(c["concepts"]) for c in payload["cycles"]} == GOLDEN_CYCLES
-
-
-@given(st.integers(0, 10**9))
-def test_reverse_pairs_match_all_pairs_scan(seed):
-    scene = make_reverse_scene(random.Random(seed))
-    # Identity, not equality: equal copies of a rule are different rules.
-    got = [(id(a), id(b)) for a, b in reverse_pairs(scene)]
-    want = [(id(a), id(b)) for a, b in oracles.reverse_pairs(scene)]
-    assert got == want
 
 
 def forest_facts(forest):

@@ -18,7 +18,7 @@ from cpl.hierarchy import (
     hierarchy_to_json,
     select_root,
 )
-from cpl.parser import parse_scene
+from cpl.parser import format_scene, parse_scene
 
 from genhelpers import (
     children,
@@ -229,15 +229,48 @@ def test_repeat_rules_match_earlier_rule_scan(seed):
     assert _repeat_rules(scene) == oracles.repeat_rules(scene)
 
 
+# r4 reverses r1 and r3 reverses r2; giving r4 r2's ordinal leaves the
+# scene equal to the parsed one.
+CROSSED_PAIRS = (
+    "scene S { entities { A; B; C; P; Q; } rules {"
+    " r1: A + B.C -> A.C.B; r2: P + Q.C -> P.C.Q;"
+    " r3: Q + P.C -> Q.C.P; r4: B + A.C -> B.C.A; } }")
+
+
 def test_repeat_rules_walk_by_later_position():
-    # r4 shares r2's ordinal, and reverses r1 only after r3 reverses r2, so
-    # taking the pairs in earlier-rule order would skip r3.
-    rules = scene_of(
-        "scene S { entities { A; B; C; P; Q; } rules {"
-        " r1: A + B.C -> A.C.B; r2: P + Q.C -> P.C.Q;"
-        " r3: Q + P.C -> Q.C.P; r4: B + A.C -> B.C.A; } }").rules
+    # r4 carries r2's ordinal, so marking repeats by ordinal would skip r2
+    # too; by position only r3 and r4 repeat.
+    rules = scene_of(CROSSED_PAIRS).rules
     scene = Scene("S", (), None, rules[:3] + (rules[3]._replace(ordinal=2),))
     assert _repeat_rules(scene) == oracles.repeat_rules(scene) == {2, 3}
+
+
+def test_equal_scenes_build_equal_hierarchies():
+    """A rule's ordinal only names it: the scene whose r4 carries r2's
+    ordinal equals the parsed one and builds its hierarchy, P and Q
+    included, as its format-parse round trip does."""
+    parsed = scene_of(CROSSED_PAIRS)
+    rules = parsed.rules
+    scene = parsed._replace(rules=rules[:3] + (rules[3]._replace(ordinal=2),))
+    assert scene == parsed
+    round_trip = scene_of(format_scene(scene))
+    build = build_hierarchy(scene, build_ensemble(scene))
+    want = build_hierarchy(round_trip, build_ensemble(round_trip))
+    assert build.hierarchy == want.hierarchy
+    assert set(build.hierarchy.nodes) == {"A", "B", "C", "P", "Q"}
+    assert build.diagnostics == want.diagnostics == ()
+
+
+@given(st.integers(0, 10**9))
+def test_hierarchy_ignores_rule_ordinals(seed):
+    # Only the hierarchy: an unlabeled rule's cite is its ordinal.
+    scene = make_reverse_scene(random.Random(seed))
+    zeroed = scene._replace(
+        rules=tuple(rule._replace(ordinal=0) for rule in scene.rules))
+    ensemble = build_ensemble(scene)
+    if ensemble.concepts:
+        assert (build_hierarchy(zeroed, build_ensemble(zeroed)).hierarchy
+                == build_hierarchy(scene, ensemble).hierarchy)
 
 
 def assert_same_build(build, oracle):

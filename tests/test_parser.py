@@ -206,14 +206,20 @@ OVERLONG = "(" + "9" * 5000 + ")"  # past the interpreter's int conversion limit
 def generated_source(draw):
     """A generated scene's canonical text, then up to three mutations: drop,
     duplicate or swap a token, insert a stray character, truncate the text,
-    end it in a comment with no newline, or put an overlong amount before
-    a token ("->" when there is one)."""
+    end it in a comment with no newline, put an overlong amount before a
+    token ("->" when there is one), or write a "<" relation as ">"."""
     text = format_scene(make_scene(random.Random(draw(st.integers(0, 10**9)))))
     for op in draw(st.lists(st.sampled_from(
             ("drop", "duplicate", "swap", "stray", "truncate", "comment",
-             "overlong")), max_size=3)):
+             "overlong", "mirror")), max_size=3)):
         words = [m.span() for m in WORD.finditer(text)]
-        if op == "stray":
+        if op == "mirror":
+            # The formatter writes every sub-concept relation with "<".
+            signs = [m.start() for m in re.finditer(" < ", text)]
+            if signs:
+                at = draw(st.sampled_from(signs)) + 1
+                text = text[:at] + ">" + text[at + 1:]
+        elif op == "stray":
             at = draw(st.integers(0, len(text)))
             text = text[:at] + draw(st.sampled_from("@_$\f\u00e9")) + text[at:]
         elif op == "truncate":
@@ -284,7 +290,7 @@ def scan(text):
 def scan_loop(text):
     try:
         return [(t.text, t.line, t.column) for t in oracles.tokenize(text)]
-    except _Abort as abort:
+    except oracles._Abort as abort:
         return abort.diagnostic
 
 

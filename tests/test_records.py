@@ -4,6 +4,8 @@ arguments."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -29,13 +31,14 @@ from cpl.forest import (
     CrossLink,
     Cycle,
     CycleReport,
+    Occurrence,
     OccurrenceForest,
     UniLink,
 )
 from cpl.grid import Clustering, FrequencyGrid
 from cpl.hierarchy import Hierarchy, HierarchyBuild, TraceEvent
 from cpl.memory import Prediction, RankedFeature
-from cpl.parser import ParseResult
+from cpl.parser import KEYWORDS, ParseResult
 
 # Mentions are declared names; ConceptId is the declaration record.
 A, B = "Alpha", "Beta"
@@ -215,3 +218,27 @@ def test_derivations_share_only_ast(module, absent):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "\n"
+
+
+def test_oracles_import_only_records_from_cpl():
+    """A differential oracle that calls the code under test cannot catch
+    its faults, so ``tests/oracles.py`` takes from ``cpl`` only the
+    records it builds and compares, ``RelationKind`` and ``KEYWORDS``."""
+    path = Path(__file__).resolve().parent / "oracles.py"
+    borrowed = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            borrowed += [(alias.name, None) for alias in node.names
+                         if alias.name.split(".")[0] == "cpl"]
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "cpl"):
+            borrowed += [(node.module, alias.name) for alias in node.names]
+    assert borrowed
+    for module, name in borrowed:
+        value = (getattr(importlib.import_module(module), name, None)
+                 if name else None)
+        record = isinstance(value, type) and (
+            issubclass(value, tuple) and hasattr(value, "_fields")
+            or value is Occurrence)
+        assert record or value is RelationKind or value is KEYWORDS, \
+            (module, name)
