@@ -40,13 +40,13 @@ def demo(directory: Path) -> None:
 
     unconstrained = predict(store, inputs, k=3)
     print("top predictions:")
-    for item in unconstrained.ranked:
+    for item in unconstrained:
         print(f"  {item.feature} ({item.votes} votes)")
 
     legal = {"Egg", "Pasta"}
     constrained = predict(store, inputs, legal=legal, k=3)
     print(f"predictions constrained to {sorted(legal)}:")
-    for item in constrained.ranked:
+    for item in constrained:
         print(f"  {item.feature} ({item.votes} votes)")
 
 

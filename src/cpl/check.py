@@ -9,7 +9,7 @@ sub-concept or containment relations.  Only ``ast`` and ``graph`` are read.
 
 from __future__ import annotations
 
-from itertools import product
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .ast import (
@@ -35,18 +35,41 @@ class Contradiction(NamedTuple):
     message: str
 
 
-def _acceptable_results(rule: Rule) -> list[list[tuple[str, ...]]]:
-    """Acceptable result multisets, each a sorted list of term names: per
-    chain either the inverted term or, when the chain carries an amount, the
-    split form."""
-    per_chain: list[list[list[tuple[str, ...]]]] = []
+def _matches_derivation(rule: Rule) -> bool:
+    """Whether the declared terms are, as a multiset, the terms of every
+    chain, each chain giving its inverted term or, when it carries an
+    amount, the split form.
+
+    Equal chains give equal terms, so only how many of them split matters.
+    A chain's inverted term for the first output, three concepts or more
+    since a chain has two or more, comes only from the chains equal to it
+    and from the split remainder of the chain, one concept longer, that
+    spells it.  So, taking the distinct chains longest first, the declared
+    count of that term fixes how many of the equal chains split.
+    """
+    declared = sorted(term.concepts for term in rule.declared_results)
+    if sorted(derive_result(rule.outputs, rule.inputs)) == declared:
+        return True  # every chain inverted
+    chains: dict[tuple[str, ...], list] = {}  # [chain, count, with amount]
     for chain in rule.inputs:
-        choice = [derive_result(rule.outputs, [chain])]
-        if chain.quantity is not None:
-            choice.append(split_result(rule.outputs, chain))
-        per_chain.append(choice)
-    return [sorted(term for terms in combo for term in terms)
-            for combo in product(*per_chain)]
+        tally = chains.setdefault(chain.elements, [chain, 0, 0])
+        tally[1] += 1
+        tally[2] += chain.quantity is not None
+    # An inverted chain gives that term once per copy of the first output.
+    share = rule.outputs.count(rule.outputs[0])
+    splits: dict[tuple[str, ...], int] = {}
+    expected: list[tuple[str, ...]] = []
+    for elements in sorted(chains, key=len, reverse=True):
+        chain, count, with_amount = chains[elements]
+        inverted = derive_result(rule.outputs, [chain])
+        first = inverted[0]
+        written = bisect_right(declared, first) - bisect_left(declared, first)
+        kept, rest = divmod(written - splits.get(first, 0), share)
+        split = splits[elements] = count - kept
+        if rest or not 0 <= split <= with_amount:
+            return False
+        expected += inverted * kept + split_result(rule.outputs, chain) * split
+    return sorted(expected) == declared
 
 
 def _split_amounts(rule: Rule,
@@ -96,8 +119,7 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
     if rule.self_loop:
         return []
     diagnostics: list[Diagnostic] = []
-    declared = sorted(term.concepts for term in rule.declared_results)
-    if declared not in _acceptable_results(rule):
+    if not _matches_derivation(rule):
         expected = " ^ ".join(
             ".".join(t) for t in derive_result(rule.outputs, rule.inputs))
         diagnostics.append(error(
@@ -196,20 +218,11 @@ def check_scene(scene: Scene) -> list[Diagnostic]:
     Expects individually valid rules (see validate_rule).  The result is
     insensitive to rule order up to the rule labels cited.
     """
-    diagnostics = []
-    for contradiction in scene_contradictions(scene):
-        span = _contradiction_span(scene, contradiction)
-        diagnostics.append(error(contradiction.message, span))
-    return diagnostics
-
-
-def _contradiction_span(scene: Scene, contradiction: Contradiction):
-    cited = set(contradiction.rules)
-    span = scene.span
-    for rule in scene.rules:
-        if rule.cite in cited:
-            span = rule.span  # last offending rule positions the message
-    return span
+    # The last offending rule in scene order positions each message.
+    last = {rule.cite: i for i, rule in enumerate(scene.rules)}
+    return [error(found.message,
+                  scene.rules[max(map(last.get, found.rules))].span)
+            for found in scene_contradictions(scene)]
 
 
 def check_all(scene: Scene) -> list[Diagnostic]:

@@ -8,11 +8,12 @@ results to stdout or to the file named by --out.
 
 Each subcommand's handler takes the parsed arguments, does its work and
 returns its result as text chunks (the grid a row at a time, as CSV or
-JSON); ``main`` writes them to stdout or ``--out`` and exits 0.  A handler
-that cannot produce a result raises ``_Exit`` with the exit code and the
-text for stderr, diagnostics included.  ``check`` alone also writes its own result:
-when it reports diagnostics it writes the count line and then raises
-``_Exit`` with code 1.
+JSON, and the cycle report a line at a time, its uni-links built one
+concept at a time); ``main`` writes them to stdout or ``--out`` and exits 0.
+A handler that cannot produce a result raises ``_Exit`` with the exit code
+and the text for stderr, diagnostics included.  ``check`` alone also writes
+its own result: when it reports diagnostics it writes the count line and
+then raises ``_Exit`` with code 1.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import check, forest, grid, hierarchy, memory
@@ -119,17 +121,16 @@ def _cmd_trees(args) -> list[str]:
     return [forest.nested_notation(built, sort_children=args.sorted), "\n"]
 
 
-def _cmd_cycles(args) -> list[str]:
+def _cmd_cycles(args):
     scene = _checked_scene(args.file)
     built = forest.build_forest(scene)
+    cycles = forest.find_cycles(scene, built)
     if args.dot:
-        return [forest.report_to_dot(scene, forest.find_cycles(scene, built))]
-    report = forest.extract_cycles(scene, built)
-    lines = ["uni-links:"]
-    lines.extend(f"  {link.render()}" for link in report.uni_links)
-    lines.append("cycles:")
-    lines.extend(f"  {cycle.render()}" for cycle in report.cycles)
-    return ["\n".join(lines) + "\n"]
+        return [forest.report_to_dot(scene, cycles)]
+    return chain(
+        ["uni-links:\n"],
+        (f"  {link.render()}\n" for link in forest.uni_links(built, cycles)),
+        ["cycles:\n"], (f"  {cycle.render()}\n" for cycle in cycles))
 
 
 def _cmd_hierarchy(args) -> list[str]:
@@ -168,8 +169,8 @@ def _cmd_predict(args) -> list[str]:
                     "(*.json)\n")
     inputs = _parse_feature_list(args.input)
     legal = _parse_feature_list(args.legal) if args.legal is not None else None
-    prediction = memory.predict(store, inputs, legal, args.k)
-    return [f"{item.feature} {item.votes}\n" for item in prediction.ranked]
+    return [f"{item.feature} {item.votes}\n"
+            for item in memory.predict(store, inputs, legal, args.k)]
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

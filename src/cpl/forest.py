@@ -13,8 +13,10 @@ Tracing repeated concepts across the trees yields uni-directional entry
 links, and the rule set yields closed process cycles: a reverse rule pair
 makes the walk between its output and source repeatable, and a self-loop
 rule lets a walk descend through the looping concept's subtree, cross an
-association, and climb back up.  The forest reads the scene's relations
-itself and depends only on ``ast``, ``graph`` and ``jsontext``.
+association, and climb back up.  The uni-links come one concept at a
+time, so ``cpl cycles`` streams them as ``cpl grid`` streams its rows.
+The forest reads the scene's relations itself and depends only on
+``ast``, ``graph`` and ``jsontext``.
 """
 
 from __future__ import annotations
@@ -418,26 +420,31 @@ def find_cycles(scene: Scene, forest: OccurrenceForest) -> tuple[Cycle, ...]:
     return tuple(sorted(first.values(), key=lambda c: (c.kind, c.concepts)))
 
 
+def uni_links(forest: OccurrenceForest, cycles: tuple[Cycle, ...]):
+    """The uni-directional entry links in sorted order, built and freed one
+    concept at a time: each other occurrence of a repeated concept to its
+    primary, and each occurrence of a cycle concept to its role."""
+    multi = set(forest.multi_occurrence_concepts())
+    in_cycle = {name for cycle in cycles for name in cycle.concepts}
+    for concept in sorted(multi | in_cycle):
+        occs = forest.occurrences.get(concept, ())
+        source = {occ: tuple(reversed(_base_path(forest, occ, multi)))
+                  for occ in occs}
+        links = {UniLink(concept, source[occ], (concept,))
+                 for occ in occs if concept in in_cycle}
+        if concept in multi:
+            prim = forest.primary[concept]
+            # The primary's own climb, short of its base.
+            target = source[prim][:0:-1] or (concept,)
+            links.update(UniLink(concept, source[occ], target)
+                         for occ in occs if occ is not prim)
+        yield from sorted(links)
+
+
 def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
     """Uni-directional entry links and the cycles of ``find_cycles``."""
     cycles = find_cycles(scene, forest)
-    multi = set(forest.multi_occurrence_concepts())
-    cycle_concepts = sorted({name for cycle in cycles for name in cycle.concepts})
-    source = {occ: tuple(reversed(_base_path(forest, occ, multi)))
-              for concept in multi.union(cycle_concepts)
-              for occ in forest.occurrences.get(concept, ())}
-    links: list[UniLink] = []
-    for concept in sorted(multi):
-        prim = forest.primary[concept]
-        # The primary's own climb, short of its base.
-        target = source[prim][:0:-1] or (concept,)
-        for occ in forest.occurrences[concept]:
-            if occ is not prim:
-                links.append(UniLink(concept, source[occ], target))
-    for concept in cycle_concepts:
-        for occ in forest.occurrences.get(concept, ()):
-            links.append(UniLink(concept, source[occ], (concept,)))
-    return CycleReport(tuple(sorted(set(links))), cycles)
+    return CycleReport(tuple(uni_links(forest, cycles)), cycles)
 
 
 def _rotation_key(walk: tuple[str, ...]) -> tuple[str, ...]:

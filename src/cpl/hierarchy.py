@@ -37,6 +37,7 @@ turn, pass after pass, until a pass places none.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from itertools import combinations
 from typing import NamedTuple
 
@@ -127,11 +128,17 @@ class _Builder:
         self.parents: dict[str, list[str]] = {root: []}
         self.edges: list[tuple[str, str]] = []
         self.steps: list[TraceEvent] = []
-        # Waiting paths by number, the numbers under each concept they
-        # name, and the numbers that a new node has woken.
+        # Waiting paths by number and the numbers under each concept they
+        # name.  A new node wakes the numbers under it: those after the
+        # number being inserted join this pass, whose numbers rise from
+        # ``woken[at]`` on, and the rest wait for the next pass.  A number
+        # woken twice is skipped once inserted.
         self.pending: dict[int, tuple[Rule, tuple[str, ...]]] = {}
         self.waiting: dict[str, list[int]] = {}
-        self.woken: set[int] = set()
+        self.woken: list[int] = []
+        self.at = 0
+        self.next_pass: list[int] = []
+        self.inserting = -1
         self.numbers = 0
 
     def link(self, parent: str, child: str, cite: str) -> None:
@@ -144,8 +151,12 @@ class _Builder:
             self.parents[child] = []
             self.steps.append(TraceEvent("node", cite, (child,)))
             for number in self.waiting.pop(child, ()):
-                if number in self.pending:
-                    self.woken.add(number)
+                if number not in self.pending:
+                    continue
+                if number > self.inserting:
+                    insort(self.woken, number, self.at)
+                else:
+                    self.next_pass.append(number)
         elif child in self.children[parent]:
             return
         elif not self.rerank(parent, child):
@@ -219,13 +230,17 @@ class _Builder:
     def retry(self) -> None:
         """Insert the woken paths, pass by pass, in rising number within a
         pass."""
-        number = -1
-        while self.woken:
-            later = [n for n in self.woken if n > number]
-            number = min(later or self.woken)
-            self.woken.remove(number)
-            rule, path = self.pending.pop(number)
-            self.insert_path(path, rule.cite)
+        while self.at < len(self.woken) or self.next_pass:
+            if self.at == len(self.woken):
+                self.woken, self.next_pass = sorted(self.next_pass), []
+                self.at = 0
+            number = self.woken[self.at]
+            self.at += 1
+            if number in self.pending:
+                self.inserting = number
+                rule, path = self.pending.pop(number)
+                self.insert_path(path, rule.cite)
+        self.woken, self.at, self.inserting = [], 0, -1
 
 
 def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:

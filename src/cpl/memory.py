@@ -1,7 +1,8 @@
 """Feature memory with cross-referencing retrieval and constrained prediction.
 
-Stored scenes are plain feature sets.  A query retrieves, for every input
-feature, all scenes containing it; each retrieved scene votes for every
+The store is an index from each feature to the feature sets of the stored
+scenes that hold it, in store order.  A query retrieves, for every input
+feature, the scenes that index lists; each retrieved scene votes for every
 feature it holds, so a scene matched by two input features votes twice.
 Predictions rank the voted features that are not already part of the input,
 optionally restricted to what is legal in the current situation.
@@ -15,24 +16,26 @@ from typing import NamedTuple
 
 
 class MemoryStore:
-    """Scene-id to feature-set memory; ids are unique, feature sets non-empty."""
+    """Each feature to the feature sets of the stored scenes that hold it.
+    Scene ids are unique and feature sets non-empty; the ids are kept
+    only for that check and for the count."""
 
     def __init__(self) -> None:
-        self._entries: dict[str, frozenset[str]] = {}
+        self._ids: set[str] = set()
+        self.holding: dict[str, list[frozenset[str]]] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> dict[str, frozenset[str]]:
-        return dict(self._entries)
+        return len(self._ids)
 
     def store_scene(self, scene_id: str, features) -> None:
-        if scene_id in self._entries:
+        if scene_id in self._ids:
             raise ValueError(f"scene id {scene_id!r} already stored")
         feature_set = frozenset(features)
         if not feature_set:
             raise ValueError("a stored scene needs at least one feature")
-        self._entries[scene_id] = feature_set
+        self._ids.add(scene_id)
+        for feature in feature_set:
+            self.holding.setdefault(feature, []).append(feature_set)
 
 
 class RankedFeature(NamedTuple):
@@ -40,23 +43,18 @@ class RankedFeature(NamedTuple):
     votes: int
 
 
-class Prediction(NamedTuple):
-    ranked: tuple[RankedFeature, ...]
-
-
 def cross_reference(store: MemoryStore, input_features) -> dict[str, int]:
     """Aggregate votes over every scene retrieved by the input features."""
     votes: dict[str, int] = {}
-    entries = store.entries()
     for feature in set(input_features):
-        for held in entries.values():
-            if feature in held:
-                for other in held:
-                    votes[other] = votes.get(other, 0) + 1
+        for held in store.holding.get(feature, ()):
+            for other in held:
+                votes[other] = votes.get(other, 0) + 1
     return votes
 
 
-def predict(store: MemoryStore, input_features, legal=None, k: int = 1) -> Prediction:
+def predict(store: MemoryStore, input_features, legal=None,
+            k: int = 1) -> tuple[RankedFeature, ...]:
     """Top-k voted features beyond the current input.
 
     Input features never rank (a prediction points past the current scene);
@@ -74,10 +72,8 @@ def predict(store: MemoryStore, input_features, legal=None, k: int = 1) -> Predi
         and (legal_set is None or feature in legal_set)
     ]
     candidates.sort(key=lambda item: (-item[1], item[0]))
-    ranked = tuple(
-        RankedFeature(feature, count) for feature, count in candidates[:k]
-    )
-    return Prediction(ranked)
+    return tuple(
+        RankedFeature(feature, count) for feature, count in candidates[:k])
 
 
 def load_memory_dir(path: str | Path) -> MemoryStore:

@@ -886,6 +886,17 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
     return diagnostics
 
 
+def contradiction_span(scene: Scene, contradiction) -> Span:
+    """The span of the last rule in scene order that the contradiction
+    cites, found by a scan of every rule; the scene's own without one."""
+    cited = set(contradiction.rules)
+    span = scene.span
+    for rule in scene.rules:
+        if rule.cite in cited:
+            span = rule.span
+    return span
+
+
 class _Edge(NamedTuple):
     parent: str
     child: str

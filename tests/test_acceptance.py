@@ -204,5 +204,5 @@ def test_c10_prediction_oracle():
                  if rng.random() < 0.5 else None)
         k = rng.randint(1, 10)
         got = predict(store, inputs, legal, k)
-        assert [(f.feature, f.votes) for f in got.ranked] == predict_oracle(
+        assert [(f.feature, f.votes) for f in got] == predict_oracle(
             entries, inputs, legal, k)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -142,6 +143,56 @@ def test_validate_rule_matches_counter_oracle(seed):
                      corrupt_results(rng, rule)]
     for variant in variants:
         assert validate_rule(variant) == oracles.validate_rule(variant)
+
+
+def _chains_rule(rng: random.Random) -> Rule:
+    """A rule of one to six chains over five names, some equal to an
+    earlier chain and some spelling an earlier chain's inverted term for
+    the first output, most with an amount.  Each chain declares its
+    inverted term or its split form, the split form now and then without
+    an amount, and a term may be dropped or repeated."""
+    names = ["A", "B", "C", "D", "E"]
+    outputs = tuple(rng.choice(names) for _ in range(rng.randint(1, 2)))
+    chains: list[tuple[str, ...]] = []
+    for _ in range(rng.randint(1, 6)):
+        pick, earlier = rng.random(), rng.choice(chains) if chains else ()
+        if earlier and pick < 0.25:
+            chains.append(earlier)
+        elif earlier and pick < 0.6 and outputs[0] not in earlier:
+            chains.append((outputs[0],) + earlier[::-1])
+        else:
+            chains.append(tuple(rng.sample(names, rng.randint(2, 3))))
+    inputs = tuple(Chain(c, Quantity(Amount(2)) if rng.random() < 0.7 else None)
+                   for c in chains)
+    terms = []
+    for chain in inputs:
+        if rng.random() < 0.5 and (chain.quantity or rng.random() < 0.1):
+            terms += oracles.split_result(outputs, chain)
+        else:
+            terms += oracles.derive_result(outputs, [chain])
+    if rng.random() < 0.1:
+        terms.pop(rng.randrange(len(terms)))
+    elif rng.random() < 0.1:
+        terms.append(rng.choice(terms))
+    rng.shuffle(terms)
+    declared = tuple(ResultTerm(t, (None,) * len(t)) for t in terms)
+    return Rule("r", outputs, inputs, declared, ())
+
+
+def test_validate_rule_matches_every_choice_of_forms():
+    """The check settles each chain's form without listing every choice of
+    forms, and judges as the oracle's list of all choices does, also where
+    one chain's split remainder is another's inverted term."""
+    rng = random.Random(0xC4A1)
+    verdicts = Counter()
+    for _ in range(3000):
+        rule = _chains_rule(rng)
+        got = validate_rule(rule)
+        assert got == oracles.validate_rule(rule), rule
+        declared = Counter(term.concepts for term in rule.declared_results)
+        assert (got == []) == (declared in oracles._acceptable_counters(rule))
+        verdicts[got == []] += 1
+    assert min(verdicts.values()) > 500, verdicts
 
 
 def test_cooking_scene_consistent(cooking_scene):

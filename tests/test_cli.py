@@ -156,7 +156,7 @@ def test_cycles_dot_builds_no_uni_link(capsys, cooking_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("cycles --dot built the uni-links")
 
-    monkeypatch.setattr("cpl.forest.extract_cycles", refuse)
+    monkeypatch.setattr("cpl.forest.uni_links", refuse)
     assert run(capsys, "cycles", str(cooking_path), "--dot") == (0, want, "")
 
 

@@ -1,4 +1,5 @@
-"""Scenes deeper than the interpreter's recursion limit."""
+"""Scenes deeper than the interpreter's recursion limit, and scene shapes
+on which a step was once quadratic or worse."""
 
 import io
 import sys
@@ -6,7 +7,8 @@ import sys
 import pytest
 
 import oracles
-from cpl.check import check_all
+from cpl.ast import Diagnostic
+from cpl.check import check_all, check_scene, scene_contradictions, validate_rule
 from cpl.cli import main
 from cpl.forest import build_forest, extract_cycles, forest_to_json
 from cpl.grid import build_grid, cluster_scene, to_csv, to_json
@@ -55,6 +57,58 @@ def fan_source(n: int) -> str:
         lo, mi = f"L{i:05d}", f"M{i:05d}"
         lines.append(f"    r{i}: H + {lo}.{mi} -> H.{mi}.{lo} where {mi} < {lo};")
     lines.extend(["  }", "}"])
+    return "\n".join(lines) + "\n"
+
+
+def contradiction_source(n: int) -> str:
+    """A hub ``H`` and ``n`` pairs ``A``, ``B`` nested both ways: rule
+    ``f{i}`` declares ``A{i} < B{i}`` and rule ``g{i}`` ``B{i} < A{i}``, so
+    the scene holds ``n`` reversed sub-concept pairs."""
+    lines = ["scene Reversed {", "  entities {", "    H;"]
+    for i in range(n):
+        lines.extend((f"    A{i:05d};", f"    B{i:05d};"))
+    lines.extend(["  }", "  rules {"])
+    for i in range(n):
+        a, b = f"A{i:05d}", f"B{i:05d}"
+        lines.append(f"    f{i}: H + {b}.{a} -> H.{a}.{b} where {a} < {b};")
+        lines.append(f"    g{i}: H + {a}.{b} -> H.{b}.{a} where {b} < {a};")
+    lines.extend(["  }", "}"])
+    return "\n".join(lines) + "\n"
+
+
+def many_chain_source(k: int) -> str:
+    """One rule ``O + A000.B000(2) ^ ... -> ...`` with ``k`` chains, each
+    carrying an amount: the even chains give the inverted term, the odd
+    ones the split form."""
+    pairs = [(f"A{i:03d}", f"B{i:03d}") for i in range(k)]
+    chains = " ^ ".join(f"{a}.{b}(2)" for a, b in pairs)
+    terms = " ^ ".join(f"O.{b}.{a}" if i % 2 == 0 else f"O.{b} ^ {a}.{b}"
+                       for i, (a, b) in enumerate(pairs))
+    lines = ["scene Chains {", "  entities {", "    O;"]
+    lines.extend(f"    {name};" for pair in pairs for name in pair)
+    lines.extend(["  }", "  rules {", f"    r: O + {chains} -> {terms};",
+                  "  }", "}"])
+    return "\n".join(lines) + "\n"
+
+
+def wake_source(n: int) -> str:
+    """``R + C{i}.D{i} -> R.D{i}.C{i}`` for ``i <= n`` makes ``R`` the root;
+    ``L{i} + M{i}.N -> L{i}.N.M{i}`` for ``i < n`` shares no concept with it
+    and waits, until the last rule ``R + N.Z -> R.Z.N`` places ``N`` and
+    wakes every waiting rule."""
+    lines = ["scene Wake {", "  entities {", "    R;", "    N;", "    Z;"]
+    for i in range(n + 1):
+        lines.extend((f"    C{i:05d};", f"    D{i:05d};"))
+    for i in range(n):
+        lines.extend((f"    L{i:05d};", f"    M{i:05d};"))
+    lines.extend(["  }", "  rules {"])
+    for i in range(n + 1):
+        c, d = f"C{i:05d}", f"D{i:05d}"
+        lines.append(f"    r{i}: R + {c}.{d} -> R.{d}.{c};")
+    for i in range(n):
+        lo, mi = f"L{i:05d}", f"M{i:05d}"
+        lines.append(f"    s{i}: {lo} + {mi}.N -> {lo}.N.{mi};")
+    lines.extend(["    last: R + N.Z -> R.Z.N;", "  }", "}"])
     return "\n".join(lines) + "\n"
 
 
@@ -149,6 +203,23 @@ def test_deep_chain_grid_json_cli_writes_one_row_at_a_time(tmp_path, monkeypatch
     assert out.writes == len(freq.concepts) + 2
 
 
+def test_deep_loop_cycles_cli_writes_one_line_at_a_time(tmp_path, monkeypatch):
+    """The report is written as its uni-links are built, a line per write,
+    so the CLI never holds them all."""
+    source = deep_loop_source(DEPTH)
+    path = tmp_path / "loop.cpl"
+    path.write_text(source, encoding="utf-8")
+    scene = parse_scene(source).scene
+    report = extract_cycles(scene, build_forest(scene))
+    out = _WriteCounter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["cycles", str(path)]) == 0
+    lines = ["uni-links:"] + [f"  {link.render()}" for link in report.uni_links]
+    lines += ["cycles:"] + [f"  {cycle.render()}" for cycle in report.cycles]
+    assert out.getvalue() == "\n".join(lines) + "\n"
+    assert out.writes > len(report.uni_links)
+
+
 @pytest.mark.parametrize("flags", [[], ["--sorted"], ["--dot"]])
 def test_deep_chain_trees_cli(capsys, tmp_path, flags):
     path = tmp_path / "deep.cpl"
@@ -196,3 +267,49 @@ def test_deep_chain_forest_json():
     assert text.endswith("\n}\n")
     assert text.count('"concept": "C') == 5001
     assert '\n' + ' ' * (6 + 4 * 5000) + '"concept": "C00000",\n' in text
+
+
+def test_reversed_pairs_place_each_message_at_its_last_rule():
+    """Each contradiction is positioned at the last rule it cites, as the
+    oracle's rescan of every rule finds it."""
+    scene = parse_scene(contradiction_source(40)).scene
+    contradictions = scene_contradictions(scene)
+    assert [c.kind for c in contradictions] == ["reversed-sub"] * 40
+    assert check_scene(scene) == [
+        oracles.error(c.message, oracles.contradiction_span(scene, c))
+        for c in contradictions]
+    g0 = scene.rules[1]
+    assert check_scene(scene)[0] == Diagnostic(
+        contradictions[0].message, g0.span.line, g0.span.column)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_many_chain_rule_matches_oracle(k):
+    scene = parse_scene(many_chain_source(k)).scene
+    rule = scene.rules[0]
+    broken = rule._replace(declared_results=rule.declared_results[1:])
+    assert check_all(scene) == oracles.validate_rule(rule) == []
+    assert validate_rule(broken) == oracles.validate_rule(broken) != []
+
+
+def test_forty_chain_rule():
+    """Each chain's split form doubles the choices; the check does not
+    enumerate them."""
+    source = many_chain_source(40)
+    assert check_all(parse_scene(source).scene) == []
+    swapped = parse_scene(source.replace("O.B038.A038", "O.A038.B038")).scene
+    assert [d.message.split(";")[0] for d in check_all(swapped)] == [
+        "results of r do not match the derivation"]
+
+
+def test_woken_rules_match_oracle():
+    """The last rule wakes every waiting rule; they are inserted in rule
+    order, event by event as the oracle's retry loop inserts them."""
+    scene = parse_scene(wake_source(30)).scene
+    ensemble = build_ensemble(scene)
+    build = build_hierarchy(scene, ensemble)
+    oracle = oracles.build_hierarchy(scene, ensemble)
+    assert build.hierarchy.root == "R"
+    assert build.diagnostics == oracle.diagnostics == ()
+    assert build.hierarchy == oracle.hierarchy
+    assert build.trace == oracle.trace

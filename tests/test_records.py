@@ -37,7 +37,7 @@ from cpl.forest import (
 )
 from cpl.grid import Clustering, FrequencyGrid
 from cpl.hierarchy import Hierarchy, HierarchyBuild, TraceEvent
-from cpl.memory import Prediction, RankedFeature
+from cpl.memory import RankedFeature
 from cpl.parser import KEYWORDS, ParseResult
 
 # Mentions are declared names; ConceptId is the declaration record.
@@ -67,7 +67,6 @@ RECORDS = [
     HIERARCHY,
     HierarchyBuild(HIERARCHY, (), (RULE,), (), (0,)),
     RankedFeature("f", 2),
-    Prediction(()),
     ALPHA,
     Relation(RelationKind.SUB_CONCEPT, A, B),
     Quantity(Amount(2)),
