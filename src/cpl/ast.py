@@ -10,15 +10,16 @@ those pairs once, by position.  The parser and every derivation share
 this module alone, diagnostics included.
 
 A concept is declared once, as a ``ConceptId`` in ``Scene.entities``: its
-name, its optional alias and its declaration span live there only.  Every
-mention of a concept elsewhere (rule outputs, chain elements, result terms,
-relation ends and the scene root) is the declared name, a plain ``str``,
-whether the script wrote the name or the alias.
+name and its optional alias live there only.  Every mention of a concept
+elsewhere (rule outputs, chain elements, result terms, relation ends and
+the scene root) is the declared name, a plain ``str``, whether the script
+wrote the name or the alias.
 
-Everything here is immutable after construction; source spans are carried
-for diagnostics but excluded from equality.  Every record is a NamedTuple.
-Fields left out of equality (spans, rule ordinals) come last, and the
-record compares and hashes only the fields before them.
+Everything here is immutable after construction, and every record is a
+NamedTuple.  Only the records that diagnostics place carry a source span:
+a rule, with its ordinal, and a quantity.  Those fields are left out of
+equality; they come last, and the record compares and hashes only the
+fields before them.
 """
 
 from __future__ import annotations
@@ -75,9 +76,6 @@ class ConceptId(NamedTuple):
 
     name: str
     abbrev: str | None = None
-    span: Span = _NO_SPAN
-
-    __eq__, __ne__, __hash__ = _compared_first(2)
 
 
 class RelationKind(Enum):
@@ -98,9 +96,6 @@ class Relation(NamedTuple):
     kind: RelationKind
     left: str
     right: str
-    span: Span = _NO_SPAN
-
-    __eq__, __ne__, __hash__ = _compared_first(3)
 
     def pair(self) -> frozenset[str]:
         return frozenset((self.left, self.right))
@@ -170,9 +165,10 @@ class ResultTerm(NamedTuple):
 class Rule(NamedTuple):
     """One scene statement.
 
-    Self-loop rules (``P -> P``) have a single output and nothing else.
-    All other rules carry at least one output, one input chain and the
-    declared result terms, plus any nesting/association relations.
+    A self-loop rule (``P -> P``) is the rule with no input chain: a single
+    output and nothing else.  Every other rule carries at least one output,
+    one input chain and the declared result terms, plus any
+    nesting/association relations.
     """
 
     label: str | None
@@ -180,11 +176,10 @@ class Rule(NamedTuple):
     inputs: tuple[Chain, ...]
     declared_results: tuple[ResultTerm, ...]
     relations: tuple[Relation, ...]
-    self_loop: bool = False
     ordinal: int = 0
     span: Span = _NO_SPAN
 
-    __eq__, __ne__, __hash__ = _compared_first(6)
+    __eq__, __ne__, __hash__ = _compared_first(5)
 
     @property
     def cite(self) -> str:
@@ -201,7 +196,7 @@ class Rule(NamedTuple):
     def shape(self) -> tuple[str, str, tuple[str, ...]] | None:
         """(output, source, chain tail) of a rule with one output and one
         chain; None for any other rule, self-loops included."""
-        if self.self_loop or len(self.outputs) != 1 or len(self.inputs) != 1:
+        if len(self.outputs) != 1 or len(self.inputs) != 1:
             return None
         elements = self.inputs[0].elements
         return self.outputs[0], elements[0], elements[1:]
@@ -215,9 +210,6 @@ class Scene(NamedTuple):
     entities: tuple[ConceptId, ...]
     root: str | None
     rules: tuple[Rule, ...]
-    span: Span = _NO_SPAN
-
-    __eq__, __ne__, __hash__ = _compared_first(4)
 
     def used_names(self) -> tuple[str, ...]:
         """Names of the concepts at least one rule mentions anywhere,
@@ -234,8 +226,7 @@ class Scene(NamedTuple):
         return tuple(dict.fromkeys(names))
 
 
-def normalize_relation(left: str, op: str, right: str,
-                       span: Span = _NO_SPAN) -> Relation:
+def normalize_relation(left: str, op: str, right: str) -> Relation:
     """Map a written relation to its normalized form.
 
     ``x > y`` is the written reverse of ``y < x`` and is flipped here;
@@ -245,13 +236,13 @@ def normalize_relation(left: str, op: str, right: str,
     if left == right:
         raise ValueError(f"concept {left!r} cannot relate to itself")
     if op == "<":
-        return Relation(RelationKind.SUB_CONCEPT, left, right, span)
+        return Relation(RelationKind.SUB_CONCEPT, left, right)
     if op == ">":
-        return Relation(RelationKind.SUB_CONCEPT, right, left, span)
+        return Relation(RelationKind.SUB_CONCEPT, right, left)
     if op == "-":
-        return Relation(RelationKind.ASSOCIATION, left, right, span)
+        return Relation(RelationKind.ASSOCIATION, left, right)
     if op == "in":
-        return Relation(RelationKind.CONTAINED_IN, left, right, span)
+        return Relation(RelationKind.CONTAINED_IN, left, right)
     raise ValueError(f"unknown relation operator {op!r}")
 
 

@@ -84,8 +84,6 @@ def _collect_edges(scene: Scene) -> tuple[dict[tuple[str, str], str],
             else:
                 assoc.update(((left, right), (right, left)))
     for rule in scene.rules:
-        if rule.self_loop:
-            continue
         placed = {
             rel.left for rel in rule.relations
             if rel.kind is RelationKind.SUB_CONCEPT
@@ -289,7 +287,7 @@ def process_edges(scene: Scene) -> tuple[dict[tuple[str, str], tuple[str, ...]],
     edges: dict[tuple[str, str], list[str]] = {}
     loops: dict[str, list[str]] = {}
     for rule in scene.rules:
-        if rule.self_loop:
+        if not rule.inputs:
             loops.setdefault(rule.outputs[0], []).append(rule.cite)
             continue
         for chain in rule.inputs:
@@ -355,7 +353,7 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
     by_left: dict[str, list[int]] = {}
     loops: dict[str, Rule] = {}
     for rule in scene.rules:
-        if rule.self_loop:
+        if not rule.inputs:
             loops.setdefault(rule.outputs[0], rule)
         for rel in rule.relations:
             if rel.kind is RelationKind.ASSOCIATION:

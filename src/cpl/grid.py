@@ -61,8 +61,6 @@ def build_grid(scene: Scene) -> FrequencyGrid:
         members = rule.lhs_names()
         for name in members:
             neighbours.setdefault(name, {})
-        if rule.self_loop:
-            continue
         for a, b in combinations(members, 2):
             near_a, near_b = neighbours[a], neighbours[b]
             near_a[b] = near_a.get(b, 0) + 1

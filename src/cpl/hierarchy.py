@@ -37,7 +37,7 @@ turn, pass after pass, until a pass places none.
 from __future__ import annotations
 
 import json
-from bisect import insort
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import NamedTuple
 
@@ -121,6 +121,9 @@ def _repeat_rules(scene: Scene) -> set[int]:
 
 
 class _Builder:
+    __slots__ = ("depth", "rank", "children", "parents", "edges", "steps",
+                 "pending", "waiting", "woken", "inserting", "numbers")
+
     def __init__(self, root: str):
         self.depth = {root: 0}  # insertion order is the node order
         self.rank = {root: 0}  # every link runs from a lower to a higher rank
@@ -129,16 +132,14 @@ class _Builder:
         self.edges: list[tuple[str, str]] = []
         self.steps: list[TraceEvent] = []
         # Waiting paths by number and the numbers under each concept they
-        # name.  A new node wakes the numbers under it: those after the
-        # number being inserted join this pass, whose numbers rise from
-        # ``woken[at]`` on, and the rest wait for the next pass.  A number
-        # woken twice is skipped once inserted.
+        # name.  A new node wakes the numbers under it into a heap of
+        # (pass, number): those after the number being inserted join its
+        # pass, and the rest wait for the next pass.  A number woken twice
+        # is skipped once inserted.
         self.pending: dict[int, tuple[Rule, tuple[str, ...]]] = {}
         self.waiting: dict[str, list[int]] = {}
-        self.woken: list[int] = []
-        self.at = 0
-        self.next_pass: list[int] = []
-        self.inserting = -1
+        self.woken: list[tuple[int, int]] = []
+        self.inserting = (0, -1)  # (pass, number) being inserted
         self.numbers = 0
 
     def link(self, parent: str, child: str, cite: str) -> None:
@@ -150,13 +151,11 @@ class _Builder:
             self.children[child] = {}
             self.parents[child] = []
             self.steps.append(TraceEvent("node", cite, (child,)))
+            now, inserting = self.inserting
             for number in self.waiting.pop(child, ()):
-                if number not in self.pending:
-                    continue
-                if number > self.inserting:
-                    insort(self.woken, number, self.at)
-                else:
-                    self.next_pass.append(number)
+                if number in self.pending:
+                    later = now if number > inserting else now + 1
+                    heappush(self.woken, (later, number))
         elif child in self.children[parent]:
             return
         elif not self.rerank(parent, child):
@@ -230,17 +229,12 @@ class _Builder:
     def retry(self) -> None:
         """Insert the woken paths, pass by pass, in rising number within a
         pass."""
-        while self.at < len(self.woken) or self.next_pass:
-            if self.at == len(self.woken):
-                self.woken, self.next_pass = sorted(self.next_pass), []
-                self.at = 0
-            number = self.woken[self.at]
-            self.at += 1
-            if number in self.pending:
-                self.inserting = number
-                rule, path = self.pending.pop(number)
+        while self.woken:
+            self.inserting = heappop(self.woken)
+            if (entry := self.pending.pop(self.inserting[1], None)):
+                rule, path = entry
                 self.insert_path(path, rule.cite)
-        self.woken, self.at, self.inserting = [], 0, -1
+        self.inserting = (0, -1)
 
 
 def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
@@ -258,7 +252,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
     ends: list[int] = []
 
     for position, rule in enumerate(scene.rules):
-        if not (rule.self_loop or position in repeats):
+        if position not in repeats:
             for path in derive_result(rule.outputs, rule.inputs):
                 if not builder.insert_path(path, rule.cite):
                     builder.wait(rule, path)

@@ -32,8 +32,8 @@ comments are the prefix skipped before a token.  No token carries a kind:
 a punctuation text is its own kind, a leading letter makes an IDENT
 (keywords are IDENTs too), a leading digit a NUMBER, and the empty text is
 EOF.  Lines and columns are worked out only where a ``Span`` is built (for
-each declared concept, rule, relation operator, quantity, the scene and
-each diagnostic, an ``ast.Diagnostic``) by bisecting a table of line starts.
+each rule, each quantity and each diagnostic, an ``ast.Diagnostic``) by
+bisecting a table of line starts.
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ class ParseResult(NamedTuple):
 
     scene: Scene | None
     diagnostics: tuple[Diagnostic, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.scene is not None
 
 
 class _Parser:
@@ -172,7 +168,7 @@ class _Parser:
         self.entities[name] = name
         if alias:
             self.entities[alias] = name
-        self.declared.append(ConceptId(name, alias, self.span(name_pos)))
+        self.declared.append(ConceptId(name, alias))
 
     def resolve(self, pos: int) -> str:
         text = self.texts[pos]
@@ -195,7 +191,7 @@ class _Parser:
 
     def parse_scene(self) -> Scene:
         texts = self.texts
-        self.expect("scene")  # token 0, whose span is the scene's
+        self.expect("scene")  # token 0, where scene-wide errors sit
         name = texts[self.ident("scene name")]
         self.expect("{")
         self.expect("entities")
@@ -233,7 +229,7 @@ class _Parser:
         self.expect("}")
         if texts[self.pos]:
             raise self.unexpected("end of input")
-        return Scene(name, tuple(self.declared), root, tuple(rules), self.span(0))
+        return Scene(name, tuple(self.declared), root, tuple(rules))
 
     def parse_rule(self, ordinal: int) -> Rule:
         # Called at an IDENT, so the next text exists: at worst it is EOF.
@@ -262,7 +258,7 @@ class _Parser:
             self.report("a self-loop rule cannot declare relations", self.pos)
             self.skip_to_semi()
         self.expect(";")
-        return Rule(label, (self.resolve(first),), (), (), (), self_loop=True,
+        return Rule(label, (self.resolve(first),), (), (), (),
                     ordinal=ordinal, span=self.span(first))
 
     def skip_to_semi(self) -> None:
@@ -372,8 +368,7 @@ class _Parser:
                 self.report(
                     f"concept {left!r} cannot relate to itself", op_pos)
             else:
-                relations.append(
-                    normalize_relation(left, op, right, self.span(op_pos)))
+                relations.append(normalize_relation(left, op, right))
             left = right
 
 
@@ -423,7 +418,7 @@ def _format_term(term: ResultTerm, short: dict[str, str]) -> str:
 
 def _format_rule(rule: Rule, short: dict[str, str]) -> str:
     prefix = f"{rule.label}: " if rule.label else ""
-    if rule.self_loop:
+    if not rule.inputs:  # a self-loop
         name = short[rule.outputs[0]]
         return f"{prefix}{name} -> {name};"
     outputs = " ^ ".join(short[name] for name in rule.outputs)

@@ -67,8 +67,7 @@ def make_rule(rng: random.Random, names: list[str], ordinal: int,
     label = f"g{ordinal}" if labeled else None
     if len(names) >= 2 and rng.random() < 0.15:
         concept = rng.choice(names)
-        return Rule(label, (concept,), (), (), (), self_loop=True,
-                    ordinal=ordinal)
+        return Rule(label, (concept,), (), (), (), ordinal=ordinal)
     outputs = tuple(rng.sample(names, rng.randint(1, min(3, len(names)))))
     mode = rng.random()
     if mode < 0.2:

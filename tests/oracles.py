@@ -117,19 +117,19 @@ def error(message: str, span: Span) -> Diagnostic:
     return Diagnostic(message, span.line, span.column)
 
 
-def normalize_relation(left: str, op: str, right: str, span: Span) -> Relation:
+def normalize_relation(left: str, op: str, right: str) -> Relation:
     """``x > y`` is flipped to ``y < x``; ``<``, ``-`` and ``in`` map
     directly; relating a concept to itself is invalid."""
     if left == right:
         raise ValueError(f"concept {left!r} cannot relate to itself")
     if op == "<":
-        return Relation(RelationKind.SUB_CONCEPT, left, right, span)
+        return Relation(RelationKind.SUB_CONCEPT, left, right)
     if op == ">":
-        return Relation(RelationKind.SUB_CONCEPT, right, left, span)
+        return Relation(RelationKind.SUB_CONCEPT, right, left)
     if op == "-":
-        return Relation(RelationKind.ASSOCIATION, left, right, span)
+        return Relation(RelationKind.ASSOCIATION, left, right)
     if op == "in":
-        return Relation(RelationKind.CONTAINED_IN, left, right, span)
+        return Relation(RelationKind.CONTAINED_IN, left, right)
     raise ValueError(f"unknown relation operator {op!r}")
 
 
@@ -389,7 +389,7 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
 
 def _is_reverse_pair(a: Rule, b: Rule) -> bool:
     """``is_reverse_pair`` as it stood before it compared ``Rule.shape``s."""
-    if a is b or a.self_loop or b.self_loop:
+    if a is b or not a.inputs or not b.inputs:
         return False
     if len(a.outputs) != 1 or len(b.outputs) != 1:
         return False
@@ -601,7 +601,7 @@ class _Parser:
                 self.report(f"duplicate declaration of {ident!r}", tok.span)
                 return
         alias = alias_tok.text if alias_tok else None
-        concept = ConceptId(name_tok.text, alias, name_tok.span)
+        concept = ConceptId(name_tok.text, alias)
         self.entities[concept.name] = concept.name
         if alias:
             self.entities[alias] = concept.name
@@ -655,7 +655,7 @@ class _Parser:
         self.expect("RBRACE", "'}'")
         self.expect("RBRACE", "'}'")
         self.expect("EOF", "end of input")
-        return Scene(name.text, tuple(self.declared), root, tuple(rules), start.span)
+        return Scene(name.text, tuple(self.declared), root, tuple(rules))
 
     def parse_rule(self, ordinal: int) -> Rule:
         label = None
@@ -681,7 +681,7 @@ class _Parser:
             self.skip_to_semi()
         self.expect("SEMI", "';'")
         concept = self.resolve(first)
-        return Rule(label, (concept,), (), (), (), self_loop=True,
+        return Rule(label, (concept,), (), (), (),
                     ordinal=ordinal, span=first.span)
 
     def skip_to_semi(self) -> None:
@@ -796,7 +796,7 @@ class _Parser:
                 self.report(
                     f"concept {left!r} cannot relate to itself", tok.span)
             else:
-                relations.append(normalize_relation(left, op, right, tok.span))
+                relations.append(normalize_relation(left, op, right))
             left = right
 
 
@@ -870,7 +870,7 @@ def check_quantity(rule: Rule, chain: Chain) -> list[Diagnostic]:
 def validate_rule(rule: Rule) -> list[Diagnostic]:
     """``cpl.check.validate_rule`` with each multiset of terms a ``Counter``
     and its own ``check_quantity``."""
-    if rule.self_loop:
+    if not rule.inputs:
         return []
     diagnostics: list[Diagnostic] = []
     declared = Counter(_names(term.concepts) for term in rule.declared_results)
@@ -888,9 +888,9 @@ def validate_rule(rule: Rule) -> list[Diagnostic]:
 
 def contradiction_span(scene: Scene, contradiction) -> Span:
     """The span of the last rule in scene order that the contradiction
-    cites, found by a scan of every rule; the scene's own without one."""
+    cites, found by a scan of every rule; an empty span without one."""
     cited = set(contradiction.rules)
-    span = scene.span
+    span = Span()
     for rule in scene.rules:
         if rule.cite in cited:
             span = rule.span
@@ -918,7 +918,7 @@ def _collect_edges(scene: Scene) -> list[_Edge]:
             elif rel.kind is RelationKind.CONTAINED_IN:
                 edges.append(_Edge(rel.right, rel.left, True, rule.cite))
     for rule in scene.rules:
-        if rule.self_loop:
+        if not rule.inputs:
             continue
         placed = {
             rel.left for rel in rule.relations
@@ -1228,7 +1228,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> EagerBuild:
             running[pair] = running.get(pair, 0) + 1
             builder.trace.append(TraceEvent(
                 "ensemble", rule.cite, tuple(sorted(pair)), running[pair]))
-        if rule.self_loop or position in repeats:
+        if not rule.inputs or position in repeats:
             continue
         for term in derive_result(rule.outputs, rule.inputs):
             path = _names(term)
@@ -1291,7 +1291,7 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
         if rel.kind is RelationKind.ASSOCIATION
     ]
     for loop_rule in scene.rules:
-        if not loop_rule.self_loop:
+        if loop_rule.inputs:
             continue
         looped = loop_rule.outputs[0]
         anchor = forest.primary.get(looped)

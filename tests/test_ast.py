@@ -150,8 +150,7 @@ def test_reverse_pair_matches_oracle_on_hand_built_rules():
         r5._replace(ordinal=9), pot_from_pot, pot_from_pot._replace(),
         Rule("two-outputs", (B, H), (Chain((P, H)),), (), ()),
         Rule("two-chains", (B,), (Chain((P, H)), Chain((K, D))), (), ()),
-        Rule("loop", (P,), (), (), (), self_loop=True),
-        Rule("loop-with-chain", (B,), (Chain((P, H)),), (), (), self_loop=True),
+        Rule("loop", (P,), (), (), ()),
     ]
     assert_reverse_pairs_match_oracle(rules)
     assert is_reverse_pair(pot_from_pot, pot_from_pot._replace())

@@ -3,7 +3,16 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from cpl.ast import Amount, Chain, ConceptId, Quantity, ResultTerm, Rule, Scene
+from cpl.ast import (
+    Amount,
+    Chain,
+    ConceptId,
+    Quantity,
+    ResultTerm,
+    Rule,
+    Scene,
+    Span,
+)
 from cpl.check import (
     Contradiction,
     check_all,
@@ -117,7 +126,7 @@ def test_generated_rules_validate_iff_uncorrupted(seed):
     rng = random.Random(seed)
     names = [c.name for c in make_entities(rng, rng.randint(3, 6))]
     rule = make_rule(rng, names, 1)
-    if rule.self_loop:
+    if not rule.inputs:
         assert validate_rule(rule) == []
         return
     clean = [d for d in validate_rule(rule) if "derivation" in d.message]
@@ -136,7 +145,7 @@ def test_validate_rule_matches_counter_oracle(seed):
     names = [c.name for c in make_entities(rng, rng.randint(3, 6))]
     rule = make_rule(rng, names, 1)
     variants = [rule]
-    if not rule.self_loop:
+    if rule.inputs:
         terms = list(rule.declared_results)
         rng.shuffle(terms)
         variants += [rule._replace(declared_results=tuple(terms)),
@@ -193,6 +202,69 @@ def test_validate_rule_matches_every_choice_of_forms():
         assert (got == []) == (declared in oracles._acceptable_counters(rule))
         verdicts[got == []] += 1
     assert min(verdicts.values()) > 500, verdicts
+
+
+def _amounts_rule(rng: random.Random) -> Rule:
+    """A rule of one to six chains with totals whose terms write split
+    amounts: ``O.F`` terms, at times two for one effector, terms that
+    repeat a chain, and two-concept chains whose source is an output, so
+    that one term is both ``O.F`` and the chain."""
+    names = ["A", "B", "C", "D"]
+    outputs = tuple(rng.sample(names, rng.randint(1, 2)))
+    others = [name for name in names if name not in outputs]
+
+    def amount() -> Amount | None:
+        return rng.choice([None, Amount(rng.randint(-1, 6)), Amount("x"),
+                           Amount(5, rng.randint(0, 6))])
+
+    inputs, terms = [], []
+    for line in range(1, rng.randint(2, 7)):
+        if rng.random() < 0.4:
+            elements = (rng.choice(outputs), rng.choice(others))
+        else:
+            elements = tuple(rng.sample(names, rng.randint(2, 3)))
+        total = Amount(rng.randint(0, 6)) if rng.random() < 0.8 else Amount("t")
+        chain = Chain(elements, Quantity(total, Span(line, 1)))
+        inputs.append(chain)
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            terms.append(((rng.choice(outputs), chain.effector),
+                          (None, amount())))
+        if rng.random() < 0.7:
+            terms.append((elements, (None,) * (len(elements) - 1)
+                          + (amount(),)))
+        if rng.random() < 0.3:
+            inverted = oracles.derive_result(outputs, [chain])[0]
+            terms.append((inverted, (None,) * len(inverted)))
+    rng.shuffle(terms)
+    declared = tuple(ResultTerm(concepts, qtys) for concepts, qtys in terms)
+    return Rule("r", outputs, tuple(inputs), declared, ())
+
+
+def test_split_amounts_match_oracle_check_quantity():
+    """Each chain's taken and remainder amounts, read from one index of
+    the rule's terms, are those the oracle picks by scanning the terms per
+    chain, also where the taken term spells the chain or an effector has
+    two ``O.F`` terms."""
+    rng = random.Random(0x5A17)
+    seen = Counter()
+    for _ in range(3000):
+        rule = _amounts_rule(rng)
+        expected = [d for chain in rule.inputs
+                    for d in oracles.check_quantity(rule, chain)]
+        got = validate_rule(rule)
+        assert got == oracles.validate_rule(rule), rule
+        assert [d for d in got if "quantity" in d.message] == expected, rule
+        seen["unbalanced"] += any("balance" in d.message for d in expected)
+        seen["taken refused"] += any("balance" not in d.message
+                                     for d in expected)
+        of_terms = Counter(term.concepts for term in rule.declared_results
+                           if len(term.concepts) == 2
+                           and term.concepts[0] in rule.outputs)
+        seen["shared"] += any(chain.elements in of_terms
+                              for chain in rule.inputs)
+        seen["duplicate"] += any(n > 1 for n in of_terms.values())
+    assert min(seen[kind] for kind in ("unbalanced", "taken refused",
+                                       "shared", "duplicate")) > 300, seen
 
 
 def test_cooking_scene_consistent(cooking_scene):

@@ -250,7 +250,7 @@ def test_no_cycles_without_enablers():
 def test_every_cycle_has_an_enabler(cooking_scene):
     forest = build_forest(cooking_scene)
     report = extract_cycles(cooking_scene, forest)
-    loop_owners = {r.outputs[0] for r in cooking_scene.rules if r.self_loop}
+    loop_owners = {r.outputs[0] for r in cooking_scene.rules if not r.inputs}
     pair_members = {"Pot", "Hob"}  # outputs of the r5/r7 pair
     for cycle in report.cycles:
         members = set(cycle.concepts)

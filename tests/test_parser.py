@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpl.ast import Amount, Quantity, RelationKind
+from cpl.ast import Amount, ConceptId, Quantity, RelationKind, Rule, Scene
 from cpl.parser import _Abort, _Parser, format_scene, parse_scene
 
 import oracles
@@ -62,11 +62,11 @@ def test_parse_mini_scene_shape():
     assert [c.name for c in scene.entities] == [
         "Pot", "Kitchen", "Cupboard", "Egg", "Heat"]
     r1, r2, r3 = scene.rules
-    assert r1.label == "r1" and not r1.self_loop
+    assert r1.label == "r1" and r1.inputs
     assert r1.outputs == ("Pot",)
     assert r1.inputs[0].elements == ("Kitchen", "Cupboard")
     assert r1.declared_results[0].concepts == ("Pot", "Cupboard", "Kitchen")
-    assert r3.self_loop and r3.outputs[0] == "Pot"
+    assert r3.inputs == () and r3.outputs == ("Pot",)
 
 
 def test_relation_chain_desugars_pairwise():
@@ -136,6 +136,16 @@ def test_self_loop_may_mix_a_name_and_its_alias():
         assert parse_scene(text % loop).scene == want, loop
     assert any("must repeat the same concept" in d.message
                for d in diags(text % "P -> Tap"))
+
+
+def test_rule_without_chains_formats_as_a_self_loop():
+    """A self-loop is the rule with no input chain, also when built in
+    code: it formats as ``P -> P;`` and reparses to an equal rule."""
+    loop = Rule("loop", ("Pot",), (), (), ())
+    scene = Scene("S", (ConceptId("Pot", "P"),), None, (loop,))
+    text = format_scene(scene)
+    assert "    loop: P -> P;\n" in text
+    assert parsed(text).rules == (loop,)
 
 
 def test_self_loop_rejects_relations():
@@ -248,12 +258,10 @@ def generated_source(draw):
 
 def spans(scene):
     """Every span a scene stores, one by one, with each rule's ordinal:
-    scene equality skips both."""
-    listed = [("scene", scene.span)]
-    listed += [("entity", c.name, c.span) for c in scene.entities]
+    scene equality skips both.  Only rules and quantities hold one."""
+    listed = []
     for rule in scene.rules:
         listed.append(("rule", rule.ordinal, rule.span))
-        listed += [("relation", rel.span) for rel in rule.relations]
         listed += [("quantity", chain.quantity.span)
                    for chain in rule.inputs if chain.quantity is not None]
     return listed
@@ -392,7 +400,7 @@ def assert_mentions_are_declared_names(text, rng):
 PARSED = {"mini": MINI, **{
     path.name: path.read_text(encoding="utf-8")
     for path in sorted(SCENES.glob("*.cpl"))
-    if parse_scene(path.read_text(encoding="utf-8")).ok}}
+    if parse_scene(path.read_text(encoding="utf-8")).scene is not None}}
 
 
 @pytest.mark.parametrize("name", PARSED)

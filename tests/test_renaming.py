@@ -28,7 +28,7 @@ from genhelpers import make_scene
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 BUNDLED = sorted(path.name for path in SCENES.glob("*.cpl")
-                 if parse_scene(path.read_text(encoding="utf-8")).ok)
+                 if parse_scene(path.read_text(encoding="utf-8")).scene is not None)
 
 
 def fresh_aliases(scene: Scene, rng: random.Random) -> dict[str, str]:
