@@ -149,15 +149,6 @@ def _cites(rules: list[Rule]) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _cycles(edges: dict[tuple[str, str], list[Rule]]) -> list[list[str]]:
-    """Components of two or more concepts that the edges close a cycle
-    through, members sorted."""
-    adjacency: dict[str, list[str]] = {}
-    for child, parent in edges:
-        adjacency.setdefault(child, []).append(parent)
-    return [c for c in strongly_connected(adjacency) if len(c) > 1]
-
-
 def scene_contradictions(scene: Scene) -> list[Contradiction]:
     """Cross-rule violations as structured records, deterministically ordered."""
     # Each relation with the rules declaring it; duplicates are legal.
@@ -200,17 +191,26 @@ def scene_contradictions(scene: Scene) -> list[Contradiction]:
             ("sub-cycle", sub_edges, 3, "sub-concept relations form"),
             ("containment-cycle", contained_edges, 2,
              "containment forms")):
-        for component in _cycles(edges):
-            if len(component) < smallest:
-                continue
-            rules: list[Rule] = []
-            for edge, edge_rules in sorted(edges.items()):
-                if edge[0] in component and edge[1] in component:
-                    rules.extend(edge_rules)
+        adjacency: dict[str, list[str]] = {}
+        for child, parent in edges:
+            adjacency.setdefault(child, []).append(parent)
+        # One pass over the edges finds those inside each cycle component.
+        components = [c for c in strongly_connected(adjacency)
+                      if len(c) >= smallest]
+        member_of = {name: index for index, component in enumerate(components)
+                     for name in component}
+        inside: list[list[tuple[str, str]]] = [[] for _ in components]
+        for edge in edges:
+            index = member_of.get(edge[0])
+            if index is not None and member_of.get(edge[1]) == index:
+                inside[index].append(edge)
+        for component, cycle_edges in zip(components, inside):
+            cites = _cites([rule for edge in sorted(cycle_edges)
+                            for rule in edges[edge]])
             found.append(Contradiction(
-                kind, tuple(component), _cites(rules),
+                kind, tuple(component), cites,
                 f"{prefix} a cycle through "
-                f"{', '.join(component)} ({', '.join(_cites(rules))})"))
+                f"{', '.join(component)} ({', '.join(cites)})"))
 
     found.sort(key=lambda c: (c.kind, c.concepts))
     return found

@@ -16,7 +16,7 @@ rule lets a walk descend through the looping concept's subtree, cross an
 association, and climb back up.  The uni-links come one concept at a
 time, so ``cpl cycles`` streams them as ``cpl grid`` streams its rows.
 The forest reads the scene's relations itself and depends only on
-``ast``, ``graph`` and ``jsontext``.
+``ast`` and ``graph``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .ast import Relation, RelationKind, Rule, Scene, reverse_pairs
 # Unused here, but perfbench/tracing.py counts calls by rebinding this name.
 from .ast import is_reverse_pair  # noqa: F401
 from .graph import reachable, simple_cycles
-from .jsontext import dumps
 
 
 class Occurrence:
@@ -227,27 +226,6 @@ def nested_notation(forest: OccurrenceForest, sort_children: bool = False) -> st
             stack.append(")")
             push(item.children)
     return "".join(parts)
-
-
-class CrossLink(NamedTuple):
-    """Two occurrences of one concept under different parents."""
-
-    concept: str
-    parents: tuple[str | None, str | None]
-
-
-def cross_links(forest: OccurrenceForest) -> tuple[CrossLink, ...]:
-    links: list[CrossLink] = []
-    for concept in sorted(forest.occurrences):
-        occs = forest.occurrences[concept]
-        if len(occs) < 2:
-            continue
-        for a, b in combinations(occs, 2):
-            parents = tuple(sorted(
-                (o.parent.concept if o.parent else None for o in (a, b)),
-                key=lambda p: (p is not None, p)))
-            links.append(CrossLink(concept, parents))  # type: ignore[arg-type]
-    return tuple(links)
 
 
 class UniLink(NamedTuple):
@@ -508,41 +486,3 @@ def report_to_dot(scene: Scene, cycles: tuple[Cycle, ...]) -> str:
         lines.append(f'  "{name}" -> "{name}" [label="{",".join(cites)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def forest_to_json(forest: OccurrenceForest, report: CycleReport | None = None) -> str:
-    roots: list[dict] = []
-    # Each occurrence with the list its payload joins; children are pushed
-    # in reverse so that every list fills in placement order.
-    stack = [(root, roots) for root in reversed(forest.roots)]
-    while stack:
-        occ, siblings = stack.pop()
-        node: dict = {"concept": occ.concept, "origin": occ.origin}
-        if occ.contained:
-            node["contained"] = True
-        siblings.append(node)
-        if occ.children:
-            node["children"] = children = []
-            stack.extend((child, children) for child in reversed(occ.children))
-
-    payload = {
-        "format_version": 1,
-        "roots": roots,
-        "cross_links": [
-            {"concept": link.concept, "parents": list(link.parents)}
-            for link in cross_links(forest)
-        ],
-    }
-    if report is not None:
-        payload["uni_links"] = [
-            {"concept": link.concept,
-             "source_path": list(link.source_path),
-             "target_path": list(link.target_path)}
-            for link in report.uni_links
-        ]
-        payload["cycles"] = [
-            {"concepts": list(cycle.concepts), "kind": cycle.kind,
-             "rules": list(cycle.rules)}
-            for cycle in report.cycles
-        ]
-    return dumps(payload) + "\n"

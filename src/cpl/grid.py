@@ -217,11 +217,6 @@ def json_chunks(grid: FrequencyGrid, clustering: Clustering) -> Iterator[str]:
     yield ("\n  ]" if names else "") + ",\n" + tail[2:] + "\n"
 
 
-def to_json(grid: FrequencyGrid, clustering: Clustering) -> str:
-    """Grid and clustering as one JSON text."""
-    return "".join(json_chunks(grid, clustering))
-
-
 def ordered_clusters(
         clusters: tuple[tuple[str, ...], ...]) -> list[tuple[str, ...]]:
     """Largest cluster first, ties by smallest member name."""

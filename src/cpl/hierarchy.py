@@ -5,7 +5,7 @@ one node per concept, weighted by the co-occurrence counts.  The hierarchy
 is then grown from the rule paths, rooted at the strongest (most frequently
 used) concept: each rule's derived path is oriented so its end nearest the
 root comes first and is inserted link by link.  Because every concept
-keeps a single node, shared steps converge and the result is a DAG rather
+keeps a single node, shared links converge and the result is a DAG rather
 than a tree.  A rule that merely reverses an earlier one repeats a process
 and inserts nothing; it is known by its position in ``cpl.ast.reverse_pairs``,
 so equal scenes build equal hierarchies.
@@ -13,8 +13,10 @@ so equal scenes build equal hierarchies.
 Construction is sequential by contract: the trace logs every ensemble
 weight update and hierarchy insertion, and a hierarchy link only ever
 follows the ensemble update of its concept pair.  The build stores only the
-insertions, and where each rule's turn ends among them; the weight updates
-are recounted from the rules' left-hand sides when ``trace`` is read.
+rule cited by each link, and where each rule's turn ends among the links;
+when ``trace`` is read, the weight updates are recounted from the rules'
+left-hand sides, and each new node is logged just before the first link
+into it, which is where the builder adds it.
 
 The builder keeps a rank for every node such that every link runs from a
 lower to a higher rank; a new child takes the next rank.  A link whose
@@ -36,7 +38,6 @@ turn, pass after pass, until a pass places none.
 
 from __future__ import annotations
 
-import json
 from heapq import heappop, heappush
 from itertools import combinations
 from typing import NamedTuple
@@ -63,30 +64,38 @@ class Hierarchy(NamedTuple):
 
 
 class HierarchyBuild(NamedTuple):
-    """The hierarchy, and the node and edge ``steps`` that built it;
-    ``ends[i]`` counts the steps taken when ``rules[i]``'s turn ended."""
+    """The hierarchy, and the rule ``cites[k]`` that placed
+    ``hierarchy.edges[k]``; ``ends[i]`` counts the edges placed when
+    ``rules[i]``'s turn ended."""
 
     hierarchy: Hierarchy
     diagnostics: tuple[Diagnostic, ...]
     rules: tuple[Rule, ...]
-    steps: tuple[TraceEvent, ...]
+    cites: tuple[str, ...]
     ends: tuple[int, ...]
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
         """The construction log: for each rule in turn, its ensemble weight
-        updates, one per pair of its left-hand side, then its turn's steps.
-        Recounted on every read."""
+        updates, one per pair of its left-hand side, then its turn's edges,
+        each new node just before the first edge into it.  Recounted on
+        every read."""
         events: list[TraceEvent] = []
         running: dict[tuple[str, str], int] = {}
+        placed: set[str] = set()
+        edges = self.hierarchy.edges
         start = 0
         for rule, end in zip(self.rules, self.ends):
-            cite = rule.cite
             for a, b in combinations(rule.lhs_names(), 2):
                 pair = (a, b) if a < b else (b, a)
                 running[pair] = weight = running.get(pair, 0) + 1
-                events.append(TraceEvent("ensemble", cite, pair, weight))
-            events += self.steps[start:end]
+                events.append(TraceEvent("ensemble", rule.cite, pair, weight))
+            for edge, cite in zip(edges[start:end], self.cites[start:end]):
+                child = edge[1]
+                if child not in placed:
+                    placed.add(child)
+                    events.append(TraceEvent("node", cite, (child,)))
+                events.append(TraceEvent("edge", cite, edge))
             start = end
         return tuple(events)
 
@@ -121,7 +130,7 @@ def _repeat_rules(scene: Scene) -> set[int]:
 
 
 class _Builder:
-    __slots__ = ("depth", "rank", "children", "parents", "edges", "steps",
+    __slots__ = ("depth", "rank", "children", "parents", "edges", "cites",
                  "pending", "waiting", "woken", "inserting", "numbers")
 
     def __init__(self, root: str):
@@ -130,7 +139,7 @@ class _Builder:
         self.children: dict[str, dict[str, None]] = {root: {}}
         self.parents: dict[str, list[str]] = {root: []}
         self.edges: list[tuple[str, str]] = []
-        self.steps: list[TraceEvent] = []
+        self.cites: list[str] = []  # the rule placing each edge
         # Waiting paths by number and the numbers under each concept they
         # name.  A new node wakes the numbers under it into a heap of
         # (pass, number): those after the number being inserted join its
@@ -150,7 +159,6 @@ class _Builder:
             self.rank[child] = len(self.rank)
             self.children[child] = {}
             self.parents[child] = []
-            self.steps.append(TraceEvent("node", cite, (child,)))
             now, inserting = self.inserting
             for number in self.waiting.pop(child, ()):
                 if number in self.pending:
@@ -163,7 +171,7 @@ class _Builder:
         self.children[parent][child] = None
         self.parents[child].append(parent)
         self.edges.append((parent, child))
-        self.steps.append(TraceEvent("edge", cite, (parent, child)))
+        self.cites.append(cite)
 
     def rerank(self, parent: str, child: str) -> bool:
         """Ranks that let the link parent -> child rise; False, ranks
@@ -257,7 +265,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
                 if not builder.insert_path(path, rule.cite):
                     builder.wait(rule, path)
             builder.retry()
-        ends.append(len(builder.steps))
+        ends.append(len(builder.edges))
 
     diagnostics: list[Diagnostic] = []
     if builder.pending:
@@ -270,7 +278,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
 
     hierarchy = Hierarchy(root, tuple(builder.depth), tuple(builder.edges))
     return HierarchyBuild(hierarchy, tuple(diagnostics), scene.rules,
-                          tuple(builder.steps), tuple(ends))
+                          tuple(builder.cites), tuple(ends))
 
 
 def hierarchy_to_dot(build: HierarchyBuild) -> str:
@@ -285,21 +293,3 @@ def hierarchy_to_dot(build: HierarchyBuild) -> str:
         lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def hierarchy_to_json(build: HierarchyBuild, ensemble: FrequencyGrid) -> str:
-    payload = {
-        "format_version": 1,
-        "root": build.hierarchy.root,
-        "nodes": list(build.hierarchy.nodes),
-        "edges": [list(edge) for edge in build.hierarchy.edges],
-        "strengths": {
-            name: ensemble.strength(name) for name in ensemble.concepts},
-        "trace": [
-            {"kind": event.kind, "rule": event.rule,
-             "subject": list(event.subject),
-             **({"weight": event.weight} if event.kind == "ensemble" else {})}
-            for event in build.trace
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"

@@ -16,7 +16,8 @@ check as it stood before it compared sorted lists of term names: it
 compares ``Counter`` multisets, and conserves amounts with
 ``check_quantity``, this module's own copy of the checker's conservation
 rules: it picks the taken and the remainder term by index from the terms
-that write a last amount.  Nothing here comes from ``cpl.check``.  The
+that write a last amount.  Nothing but the ``Contradiction`` record
+comes from ``cpl.check``.  The
 forest oracles are
 ``build_forest`` and its ``_collect_edges`` as they stood before the forest
 was layered and placed in one walk each: they merge a raw edge list in a
@@ -33,6 +34,10 @@ ensemble argument lost its default when the ensemble became the grid.
 neighbour map directly: it formats every cell of the dense rows.
 ``to_json`` is the grid's JSON format as it stood before it streamed by
 row: one ``json.dumps`` of the whole payload.
+``scene_contradictions`` is the consistency check as it stood before each
+cycle's rules were found in one pass: it rescans every sorted edge of a
+kind once per cycle component, and finds the components with the
+recursive ``strongly_connected``.
 ``build_hierarchy`` takes its repeat rules from ``repeat_rules``, its
 left-hand sides from ``lhs_concepts`` and its root from ``select_root``, not
 from the code under test.  It returns an ``EagerBuild``: the hierarchy
@@ -52,18 +57,14 @@ helpers ``_subtree_occurrences``, ``_climb``, ``_tree_base``,
 ``_source_path`` and ``_target_path`` as they stood before the forest kept
 only each edge's origin and climbed each occurrence once to its base; they
 borrow no private name from ``cpl.forest``.
-``forest_to_json`` is the forest's JSON writer as it stood before it
-wrote its text with an explicit stack: it builds the nested payload
-recursively and hands it to ``json.dumps``.
 They recurse and rescan freely, so use them on small inputs only.
 
 The oracles borrow no code from ``cpl``: they import only the records
 they build and compare, ``RelationKind`` and the parser's ``KEYWORDS``
 (``tests/test_records.py`` reads the imports to hold this).  They keep
 their own copies of ``error``, ``normalize_relation``, ``derive_result``,
-``split_result``, ``reachable``, ``cross_links`` and the parser's
-``_Abort``, so a fault in one of those cannot hide in both sides of a
-differential test.
+``split_result``, ``reachable`` and the parser's ``_Abort``, so a fault
+in one of those cannot hide in both sides of a differential test.
 
 Every oracle reads a concept mention as what it now is, the declared name
 (``_names`` is the checker's term-to-names helper as it stood before terms
@@ -92,8 +93,8 @@ from cpl.ast import (
     Scene,
     Span,
 )
+from cpl.check import Contradiction
 from cpl.forest import (
-    CrossLink,
     Cycle,
     CycleReport,
     Occurrence,
@@ -154,19 +155,6 @@ def reachable(adjacency, starts) -> set[str]:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
-
-
-def cross_links(forest: OccurrenceForest) -> tuple[CrossLink, ...]:
-    """Every two occurrences of one concept, by concept, parents sorted
-    with a missing parent first."""
-    links: list[CrossLink] = []
-    for concept in sorted(forest.occurrences):
-        for a, b in combinations(forest.occurrences[concept], 2):
-            parents = tuple(sorted(
-                (o.parent.concept if o.parent else None for o in (a, b)),
-                key=lambda p: (p is not None, p)))
-            links.append(CrossLink(concept, parents))
-    return tuple(links)
 
 
 def strongly_connected(edges) -> list[list[str]]:
@@ -277,8 +265,8 @@ def to_csv(grid: FrequencyGrid) -> str:
 
 
 def to_json(grid: FrequencyGrid, clustering: Clustering) -> str:
-    """``grid.to_json`` as one ``json.dumps`` of the whole payload, the
-    dense rows of ``grid.counts`` included."""
+    """The text of ``grid.json_chunks`` as one ``json.dumps`` of the whole
+    payload, the dense rows of ``grid.counts`` included."""
     ordered = sorted(clustering.clusters, key=lambda c: (-len(c), min(c)))
     payload = {
         "format_version": 1,
@@ -897,6 +885,65 @@ def contradiction_span(scene: Scene, contradiction) -> Span:
     return span
 
 
+def _cites(rules) -> tuple[str, ...]:
+    """Each rule's cite once, in first-mention order."""
+    return tuple(dict.fromkeys(rule.cite for rule in rules))
+
+
+def scene_contradictions(scene: Scene) -> list[Contradiction]:
+    """Every cross-rule violation, sorted by kind and concepts; a cycle's
+    rules come from a rescan of every edge of its kind."""
+    sub_edges: dict[tuple[str, str], list[Rule]] = {}
+    assoc_edges: dict[frozenset[str], list[Rule]] = {}
+    contained_edges: dict[tuple[str, str], list[Rule]] = {}
+    for rule in scene.rules:
+        for rel in rule.relations:
+            if rel.kind is RelationKind.ASSOCIATION:
+                assoc_edges.setdefault(
+                    frozenset((rel.left, rel.right)), []).append(rule)
+            elif rel.kind is RelationKind.SUB_CONCEPT:
+                sub_edges.setdefault((rel.left, rel.right), []).append(rule)
+            else:
+                contained_edges.setdefault(
+                    (rel.left, rel.right), []).append(rule)
+    found: list[Contradiction] = []
+    for (child, parent), rules in sorted(sub_edges.items()):
+        reverse = sub_edges.get((parent, child))
+        if reverse and child < parent:
+            found.append(Contradiction(
+                "reversed-sub", (child, parent), _cites(rules + reverse),
+                f"'{child} < {parent}' ({_cites(rules)[0]}) contradicts "
+                f"'{parent} < {child}' ({_cites(reverse)[0]})"))
+    for pair, assoc_rules in sorted(assoc_edges.items(),
+                                    key=lambda item: sorted(item[0])):
+        a, b = sorted(pair)
+        for child, parent in ((a, b), (b, a)):
+            sub_rules = sub_edges.get((child, parent))
+            if sub_rules:
+                found.append(Contradiction(
+                    "sub-vs-assoc", (child, parent),
+                    _cites(sub_rules + assoc_rules),
+                    f"'{child} < {parent}' ({_cites(sub_rules)[0]}) "
+                    f"contradicts the association '{a} - {b}' "
+                    f"({_cites(assoc_rules)[0]})"))
+    for kind, edges, smallest, prefix in (
+            ("sub-cycle", sub_edges, 3, "sub-concept relations form"),
+            ("containment-cycle", contained_edges, 2, "containment forms")):
+        for component in strongly_connected(edges):
+            if len(component) < smallest:
+                continue
+            rules = []
+            for edge, edge_rules in sorted(edges.items()):
+                if edge[0] in component and edge[1] in component:
+                    rules.extend(edge_rules)
+            found.append(Contradiction(
+                kind, tuple(component), _cites(rules),
+                f"{prefix} a cycle through "
+                f"{', '.join(component)} ({', '.join(_cites(rules))})"))
+    found.sort(key=lambda c: (c.kind, c.concepts))
+    return found
+
+
 class _Edge(NamedTuple):
     parent: str
     child: str
@@ -1409,35 +1456,3 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
     unique = sorted(set(links),
                     key=lambda l: (l.concept, l.source_path, l.target_path))
     return CycleReport(tuple(unique), tuple(cycles))
-
-
-def forest_to_json(forest: OccurrenceForest, report: CycleReport | None = None) -> str:
-    def node(occ: Occurrence) -> dict:
-        payload: dict = {"concept": occ.concept, "origin": occ.origin}
-        if occ.contained:
-            payload["contained"] = True
-        if occ.children:
-            payload["children"] = [node(child) for child in occ.children]
-        return payload
-
-    payload = {
-        "format_version": 1,
-        "roots": [node(root) for root in forest.roots],
-        "cross_links": [
-            {"concept": link.concept, "parents": list(link.parents)}
-            for link in cross_links(forest)
-        ],
-    }
-    if report is not None:
-        payload["uni_links"] = [
-            {"concept": link.concept,
-             "source_path": list(link.source_path),
-             "target_path": list(link.target_path)}
-            for link in report.uni_links
-        ]
-        payload["cycles"] = [
-            {"concepts": list(cycle.concepts), "kind": cycle.kind,
-             "rules": list(cycle.rules)}
-            for cycle in report.cycles
-        ]
-    return json.dumps(payload, indent=2) + "\n"

@@ -23,7 +23,7 @@ from cpl.check import (
 from cpl.parser import format_scene, parse_scene
 
 import oracles
-from genhelpers import corrupt_results, make_entities, make_rule
+from genhelpers import corrupt_results, make_entities, make_rule, make_scene
 
 
 def scene_of(text):
@@ -304,12 +304,13 @@ def test_containment_cycle():
 
 def test_cycle_contradictions_in_order():
     """A sub-concept two-cycle is reported once, as reversed-sub; both
-    cycle kinds cite their rules in edge order."""
+    cycle kinds cite their rules in edge order, and an edge from one
+    cycle into another cites its rule in neither."""
     scene = scene_of(WRAP.format(
         rules="r1: P + T.W -> P.W.T where W in T, K < D;"
               " r2: W + T.P -> W.P.T where T in W, D < K;"
               " r3: P + K.D -> P.D.K where T < W, W < P, P < T,"
-              " P in K, K in P;"))
+              " P in K, K in P; r4: P + T.W -> P.W.T where T in K;"))
     assert scene_contradictions(scene) == [
         Contradiction("containment-cycle", ("Kitchen", "Pot"), ("r3",),
                       "containment forms a cycle through Kitchen, Pot (r3)"),
@@ -363,3 +364,30 @@ def test_adding_rules_never_removes_contradictions(scenes_dir):
     before = {(c.kind, frozenset(c.concepts)) for c in scene_contradictions(base)}
     after = {(c.kind, frozenset(c.concepts)) for c in scene_contradictions(grown)}
     assert before <= after
+
+
+def _grouped_scene(rng: random.Random) -> Scene:
+    """8 to 48 generated rules, each over one of eight groups of three
+    concepts, so that the relations close cycles of each kind in several
+    groups apart."""
+    entities = make_entities(rng, 24)
+    names = [c.name for c in entities]
+    groups = [names[i:i + 3] for i in range(0, len(names), 3)]
+    rules = tuple(make_rule(rng, rng.choice(groups), ordinal)
+                  for ordinal in range(1, rng.randint(8, 48) + 1))
+    return Scene("Grouped", tuple(entities), None, rules)
+
+
+@given(st.sampled_from([make_scene, _grouped_scene]),
+       st.integers(0, 10**9))
+def test_contradictions_match_oracle_rescan(make, seed):
+    scene = make(random.Random(seed))
+    assert scene_contradictions(scene) == oracles.scene_contradictions(scene)
+
+
+def test_contradictions_match_oracle_rescan_on_bundled_scenes(scenes_dir):
+    for path in sorted(scenes_dir.glob("*.cpl")):
+        scene = parse_scene(path.read_text(encoding="utf-8")).scene
+        if scene is not None:
+            assert scene_contradictions(scene) == \
+                oracles.scene_contradictions(scene)

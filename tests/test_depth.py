@@ -10,8 +10,8 @@ import oracles
 from cpl.ast import Diagnostic
 from cpl.check import check_all, check_scene, scene_contradictions, validate_rule
 from cpl.cli import main
-from cpl.forest import build_forest, extract_cycles, forest_to_json
-from cpl.grid import build_grid, cluster_scene, to_csv, to_json
+from cpl.forest import build_forest, extract_cycles
+from cpl.grid import build_grid, cluster_scene, to_csv
 from cpl.hierarchy import build_ensemble, build_hierarchy
 from cpl.parser import parse_scene
 
@@ -72,6 +72,25 @@ def contradiction_source(n: int) -> str:
         a, b = f"A{i:05d}", f"B{i:05d}"
         lines.append(f"    f{i}: H + {b}.{a} -> H.{a}.{b} where {a} < {b};")
         lines.append(f"    g{i}: H + {a}.{b} -> H.{b}.{a} where {b} < {a};")
+    lines.extend(["  }", "}"])
+    return "\n".join(lines) + "\n"
+
+
+def cycle_source(n: int) -> str:
+    """A hub ``H`` and, for each ``i < n``, its own two cycles: rule
+    ``p{i}`` declares ``P{i} in Q{i}`` and rule ``q{i}`` ``Q{i} in P{i}``,
+    a containment two-cycle, and rule ``s{i}`` declares
+    ``C{i} < D{i} < E{i} < C{i}``, a sub-concept three-cycle."""
+    lines = ["scene Cycles {", "  entities {", "    H;"]
+    for i in range(n):
+        lines.extend(f"    {letter}{i:05d};" for letter in "PQCDE")
+    lines.extend(["  }", "  rules {"])
+    for i in range(n):
+        p, q, c, d, e = (f"{letter}{i:05d}" for letter in "PQCDE")
+        lines.append(f"    p{i}: H + {q}.{p} -> H.{p}.{q} where {p} in {q};")
+        lines.append(f"    q{i}: H + {p}.{q} -> H.{q}.{p} where {q} in {p};")
+        lines.append(f"    s{i}: H + {d}.{c} -> H.{c}.{d} "
+                     f"where {c} < {d} < {e} < {c};")
     lines.extend(["  }", "}"])
     return "\n".join(lines) + "\n"
 
@@ -199,7 +218,7 @@ def test_deep_chain_grid_json_cli_writes_one_row_at_a_time(tmp_path, monkeypatch
     out = _WriteCounter()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["grid", str(path), "--format", "json"]) == 0
-    assert out.getvalue() == to_json(freq, clustering)
+    assert out.getvalue() == oracles.to_json(freq, clustering)
     assert out.writes == len(freq.concepts) + 2
 
 
@@ -257,18 +276,6 @@ def test_deep_chain_cycles_cli(capsys, tmp_path, flags):
         assert links.count("\n") == 1 + len(names)
 
 
-def test_deep_chain_forest_json():
-    """5000 links: the chain's bottom concept is written 5000 levels down,
-    four columns of indentation per level, inside its root's dict."""
-    scene = deep_chain_scene(5000)
-    forest = build_forest(scene)
-    text = forest_to_json(forest, extract_cycles(scene, forest))
-    assert text.startswith('{\n  "format_version": 1,\n')
-    assert text.endswith("\n}\n")
-    assert text.count('"concept": "C') == 5001
-    assert '\n' + ' ' * (6 + 4 * 5000) + '"concept": "C00000",\n' in text
-
-
 def test_reversed_pairs_place_each_message_at_its_last_rule():
     """Each contradiction is positioned at the last rule it cites, as the
     oracle's rescan of every rule finds it."""
@@ -281,6 +288,21 @@ def test_reversed_pairs_place_each_message_at_its_last_rule():
     g0 = scene.rules[1]
     assert check_scene(scene)[0] == Diagnostic(
         contradictions[0].message, g0.span.line, g0.span.column)
+
+
+def test_cycles_find_their_rules_as_the_oracle_rescan_does():
+    """Each cycle cites its own rules, found in one pass over the edges;
+    each message is placed at the last rule it cites."""
+    scene = parse_scene(cycle_source(40)).scene
+    contradictions = scene_contradictions(scene)
+    assert contradictions == oracles.scene_contradictions(scene)
+    assert [c.kind for c in contradictions] == (
+        ["containment-cycle"] * 40 + ["sub-cycle"] * 40)
+    assert contradictions[0].rules == ("p0", "q0")
+    assert contradictions[40].rules == ("s0",)
+    assert check_scene(scene) == [
+        oracles.error(c.message, oracles.contradiction_span(scene, c))
+        for c in contradictions]
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 import sys
 from pathlib import Path
@@ -15,7 +14,6 @@ from cpl.hierarchy import (
     build_ensemble,
     build_hierarchy,
     hierarchy_to_dot,
-    hierarchy_to_json,
     select_root,
 )
 from cpl.parser import format_scene, parse_scene
@@ -165,18 +163,30 @@ def test_build_is_deterministic(cooking_scene):
 
 
 def test_build_stores_no_ensemble_event(cooking_scene):
+    """The build stores one cite per edge and no event at all."""
     build = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
-    assert build.steps
-    assert {event.kind for event in build.steps} == {"node", "edge"}
+    assert len(build.cites) == len(build.hierarchy.edges)
+    assert set(build.cites) <= {rule.cite for rule in cooking_scene.rules}
     assert len(build.ends) == len(build.rules) == len(cooking_scene.rules)
-    assert build.ends[-1] == len(build.steps)
+    assert build.ends[-1] == len(build.hierarchy.edges)
 
 
 def test_trace_reads_the_same_twice(cooking_scene):
+    """Read twice, the trace replays the same edges with their cites, each
+    new node just before the first edge into it."""
     build = build_hierarchy(cooking_scene, build_ensemble(cooking_scene))
     first, second = build.trace, build.trace
     assert first == second
-    assert [e for e in first if e.kind != "ensemble"] == list(build.steps)
+    edges = [e for e in first if e.kind == "edge"]
+    assert [e.subject for e in edges] == list(build.hierarchy.edges)
+    assert [e.rule for e in edges] == list(build.cites)
+    nodes = [e for e in first if e.kind == "node"]
+    assert [e.subject[0] for e in nodes] == list(build.hierarchy.nodes[1:])
+    for at, event in enumerate(first):
+        if event.kind == "node":
+            after = first[at + 1]
+            assert after.kind == "edge" and after.rule == event.rule
+            assert after.subject[1] == event.subject[0]
 
 
 @given(st.integers(0, 10**9))
@@ -203,24 +213,16 @@ def test_dot_has_root_at_bottom(cooking_scene):
     assert '"Pot" [shape=doubleoctagon]' in dot
 
 
-def test_json_round_trips_trace(cooking_scene):
-    ensemble = build_ensemble(cooking_scene)
-    build = build_hierarchy(cooking_scene, ensemble)
-    payload = json.loads(hierarchy_to_json(build, ensemble))
-    assert payload["format_version"] == 1
-    assert payload["root"] == "Pot"
-    assert ["Pot", "Water"] in payload["edges"]
-    assert payload["strengths"]["Pot"] == 12
-    assert len(payload["trace"]) == len(build.trace)
-
-
-def test_json_on_cooking_is_pinned(cooking_scene):
-    """Recounting the trace when it is read changes no byte."""
-    ensemble = build_ensemble(cooking_scene)
-    text = hierarchy_to_json(build_hierarchy(cooking_scene, ensemble), ensemble)
-    assert len(text) == 5401
+def test_trace_on_cooking_is_pinned(cooking_scene):
+    """Replaying the trace from the stored cites changes no event: one
+    line per event, its kind, rule, subject and weight."""
+    trace = build_hierarchy(cooking_scene, build_ensemble(cooking_scene)).trace
+    text = "".join(f"{event.kind} {event.rule} {' '.join(event.subject)} "
+                   f"{event.weight}\n" for event in trace)
+    assert len(trace) == 38
+    assert len(text) == 817
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "eb70cf45830c18fbe8d6c36288d414219b296b248b60a40145a78f5e17c96475")
+        "a91b7674d4d0deab3bc63ff18eb2218c3ac4e57e344e37f70309591ab0d9e113")
 
 
 @given(st.integers(0, 10**9))

@@ -28,7 +28,6 @@ from cpl.ast import (
 )
 from cpl.check import Contradiction
 from cpl.forest import (
-    CrossLink,
     Cycle,
     CycleReport,
     Occurrence,
@@ -58,14 +57,13 @@ RECORDS = [
     ParseResult(None, ()),
     Contradiction("sub-cycle", ("Alpha", "Beta"), ("r",), "message"),
     Clustering((("Alpha", "Beta"),)),
-    CrossLink("Alpha", (None, "Beta")),
     UniLink("Alpha", ("Beta", "Alpha"), ("Alpha",)),
     Cycle(("Alpha", "Beta"), "reverse-pair", ("r",)),
     CycleReport((), ()),
     OccurrenceForest([], {}, {}),
     TraceEvent("edge", "r", ("Alpha", "Beta")),
     HIERARCHY,
-    HierarchyBuild(HIERARCHY, (), (RULE,), (), (0,)),
+    HierarchyBuild(HIERARCHY, (), (RULE,), ("r",), (1,)),
     RankedFeature("f", 2),
     ALPHA,
     Relation(RelationKind.SUB_CONCEPT, A, B),
@@ -97,14 +95,17 @@ def test_spans_and_ordinals_stay_out_of_equality():
 
 
 def test_hierarchy_build_compares_only_what_it_stores():
-    """The trace is derived when read, so it is no field of its own."""
-    step = TraceEvent("node", "r", ("Beta",))
-    build = HierarchyBuild(HIERARCHY, (), (RULE,), (step,), (1,))
-    assert "trace" not in HierarchyBuild._fields
+    """The trace is derived when read, so it is no field of its own; the
+    build stores the rule cited by each edge."""
+    build = HierarchyBuild(HIERARCHY, (), (RULE,), ("r",), (1,))
+    assert HierarchyBuild._fields == ("hierarchy", "diagnostics", "rules",
+                                      "cites", "ends")
     assert build == HierarchyBuild(*build)
     assert hash(build) == hash(HierarchyBuild(*build))
+    assert build.trace[-2:] == (TraceEvent("node", "r", ("Beta",)),
+                                TraceEvent("edge", "r", ("Alpha", "Beta")))
     for name, value in {"diagnostics": (Diagnostic("m", 1, 1),),
-                        "rules": (), "steps": (), "ends": (0,)}.items():
+                        "rules": (), "cites": ("s",), "ends": (0,)}.items():
         assert build._replace(**{name: value}) != build, name
 
 
