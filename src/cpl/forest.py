@@ -33,17 +33,18 @@ from .graph import reachable, simple_cycles
 
 class Occurrence:
     """One placement of a concept; at most one parent, children in
-    placement order.  Occurrences compare by identity."""
+    placement order.  Only a primary occurrence takes children, so every
+    other one shares the empty tuple.  Occurrences compare by identity."""
 
     __slots__ = ("concept", "parent", "origin", "contained", "children")
 
     def __init__(self, concept: str, parent: Occurrence | None, origin: str,
-                 contained: bool = False) -> None:
+                 contained: bool = False, primary: bool = True) -> None:
         self.concept = concept
         self.parent = parent
         self.origin = origin
         self.contained = contained
-        self.children: list[Occurrence] = []
+        self.children: list[Occurrence] | tuple[()] = [] if primary else ()
 
 
 class OccurrenceForest(NamedTuple):
@@ -136,15 +137,16 @@ def build_forest(scene: Scene) -> OccurrenceForest:
     for parent, child in merged:
         children.setdefault(parent, []).append(child)
     reached = reachable(children, root_names)
-    while unreachable := set(used) - reached:
-        name = min(unreachable)
+    for name in sorted(set(used) - reached):
+        if name in reached:
+            continue
         if root_name is not None:
             merged[root_name, name] = "root"
             free[root_name, name] = len(free)
             children.setdefault(root_name, []).append(name)
         else:
             root_names.append(name)
-        reached |= reachable(children, [name])
+        reachable(children, [name], reached)
 
     # Layer concepts outward from the roots, one frontier per round; a
     # concept's primary placement is its first non-containment edge from
@@ -189,10 +191,12 @@ def build_forest(scene: Scene) -> OccurrenceForest:
 
     for i, key in sorted(enumerate(merged), key=placement):
         parent, child = key
-        occ = Occurrence(child, primary[parent], merged[key], key not in free)
+        is_primary = at.get(child) == i
+        occ = Occurrence(child, primary[parent], merged[key], key not in free,
+                         is_primary)
         primary[parent].children.append(occ)
         occurrences.setdefault(child, []).append(occ)
-        if at.get(child) == i:
+        if is_primary:
             primary[child] = occ
 
     return OccurrenceForest(roots, occurrences, primary)
@@ -337,8 +341,19 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
             if rel.kind is RelationKind.ASSOCIATION:
                 by_left.setdefault(rel.left, []).append(len(associations))
                 associations.append((rule, rel))
+    # The occurrences strictly above an association's left end, marked
+    # upward until an already marked one; no walk starts anywhere else.
+    above: set[Occurrence] = set()
+    for name in by_left:
+        for occ in forest.occurrences[name]:
+            node = occ.parent
+            while node is not None and node not in above:
+                above.add(node)
+                node = node.parent
     for looped, loop_rule in loops.items():
         anchor = forest.primary[looped]
+        if anchor not in above:
+            continue
         below = _subtree_occurrences(anchor)
         for index in sorted(index for name in below
                             for index in by_left.get(name, ())):
@@ -406,12 +421,13 @@ def uni_links(forest: OccurrenceForest, cycles: tuple[Cycle, ...]):
         occs = forest.occurrences.get(concept, ())
         source = {occ: tuple(reversed(_base_path(forest, occ, multi)))
                   for occ in occs}
-        links = {UniLink(concept, source[occ], (concept,))
+        role = (concept,)
+        links = {UniLink(concept, source[occ], role)
                  for occ in occs if concept in in_cycle}
         if concept in multi:
             prim = forest.primary[concept]
             # The primary's own climb, short of its base.
-            target = source[prim][:0:-1] or (concept,)
+            target = source[prim][:0:-1] or role
             links.update(UniLink(concept, source[occ], target)
                          for occ in occs if occ is not prim)
         yield from sorted(links)

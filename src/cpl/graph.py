@@ -62,10 +62,15 @@ def strongly_connected(
 
 
 def reachable(adjacency: Mapping[str, Iterable[str]],
-              starts: Iterable[str]) -> set[str]:
-    """The starts plus every node a path leads to from one of them."""
-    seen = set(starts)
-    frontier = list(seen)
+              starts: Iterable[str], seen: set[str] | None = None) -> set[str]:
+    """The starts plus every node a path leads to from one of them.
+
+    Given ``seen``, the walk enters no node already in it, adds every
+    node it enters to it and returns that set, so calls that share one
+    set walk each node once between them."""
+    seen = set() if seen is None else seen
+    frontier = [node for node in starts if node not in seen]
+    seen.update(frontier)
     while frontier:
         for nxt in adjacency.get(frontier.pop(), ()):
             if nxt not in seen:

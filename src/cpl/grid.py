@@ -181,13 +181,23 @@ def cluster_scene(scene: Scene) -> tuple[FrequencyGrid, Clustering]:
     return grid, Clustering(clustering.clusters, links)
 
 
+def _cells(grid: FrequencyGrid, column: dict[str, int],
+           name: str) -> list[str]:
+    """The row of ``name`` as text: "0" in every column, then each nonzero
+    count written at its neighbour's column."""
+    cells = ["0"] * len(column)
+    for b, count in grid.neighbours[name].items():
+        cells[column[b]] = str(count)
+    return cells
+
+
 def csv_lines(grid: FrequencyGrid) -> Iterator[str]:
     """Grid as CSV, one line at a time; the diagonal is left empty."""
     names = grid.concepts
+    column = {name: i for i, name in enumerate(names)}
     yield "," + ",".join(names) + "\n"
     for i, name in enumerate(names):
-        near = grid.neighbours[name]
-        cells = [str(near[b]) if b in near else "0" for b in names]
+        cells = _cells(grid, column, name)
         cells[i] = ""
         yield name + "," + ",".join(cells) + "\n"
 
@@ -202,6 +212,7 @@ def json_chunks(grid: FrequencyGrid, clustering: Clustering) -> Iterator[str]:
     one dense count row at a time; the keys before and after the counts
     come from ``json.dumps`` itself."""
     names = grid.concepts
+    column = {name: i for i, name in enumerate(names)}
     head = json.dumps({"format_version": 1, "concepts": list(names)}, indent=2)
     tail = json.dumps({
         "clusters": [sorted(cluster)
@@ -211,8 +222,7 @@ def json_chunks(grid: FrequencyGrid, clustering: Clustering) -> Iterator[str]:
     # Drop the head's closing "\n}" and the tail's opening "{\n".
     yield head[:-2] + ',\n  "counts": [' + ("" if names else "]")
     for i, name in enumerate(names):
-        near = grid.neighbours[name]
-        cells = ",\n      ".join(str(near.get(b, 0)) for b in names)
+        cells = ",\n      ".join(_cells(grid, column, name))
         yield ("," if i else "") + "\n    [\n      " + cells + "\n    ]"
     yield ("\n  ]" if names else "") + ",\n" + tail[2:] + "\n"
 

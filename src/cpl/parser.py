@@ -120,6 +120,10 @@ class _Parser:
         self.diagnostics: list[Diagnostic] = []
         self.entities: dict[str, str] = {}  # name or alias -> declared name
         self.declared: list[ConceptId] = []
+        # Equal values a scene repeats, held once: the ``(name,)`` outputs
+        # of a declared concept and the all-``None`` amounts of a length.
+        self.singles: dict[str, tuple[str]] = {}
+        self.blanks: dict[int, tuple[None, ...]] = {}
 
     # token helpers
 
@@ -177,6 +181,16 @@ class _Parser:
             self.report(f"unknown entity {text!r}", pos)
             return text
         return name
+
+    def single(self, name: str) -> tuple[str]:
+        """The one ``(name,)`` of a declared concept; an unknown name,
+        already reported, is not kept."""
+        one = self.singles.get(name)
+        if one is None:
+            one = (name,)
+            if name in self.entities:
+                self.singles[name] = one
+        return one
 
     def resolve_ident(self, what: str) -> str:
         # A declared name is an IDENT, so a hit needs no further check.
@@ -258,7 +272,7 @@ class _Parser:
             self.report("a self-loop rule cannot declare relations", self.pos)
             self.skip_to_semi()
         self.expect(";")
-        return Rule(label, (self.resolve(first),), (), (), (),
+        return Rule(label, self.single(self.resolve(first)), (), (), (),
                     ordinal=ordinal, span=self.span(first))
 
     def skip_to_semi(self) -> None:
@@ -268,10 +282,11 @@ class _Parser:
     def parse_triple(self, label: str | None, ordinal: int,
                      first: int, start: int) -> Rule:
         texts = self.texts
-        outputs = [self.resolve(first)]
+        names = [self.resolve(first)]
         while texts[self.pos] == "^":
             self.pos += 1
-            outputs.append(self.resolve_ident("output entity"))
+            names.append(self.resolve_ident("output entity"))
+        outputs = self.single(names[0]) if len(names) == 1 else tuple(names)
         self.expect("+")
         chains = [self.parse_chain()]
         while texts[self.pos] == "^":
@@ -290,7 +305,7 @@ class _Parser:
                 self.pos += 1
                 relations.extend(self.parse_relation_chain())
         self.expect(";")
-        return Rule(label, tuple(outputs), tuple(chains), tuple(terms),
+        return Rule(label, outputs, tuple(chains), tuple(terms),
                     tuple(relations), ordinal=ordinal, span=self.span(start))
 
     def parse_chain(self) -> Chain:
@@ -322,7 +337,12 @@ class _Parser:
             qtys.append(self.parse_qty() if texts[self.pos] == "(" else None)
         if len(concepts) < 2:
             self.report("a result term needs at least two entities", self.pos)
-        return ResultTerm(tuple(concepts), tuple(qtys))
+        if any(qtys):
+            return ResultTerm(tuple(concepts), tuple(qtys))
+        blank = self.blanks.get(len(qtys))
+        if blank is None:
+            blank = self.blanks[len(qtys)] = (None,) * len(qtys)
+        return ResultTerm(tuple(concepts), blank)
 
     def parse_qty(self) -> Amount:
         self.pos += 1  # the "(" its callers found

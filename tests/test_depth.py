@@ -45,6 +45,31 @@ def deep_loop_source(depth: int) -> str:
     ).replace("  }\n}\n", f"    loop: {top} -> {top};\n  }}\n}}\n")
 
 
+def looped_chain_source(depth: int) -> str:
+    """The deep chain with a self-loop ``loop{i}`` on every chain concept
+    and no association, so no loop closes a walk."""
+    loops = "".join(f"    loop{i}: C{i:05d} -> C{i:05d};\n"
+                    for i in range(depth + 1))
+    return deep_chain_source(depth).replace("  }\n}\n", loops + "  }\n}\n")
+
+
+def mixed_source(n: int) -> str:
+    """``n`` pairs nested both ways by mixed relations and no root: rule
+    ``s{i}`` declares ``B{i} < A{i}`` and rule ``c{i}`` ``A{i} in B{i}``,
+    so every pair is a cycle no edge enters and each ``A{i}`` is promoted
+    to a root of its own."""
+    lines = ["scene Mixed {", "  entities {"]
+    for i in range(n):
+        lines.extend(f"    {letter}{i:05d};" for letter in "ABX")
+    lines.extend(["  }", "  rules {"])
+    for i in range(n):
+        a, b, x = (f"{letter}{i:05d}" for letter in "ABX")
+        lines.append(f"    s{i}: {a} + {b}.{x} -> {a}.{x}.{b} where {b} < {a};")
+        lines.append(f"    c{i}: {b} + {a}.{x} -> {b}.{x}.{a} where {a} in {b};")
+    lines.extend(["  }", "}"])
+    return "\n".join(lines) + "\n"
+
+
 def fan_source(n: int) -> str:
     """A hub ``H`` and ``n`` spoke pairs ``L``, ``M``: rule ``r{i}`` is
     ``H + L{i}.M{i} -> H.M{i}.L{i}``, so every count is 1, every pair is a

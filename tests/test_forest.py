@@ -17,10 +17,11 @@ from cpl.forest import (
     forest_to_dot,
     nested_notation,
 )
-from cpl.parser import parse_scene
+from cpl.parser import format_scene, parse_scene
 
 from genhelpers import make_reverse_scene, make_scene
-from test_depth import deep_chain_scene, deep_loop_source
+from test_depth import (deep_chain_scene, deep_loop_source,
+                        looped_chain_source, mixed_source)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(REPO_ROOT / "perfbench"))
@@ -84,7 +85,8 @@ def test_contained_occurrence_is_a_leaf(cooking_scene):
     under_cupboard = [occ for occ in forest.occurrences["Pot"]
                       if occ.parent and occ.parent.concept == "Cupboard"]
     assert len(under_cupboard) == 1
-    assert under_cupboard[0].children == []
+    assert not under_cupboard[0].children
+    assert forest.primary["Pot"] is not under_cupboard[0]
     assert under_cupboard[0].contained
 
 
@@ -348,6 +350,47 @@ def test_cycles_match_oracle_on_workload_scenes(shape, seed):
     """Workload-shaped scenes, self-loops and associations included."""
     assert_cycles_match_oracle(
         scene_of(scenegen.generate(random.Random(seed), *shape).text))
+
+
+@pytest.mark.parametrize("source", [
+    mixed_source(1), mixed_source(40), looped_chain_source(300),
+    looped_chain_source(60).replace(
+        "C00000 < C00001 < C00002;",
+        "C00000 < C00001 < C00002, C00000 - C00002;"),
+], ids=["mixed-1", "mixed-40", "looped-chain", "looped-chain-association"])
+def test_promoted_and_looped_scenes_match_oracles(source):
+    """Pairs no edge enters, each promoted to a root, and a chain with a
+    self-loop on every concept, with no association or one at its bottom."""
+    scene = scene_of(source)
+    assert_forest_matches_oracle(scene)
+    assert_cycles_match_oracle(scene)
+
+
+def test_rule_dense_scene_holds_each_repeated_value_once():
+    """A concept's single output, the amounts of a term that writes none,
+    the children of a non-primary occurrence and a concept's role in its
+    uni-links are one object each, and the scene still round-trips."""
+    scene = scene_of(scenegen.generate(random.Random(1), 24, 200, 0.30, 0.05).text)
+    assert parse_scene(format_scene(scene)).scene == scene
+
+    def shared(values):
+        """The values fall into fewer groups of equals than there are
+        values, and each group is one object."""
+        first = {}
+        for value in values:
+            assert first.setdefault(value, value) is value
+        return len(first) < len(values)
+
+    rules = scene.rules
+    assert shared([rule.outputs for rule in rules if len(rule.outputs) == 1])
+    assert shared([term.qtys for rule in rules for term in rule.declared_results
+                   if not any(term.qtys)])
+    forest = build_forest(scene)
+    assert shared([occ.children for occs in forest.occurrences.values()
+                   for occ in occs if forest.primary[occ.concept] is not occ])
+    report = extract_cycles(scene, forest)
+    assert shared([link.target_path for link in report.uni_links
+                   if link.target_path == (link.concept,)])
 
 
 def test_cycles_match_oracle_on_deep_loop():

@@ -47,6 +47,31 @@ def test_reachable_matches_fixpoint_closure(graph_case, data):
             == oracles.closure(edges, starts))
 
 
+class _Entered(dict):
+    """An adjacency that records the nodes a walk enters."""
+
+    def __init__(self, adjacency):
+        super().__init__(adjacency)
+        self.entered = []
+
+    def get(self, node, default=None):
+        self.entered.append(node)
+        return super().get(node, default)
+
+
+@given(digraphs(), st.data())
+def test_reachable_extends_seen_without_entering_it(graph_case, data):
+    nodes, edges = graph_case
+    first = data.draw(st.sets(st.sampled_from(nodes)))
+    starts = data.draw(st.sets(st.sampled_from(nodes)))
+    seen = graph.reachable(adjacency_of(edges), first)
+    before = set(seen)
+    adjacency = _Entered(adjacency_of(edges))
+    assert graph.reachable(adjacency, starts, seen) is seen
+    assert seen == oracles.closure(edges, first | starts)
+    assert sorted(adjacency.entered) == sorted(seen - before)
+
+
 @given(digraphs())
 def test_reachable_matches_edge_scan(graph_case):
     nodes, edges = graph_case
