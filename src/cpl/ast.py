@@ -4,10 +4,10 @@ A scene is a named set of declared concepts plus an ordered list of rules.
 Each non-self-loop rule says: one or more output concepts receive the value
 change of an effector, delivered through an input chain that starts at a
 source concept and ends at the effector.  The derivation algebra below turns
-the left-hand side of such a rule into its expected result terms; a rule's
-shape tells which rules reverse each other, and ``reverse_pairs`` finds
-those pairs once, by position.  The parser and every derivation share
-this module alone, diagnostics included.
+the left-hand side of such a rule into its expected result terms;
+``is_reverse_pair`` tells whether two rules reverse each other, and
+``reverse_pairs`` finds those pairs once, by position.  The parser and
+every derivation share this module alone, diagnostics included.
 
 A concept is declared once, as a ``ConceptId`` in ``Scene.entities``: its
 name and its optional alias live there only.  Every mention of a concept
@@ -193,14 +193,6 @@ class Rule(NamedTuple):
             names += chain.elements
         return tuple(dict.fromkeys(names))
 
-    def shape(self) -> tuple[str, str, tuple[str, ...]] | None:
-        """(output, source, chain tail) of a rule with one output and one
-        chain; None for any other rule, self-loops included."""
-        if len(self.outputs) != 1 or len(self.inputs) != 1:
-            return None
-        elements = self.inputs[0].elements
-        return self.outputs[0], elements[0], elements[1:]
-
 
 class Scene(NamedTuple):
     """A named rule set over declared concepts, optionally rooted in an
@@ -277,26 +269,33 @@ def split_result(outputs: tuple[str, ...] | list[str],
 def is_reverse_pair(a: Rule, b: Rule) -> bool:
     """True when ``b`` re-states ``a`` with output and source swapped.
 
-    Only defined for distinct rules with mirrored shapes (``Rule.shape``).
+    Only defined for distinct rules of one output and one chain each.
     Such a pair marks a repeatable process rather than new structure.
     """
-    if a is b or (shape := b.shape()) is None:
+    if (a is b or len(a.outputs) != 1 or len(a.inputs) != 1
+            or len(b.outputs) != 1 or len(b.inputs) != 1):
         return False
-    output, source, tail = shape
-    return a.shape() == (source, output, tail)
+    elements = a.inputs[0].elements
+    return (b.outputs[0] == elements[0]
+            and b.inputs[0].elements == (a.outputs[0],) + elements[1:])
 
 
 def reverse_pairs(rules: tuple[Rule, ...]) -> list[tuple[int, int]]:
     """Positions ``(i, j)``, ``i < j``, of every two rules that reverse each
     other, ordered by ``i`` and then ``j``.
 
-    Rules are bucketed by ``Rule.shape``: the rules that reverse a rule are
-    exactly those under its shape with output and source swapped.
+    Rules of one output and one chain are bucketed by that output, then by
+    the chain's elements, so no key is built per rule: the rules that
+    reverse a rule are those under its chain's source, then under its chain
+    with the output in place of the source.
     """
-    buckets: dict[tuple[str, str, tuple[str, ...]], list[int]] = {}
+    buckets: dict[str, dict[tuple[str, ...], list[int]]] = {}
     for j, rule in enumerate(rules):
-        if (shape := rule.shape()) is not None:
-            buckets.setdefault(shape, []).append(j)
-    return sorted((i, j) for (output, source, tail), earlier in buckets.items()
-                  for j in buckets.get((source, output, tail), ())
+        if len(rule.outputs) == 1 and len(rule.inputs) == 1:
+            buckets.setdefault(rule.outputs[0], {}).setdefault(
+                rule.inputs[0].elements, []).append(j)
+    return sorted((i, j) for output, chains in buckets.items()
+                  for elements, earlier in chains.items()
+                  for j in buckets.get(elements[0], {}).get(
+                      (output,) + elements[1:], ())
                   for i in earlier if i < j)

@@ -22,7 +22,8 @@ The forest reads the scene's relations itself and depends only on
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, combinations
+from itertools import combinations
+from operator import attrgetter
 from typing import NamedTuple
 
 from .ast import Relation, RelationKind, Rule, Scene, reverse_pairs
@@ -185,13 +186,13 @@ def build_forest(scene: Scene) -> OccurrenceForest:
         occurrences[name].append(occ)
         roots.append(occ)
 
-    def placement(item: tuple[int, tuple[str, str]]) -> tuple[int, int]:
-        i, (parent, _) = item
-        return rounds[parent] + (i < at[parent]), i
+    def placement(key: tuple[str, str]) -> int:
+        parent, i = key[0], position[key]
+        return (rounds[parent] + (i < at[parent])) * len(merged) + i
 
-    for i, key in sorted(enumerate(merged), key=placement):
+    for key in sorted(merged, key=placement):
         parent, child = key
-        is_primary = at.get(child) == i
+        is_primary = at.get(child) == position[key]
         occ = Occurrence(child, primary[parent], merged[key], key not in free,
                          is_primary)
         primary[parent].children.append(occ)
@@ -284,7 +285,9 @@ def process_edges(scene: Scene) -> tuple[dict[tuple[str, str], tuple[str, ...]],
     )
 
 
-def _pair_cycles(pair: tuple[Rule, Rule]) -> list[Cycle]:
+def _pair_cycles(pair: tuple[Rule, Rule], found: dict[tuple, Cycle]) -> None:
+    """Add each new cycle under its walk, rooted at its least name and so
+    its least rotation.  A simple cycle names each concept once."""
     adjacency: dict[str, set[str]] = {}
     outputs = {rule.outputs[0] for rule in pair}
     for rule in pair:
@@ -293,15 +296,11 @@ def _pair_cycles(pair: tuple[Rule, Rule]) -> list[Cycle]:
             adjacency.setdefault(a, set()).add(b)
             adjacency.setdefault(b, set())
     cites = tuple(sorted(rule.cite for rule in pair))
-    found = []
     for walk in simple_cycles(adjacency):
-        anchors = [name for name in walk if name in outputs]
-        if anchors:
-            # A simple cycle names each concept once.
-            pivot = walk.index(min(anchors))
-            walk = walk[pivot:] + walk[:pivot]
-        found.append(Cycle(walk, "reverse-pair", cites))
-    return found
+        if walk not in found:
+            pivot = walk.index(min(outputs.intersection(walk), default=walk[0]))
+            found[walk] = Cycle(walk[pivot:] + walk[:pivot], "reverse-pair",
+                                cites)
 
 
 def _subtree_occurrences(root: Occurrence) -> dict[str, Occurrence]:
@@ -402,13 +401,14 @@ def find_cycles(scene: Scene, forest: OccurrenceForest) -> tuple[Cycle, ...]:
     when several reverse pairs, or several rules under a self-loop, give
     the same cycle, the first in scene order is the one reported.
     """
-    rules = scene.rules
-    first: dict[tuple[tuple[str, ...], str], Cycle] = {}
-    pair_cycles = (cycle for i, j in reverse_pairs(rules)
-                   for cycle in _pair_cycles((rules[i], rules[j])))
-    for cycle in chain(pair_cycles, _loop_cycles(scene, forest)):
-        first.setdefault((_rotation_key(cycle.concepts), cycle.kind), cycle)
-    return tuple(sorted(first.values(), key=lambda c: (c.kind, c.concepts)))
+    rules, pairs, loops = scene.rules, {}, {}
+    for i, j in reverse_pairs(rules):
+        _pair_cycles((rules[i], rules[j]), pairs)
+    for cycle in _loop_cycles(scene, forest):
+        loops.setdefault(_rotation_key(cycle.concepts), cycle)
+    walk = attrgetter("concepts")
+    return (*sorted(pairs.values(), key=walk),
+            *sorted(loops.values(), key=walk))
 
 
 def uni_links(forest: OccurrenceForest, cycles: tuple[Cycle, ...]):

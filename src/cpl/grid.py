@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .ast import Scene
@@ -170,7 +171,9 @@ def secondary_links(grid: FrequencyGrid,
         for b, count in near.items()
         if a < b and member_cluster[a] != member_cluster[b]
     ]
-    links.sort(key=lambda link: (-link[2], link[0], link[1]))
+    # Name order first; the stable sort by count keeps it within each count.
+    links.sort()
+    links.sort(key=itemgetter(2), reverse=True)
     return tuple(links)
 
 

@@ -7,7 +7,7 @@ recursive acyclicity test as they stood before the traversals moved into
 linearly scanned counts and the all-pairs reverse-rule scans of the forest
 and the hierarchy, as they stood before those facts were looked up by key;
 both scans call ``_is_reverse_pair``, the reverse-pair test as it stood
-before it compared ``Rule.shape``s, and both give rule positions.
+before it compared whole chains, and both give rule positions.
 The tokenizer oracle is the character loop that scanned ``.cpl`` text
 before the one-pass regex tokenizer, and ``parse_scene`` is the parser as
 it stood before it read flat token texts: it walks that loop's token
@@ -376,7 +376,7 @@ def primary_clusters(grid: FrequencyGrid) -> Clustering:
 
 
 def _is_reverse_pair(a: Rule, b: Rule) -> bool:
-    """``is_reverse_pair`` as it stood before it compared ``Rule.shape``s."""
+    """``is_reverse_pair`` as it stood before it compared whole chains."""
     if a is b or not a.inputs or not b.inputs:
         return False
     if len(a.outputs) != 1 or len(b.outputs) != 1:

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -293,6 +294,46 @@ def test_clustering_matches_attach_rescan_on_workload_scenes(shape, seed):
         scene = parse_scene(scenegen.generate(rng, *shape).text).scene
         grid = build_grid(scene)
         assert primary_clusters(grid) == oracles.rescan_clusters(grid)
+
+
+def counted_secondary_links(scene: Scene, clusters) -> list[tuple[str, str, int]]:
+    """The cross-cluster pairs counted straight from the rules, not from the
+    grid, strongest first and ties by name."""
+    counts: Counter[tuple[str, str]] = Counter()
+    for rule in scene.rules:
+        names = set(rule.outputs).union(*(c.elements for c in rule.inputs))
+        counts.update(combinations(sorted(names), 2))
+    cluster_of = {name: i for i, cluster in enumerate(clusters)
+                  for name in cluster}
+    links = [(a, b, count) for (a, b), count in counts.items()
+             if cluster_of[a] != cluster_of[b]]
+    return sorted(links, key=lambda link: (-link[2], link[0], link[1]))
+
+
+def assert_secondary_links_in_order(scene: Scene) -> None:
+    clustering = cluster_scene(scene)[1]
+    assert list(clustering.secondary_links) == counted_secondary_links(
+        scene, clustering.clusters)
+
+
+@given(st.sampled_from([make_scene, make_reverse_scene]),
+       st.integers(0, 10**9))
+def test_secondary_links_order_on_generated_scenes(make, seed):
+    assert_secondary_links_in_order(make(random.Random(seed)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", [(64, 128, 0.10, 0.03), (24, 200, 0.30, 0.05)],
+                         ids=["concept-wide", "rule-dense"])
+def test_secondary_links_order_on_workload_scenes(shape, seed):
+    """Many links share a count here, so the name order within a count is
+    exercised as well as the order by count."""
+    rng = random.Random(seed)
+    for _ in range(4):
+        scene = parse_scene(scenegen.generate(rng, *shape).text).scene
+        links = cluster_scene(scene)[1].secondary_links
+        assert len({count for _, _, count in links}) < len(links)
+        assert_secondary_links_in_order(scene)
 
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
