@@ -22,7 +22,6 @@ The forest reads the scene's relations itself and depends only on
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -236,9 +235,8 @@ def nested_notation(forest: OccurrenceForest, sort_children: bool = False) -> st
 class UniLink(NamedTuple):
     """Entry path into a process: a tree descent connected across to
     another occurrence of the same concept, or to the concept's role in a
-    cycle."""
+    cycle.  The concept is ``source_path[-1]``."""
 
-    concept: str
     source_path: tuple[str, ...]
     target_path: tuple[str, ...]
 
@@ -263,26 +261,14 @@ class CycleReport(NamedTuple):
     cycles: tuple[Cycle, ...]
 
 
-def process_edges(scene: Scene) -> tuple[dict[tuple[str, str], tuple[str, ...]],
-                                         dict[str, tuple[str, ...]]]:
-    """Directed concept adjacencies oriented source -> effector -> output,
-    labeled with the rules that induce them, plus the self-loop owners."""
-    edges: dict[tuple[str, str], list[str]] = {}
-    loops: dict[str, list[str]] = {}
-    for rule in scene.rules:
-        if not rule.inputs:
-            loops.setdefault(rule.outputs[0], []).append(rule.cite)
-            continue
-        for chain in rule.inputs:
-            names = chain.elements
-            for a, b in zip(names, names[1:]):
-                edges.setdefault((a, b), []).append(rule.cite)
-            for output in rule.outputs:
-                edges.setdefault((names[-1], output), []).append(rule.cite)
-    return (
-        {edge: tuple(dict.fromkeys(cites)) for edge, cites in edges.items()},
-        {name: tuple(dict.fromkeys(cites)) for name, cites in loops.items()},
-    )
+def _rule_edges(rule: Rule):
+    """A rule's directed concept adjacencies, oriented source -> effector
+    -> output along each chain; a self-loop rule has none."""
+    for chain in rule.inputs:
+        names = chain.elements
+        yield from zip(names, names[1:])
+        for output in rule.outputs:
+            yield names[-1], output
 
 
 def _pair_cycles(pair: tuple[Rule, Rule], found: dict[tuple, Cycle]) -> None:
@@ -291,8 +277,7 @@ def _pair_cycles(pair: tuple[Rule, Rule], found: dict[tuple, Cycle]) -> None:
     adjacency: dict[str, set[str]] = {}
     outputs = {rule.outputs[0] for rule in pair}
     for rule in pair:
-        names = rule.inputs[0].elements + rule.outputs
-        for a, b in zip(names, names[1:]):
+        for a, b in _rule_edges(rule):
             adjacency.setdefault(a, set()).add(b)
             adjacency.setdefault(b, set())
     cites = tuple(sorted(rule.cite for rule in pair))
@@ -422,13 +407,13 @@ def uni_links(forest: OccurrenceForest, cycles: tuple[Cycle, ...]):
         source = {occ: tuple(reversed(_base_path(forest, occ, multi)))
                   for occ in occs}
         role = (concept,)
-        links = {UniLink(concept, source[occ], role)
+        links = {UniLink(source[occ], role)
                  for occ in occs if concept in in_cycle}
         if concept in multi:
             prim = forest.primary[concept]
             # The primary's own climb, short of its base.
             target = source[prim][:0:-1] or role
-            links.update(UniLink(concept, source[occ], target)
+            links.update(UniLink(source[occ], target)
                          for occ in occs if occ is not prim)
         yield from sorted(links)
 
@@ -447,8 +432,9 @@ def _rotation_key(walk: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def forest_to_dot(forest: OccurrenceForest) -> str:
-    """One subgraph per tree; same-concept cross links drawn dashed."""
-    ids: dict[int, str] = {}
+    """One subgraph per tree; each later occurrence of a repeated concept
+    is joined to its first occurrence by a dashed line."""
+    ids: dict[Occurrence, str] = {}
     lines = ["digraph concept_forest {", "  node [shape=box];"]
     for index, root in enumerate(forest.roots):
         lines.append(f"  subgraph cluster_{index} {{")
@@ -460,19 +446,18 @@ def forest_to_dot(forest: OccurrenceForest) -> str:
             occ, parent_id = stack.pop()
             if parent_id is not None:
                 style = " [style=dotted]" if occ.contained else ""
-                lines.append(f"    {parent_id} -> {ids[id(occ)]}{style};")
+                lines.append(f"    {parent_id} -> {ids[occ]}{style};")
                 continue
-            ids[id(occ)] = node_id = f"n{len(ids)}"
+            ids[occ] = node_id = f"n{len(ids)}"
             lines.append(f'    {node_id} [label="{occ.concept}"];')
             for child in reversed(occ.children):
                 stack.append((child, node_id))
                 stack.append((child, None))
         lines.append("  }")
     for concept in forest.multi_occurrence_concepts():
-        occs = forest.occurrences[concept]
-        for a, b in combinations(occs, 2):
-            lines.append(
-                f"  {ids[id(a)]} -> {ids[id(b)]} [style=dashed, dir=none];")
+        first, *later = forest.occurrences[concept]
+        lines.extend(f"  {ids[first]} -> {ids[occ]} [style=dashed, dir=none];"
+                     for occ in later)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -481,8 +466,16 @@ _PALETTE = ("red", "blue", "darkgreen", "orange", "purple", "brown")
 
 
 def report_to_dot(scene: Scene, cycles: tuple[Cycle, ...]) -> str:
-    """Process adjacencies in gray with each cycle's edges colored."""
-    edges, loops = process_edges(scene)
+    """Process adjacencies in gray, labeled with the rules that induce
+    them, each cycle's edges colored and each self-loop rule looping on
+    its output."""
+    edges: dict[tuple[str, str], dict[str, None]] = {}
+    loops: dict[str, dict[str, None]] = {}
+    for rule in scene.rules:
+        if not rule.inputs:
+            loops.setdefault(rule.outputs[0], {})[rule.cite] = None
+        for edge in _rule_edges(rule):
+            edges.setdefault(edge, {})[rule.cite] = None
     lines = ["digraph process_cycles {", "  node [shape=ellipse];"]
     colored: dict[tuple[str, str], str] = {}
     for index, cycle in enumerate(cycles):

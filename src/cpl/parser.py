@@ -329,6 +329,7 @@ class _Parser:
 
     def parse_term(self) -> ResultTerm:
         texts = self.texts
+        first = self.pos
         concepts = [self.resolve_ident("result entity")]
         qtys: list[Amount | None] = [None]
         while texts[self.pos] == ".":
@@ -336,7 +337,7 @@ class _Parser:
             concepts.append(self.resolve_ident("result entity"))
             qtys.append(self.parse_qty() if texts[self.pos] == "(" else None)
         if len(concepts) < 2:
-            self.report("a result term needs at least two entities", self.pos)
+            self.report("a result term needs at least two entities", first)
         if any(qtys):
             return ResultTerm(tuple(concepts), tuple(qtys))
         blank = self.blanks.get(len(qtys))

@@ -724,6 +724,7 @@ class _Parser:
         return Chain(tuple(elements), quantity)
 
     def parse_term(self) -> ResultTerm:
+        first = self.peek()
         concepts = [self.resolve_ident("result entity")]
         qtys: list[Amount | None] = [None]
         while self.peek().kind == "DOT":
@@ -732,7 +733,7 @@ class _Parser:
             qtys.append(self.parse_qty() if self.peek().kind == "LPAREN" else None)
         if len(concepts) < 2:
             self.report("a result term needs at least two entities",
-                        self.peek().span)
+                        first.span)
         return ResultTerm(tuple(concepts), tuple(qtys))
 
     def parse_qty(self) -> Amount:
@@ -1445,14 +1446,14 @@ def extract_cycles(scene: Scene, forest: OccurrenceForest) -> CycleReport:
             if occ is prim:
                 continue
             links.append(UniLink(
-                concept,
                 _source_path(forest, occ, multi),
                 _target_path(forest, prim, multi)))
     cycle_concepts = sorted({name for cycle in cycles for name in cycle.concepts})
     for concept in cycle_concepts:
         for occ in forest.occurrences.get(concept, ()):
             links.append(UniLink(
-                concept, _source_path(forest, occ, multi), (concept,)))
+                _source_path(forest, occ, multi), (concept,)))
     unique = sorted(set(links),
-                    key=lambda l: (l.concept, l.source_path, l.target_path))
+                    key=lambda l: (l.source_path[-1], l.source_path,
+                                   l.target_path))
     return CycleReport(tuple(unique), tuple(cycles))

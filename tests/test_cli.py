@@ -38,6 +38,17 @@ def test_check_parse_failure(capsys, scenes_dir):
     assert "error" in err
 
 
+def test_check_places_short_result_term_at_its_first_token(capsys, tmp_path):
+    """A result term of one entity is reported at that entity, not at the
+    token after the term."""
+    path = tmp_path / "short.cpl"
+    path.write_text("scene S { entities { A; B; C; } "
+                    "rules { r1: A + B.C -> A; } }", encoding="utf-8")
+    assert run(capsys, "check", str(path)) == (
+        2, "",
+        f"{path}:1:56: error: a result term needs at least two entities\n")
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "check", "scenes/does_not_exist.cpl")
     assert code == 2
@@ -129,10 +140,47 @@ def test_trees_sorted(capsys, cooking_path):
                            "Pot(Egg, Heat, Water), Tap(Water))")
 
 
+COOKING_TREES_DOT = (
+    "digraph concept_forest {\n"
+    "  node [shape=box];\n"
+    "  subgraph cluster_0 {\n"
+    '    label="Kitchen";\n'
+    '    n0 [label="Kitchen"];\n'
+    '    n1 [label="Cupboard"];\n'
+    '    n2 [label="Pot"];\n'
+    "    n1 -> n2 [style=dotted];\n"
+    "    n0 -> n1;\n"
+    '    n3 [label="Pot"];\n'
+    '    n4 [label="Egg"];\n'
+    "    n3 -> n4;\n"
+    '    n5 [label="Water"];\n'
+    "    n3 -> n5;\n"
+    '    n6 [label="Heat"];\n'
+    "    n3 -> n6;\n"
+    "    n0 -> n3;\n"
+    '    n7 [label="Tap"];\n'
+    '    n8 [label="Water"];\n'
+    "    n7 -> n8;\n"
+    "    n0 -> n7;\n"
+    '    n9 [label="Cooker"];\n'
+    '    n10 [label="Hob"];\n'
+    '    n11 [label="Heat"];\n'
+    "    n10 -> n11;\n"
+    "    n9 -> n10;\n"
+    "    n0 -> n9;\n"
+    "  }\n"
+    "  n11 -> n6 [style=dashed, dir=none];\n"
+    "  n2 -> n3 [style=dashed, dir=none];\n"
+    "  n8 -> n5 [style=dashed, dir=none];\n"
+    "}\n"
+)
+
+
 def test_trees_dot(capsys, cooking_path):
-    code, out, _ = run(capsys, "trees", str(cooking_path), "--dot")
-    assert code == 0
-    assert out.startswith("digraph concept_forest")
+    """No concept occurs more than twice in the cooking scene, so each
+    repeat is one dashed line between its two occurrences."""
+    assert run(capsys, "trees", str(cooking_path), "--dot") == (
+        0, COOKING_TREES_DOT, "")
 
 
 def test_cycles_text(capsys, cooking_path):

@@ -20,7 +20,7 @@ from cpl.forest import (
 from cpl.parser import format_scene, parse_scene
 
 from genhelpers import make_reverse_scene, make_scene
-from test_depth import (deep_chain_scene, deep_loop_source,
+from test_depth import (deep_chain_scene, deep_loop_source, fan_source,
                         looped_chain_source, mixed_source)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -278,6 +278,43 @@ def test_dot_export_deterministic(cooking_scene):
     assert "subgraph cluster_0" in first
 
 
+def dashed_links(forest):
+    """Per concept, the (label, parent label) of the node each dashed line
+    starts at, and those of the nodes it ends at, read off the DOT text."""
+    dot = forest_to_dot(forest)
+    label = dict(re.findall(r'^    (n\d+) \[label="(\w+)"\];$', dot, re.M))
+    parent = {child: label[node] for node, child in
+              re.findall(r"^    (n\d+) -> (n\d+)", dot, re.M)}
+    links = {}
+    for a, b in re.findall(
+            r"^  (n\d+) -> (n\d+) \[style=dashed, dir=none\];$", dot, re.M):
+        assert label[a] == label[b]
+        starts, ends = links.setdefault(label[a], (set(), []))
+        starts.add((label[a], parent.get(a)))
+        ends.append((label[b], parent.get(b)))
+    return links
+
+
+@pytest.mark.parametrize("source", [
+    fan_source(3),
+    (REPO_ROOT / "scenes" / "cooking.cpl").read_text(encoding="utf-8"),
+    scenegen.generate(random.Random(0), 64, 128, 0.10, 0.03).text,
+], ids=["fan-3", "cooking", "concept-wide"])
+def test_dot_joins_each_repeat_to_its_first_occurrence(source):
+    """One dashed line per later occurrence of a repeated concept, each
+    from the concept's first occurrence: a star, not a line per pair.  On
+    the fan of three the hub's three occurrences give two lines, not
+    three."""
+    forest = build_forest(scene_of(source))
+    links = dashed_links(forest)
+    assert set(links) == set(forest.multi_occurrence_concepts())
+    for concept, (starts, ends) in links.items():
+        first, *later = [(concept, occ.parent and occ.parent.concept)
+                         for occ in forest.occurrences[concept]]
+        assert starts == {first}
+        assert ends == later
+
+
 def forest_facts(forest):
     """Everything a forest shows: both notations, the DOT text, the roots,
     and per concept, in order, each occurrence's parent, origin,
@@ -390,7 +427,7 @@ def test_rule_dense_scene_holds_each_repeated_value_once():
                    for occ in occs if forest.primary[occ.concept] is not occ])
     report = extract_cycles(scene, forest)
     assert shared([link.target_path for link in report.uni_links
-                   if link.target_path == (link.concept,)])
+                   if link.target_path == link.source_path[-1:]])
 
 
 def test_cycles_match_oracle_on_deep_loop():

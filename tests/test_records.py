@@ -57,7 +57,7 @@ RECORDS = [
     ParseResult(None, ()),
     Contradiction("sub-cycle", ("Alpha", "Beta"), ("r",), "message"),
     Clustering((("Alpha", "Beta"),)),
-    UniLink("Alpha", ("Beta", "Alpha"), ("Alpha",)),
+    UniLink(("Beta", "Alpha"), ("Alpha",)),
     Cycle(("Alpha", "Beta"), "reverse-pair", ("r",)),
     CycleReport((), ()),
     OccurrenceForest([], {}, {}),
