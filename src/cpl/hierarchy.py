@@ -27,6 +27,9 @@ that reach the parent, where meeting the child refuses the link, then the
 ones the child reaches.  The first set then takes the lowest of the two
 sets' pooled ranks, each set keeping its own order (Pearce and Kelly, "A
 dynamic topological sort algorithm for directed acyclic graphs", JEA 2006).
+The builder drops this search state (the ranks, the child and parent maps
+and the waiting paths) before it builds the result tuples, so at its peak
+it holds no more than its result.
 
 A path that shares no concept with the hierarchy waits under a number,
 indexed by each concept it names, and only a new node it names wakes it.
@@ -136,7 +139,9 @@ class _Builder:
     def __init__(self, root: str):
         self.depth = {root: 0}  # insertion order is the node order
         self.rank = {root: 0}  # every link runs from a lower to a higher rank
-        self.children: dict[str, dict[str, None]] = {root: {}}
+        # Only a node with a child has a child map; a dict, so that the
+        # duplicate-link test is one lookup.
+        self.children: dict[str, dict[str, None]] = {}
         self.parents: dict[str, list[str]] = {root: []}
         self.edges: list[tuple[str, str]] = []
         self.cites: list[str] = []  # the rule placing each edge
@@ -153,22 +158,24 @@ class _Builder:
 
     def link(self, parent: str, child: str, cite: str) -> None:
         """Link a known parent to a child, adding the child if it is new."""
+        kids = self.children.get(parent)
         if child not in self.depth:
             # A new child has no descendants, so the link closes no cycle.
             self.depth[child] = self.depth[parent] + 1
             self.rank[child] = len(self.rank)
-            self.children[child] = {}
             self.parents[child] = []
             now, inserting = self.inserting
             for number in self.waiting.pop(child, ()):
                 if number in self.pending:
                     later = now if number > inserting else now + 1
                     heappush(self.woken, (later, number))
-        elif child in self.children[parent]:
+        elif kids is not None and child in kids:
             return
         elif not self.rerank(parent, child):
             return  # a link back toward the root would fold the DAG shut
-        self.children[parent][child] = None
+        if kids is None:
+            kids = self.children[parent] = {}
+        kids[child] = None
         self.parents[child].append(parent)
         self.edges.append((parent, child))
         self.cites.append(cite)
@@ -196,7 +203,7 @@ class _Builder:
         ahead = {child}
         stack = [child]
         while stack:
-            for nxt in self.children[stack.pop()]:
+            for nxt in self.children.get(stack.pop(), ()):
                 if rank[nxt] < high and nxt not in ahead:
                     ahead.add(nxt)
                     stack.append(nxt)
@@ -275,6 +282,10 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
         diagnostics.append(error(
             f"rules share no concept with the hierarchy rooted at {root!r}: "
             + ", ".join(stranded), first.span))
+    # The search state goes before the result is built, so the peak holds
+    # no more than the result.
+    del (builder.rank, builder.children, builder.parents, builder.pending,
+         builder.waiting)
 
     hierarchy = Hierarchy(root, tuple(builder.depth), tuple(builder.edges))
     return HierarchyBuild(hierarchy, tuple(diagnostics), scene.rules,

@@ -34,6 +34,16 @@ a punctuation text is its own kind, a leading letter makes an IDENT
 EOF.  Lines and columns are worked out only where a ``Span`` is built (for
 each rule, each quantity and each diagnostic, an ``ast.Diagnostic``) by
 bisecting a table of line starts.
+
+A scene repeats a few names many times, so once tokenized, equal texts are
+made one object in a single pass over the list.  The same per-parse table
+then holds each equal immutable value of the scene once: a rule's outputs,
+its quantity-free chains, its relations, its ``relations`` tuple and its
+``inputs`` tuple, and the all-``None`` amounts of a result term.  A chain
+with a quantity, and an ``inputs`` tuple holding one, keep their own
+objects: equal quantities compare equal whatever their spans.  The table
+lives as long as the parse; ``sys.intern`` would keep every text for the
+life of the process.
 """
 
 from __future__ import annotations
@@ -108,6 +118,8 @@ class _Parser:
             add_offset(m.start(1))
         eof = texts.index("")
         del texts[eof + 1:], offsets[eof + 1:]
+        held: dict = {}
+        texts[:] = map(held.setdefault, texts, texts)
         self.texts = texts
         self.offsets = offsets  # start of each token in the source
         self.line_starts = [0]
@@ -120,10 +132,13 @@ class _Parser:
         self.diagnostics: list[Diagnostic] = []
         self.entities: dict[str, str] = {}  # name or alias -> declared name
         self.declared: list[ConceptId] = []
-        # Equal values a scene repeats, held once: the ``(name,)`` outputs
-        # of a declared concept and the all-``None`` amounts of a length.
-        self.singles: dict[str, tuple[str]] = {}
-        self.blanks: dict[int, tuple[None, ...]] = {}
+        # Each equal value of the scene held once, keyed by itself: token
+        # texts, outputs, quantity-free chains and ``inputs`` tuples,
+        # relations, ``relations`` tuples and the all-``None`` amounts of a
+        # term.  ``hold(value, value)`` returns the held one.  A chain
+        # equals the plain tuple ``(elements, None)``, so no such tuple may
+        # be held.
+        self.hold = held.setdefault
 
     # token helpers
 
@@ -181,16 +196,6 @@ class _Parser:
             self.report(f"unknown entity {text!r}", pos)
             return text
         return name
-
-    def single(self, name: str) -> tuple[str]:
-        """The one ``(name,)`` of a declared concept; an unknown name,
-        already reported, is not kept."""
-        one = self.singles.get(name)
-        if one is None:
-            one = (name,)
-            if name in self.entities:
-                self.singles[name] = one
-        return one
 
     def resolve_ident(self, what: str) -> str:
         # A declared name is an IDENT, so a hit needs no further check.
@@ -272,7 +277,8 @@ class _Parser:
             self.report("a self-loop rule cannot declare relations", self.pos)
             self.skip_to_semi()
         self.expect(";")
-        return Rule(label, self.single(self.resolve(first)), (), (), (),
+        outputs = (self.resolve(first),)
+        return Rule(label, self.hold(outputs, outputs), (), (), (),
                     ordinal=ordinal, span=self.span(first))
 
     def skip_to_semi(self) -> None:
@@ -281,12 +287,12 @@ class _Parser:
 
     def parse_triple(self, label: str | None, ordinal: int,
                      first: int, start: int) -> Rule:
-        texts = self.texts
+        texts, hold = self.texts, self.hold
         names = [self.resolve(first)]
         while texts[self.pos] == "^":
             self.pos += 1
             names.append(self.resolve_ident("output entity"))
-        outputs = self.single(names[0]) if len(names) == 1 else tuple(names)
+        outputs = tuple(names)
         self.expect("+")
         chains = [self.parse_chain()]
         while texts[self.pos] == "^":
@@ -305,8 +311,11 @@ class _Parser:
                 self.pos += 1
                 relations.extend(self.parse_relation_chain())
         self.expect(";")
-        return Rule(label, outputs, tuple(chains), tuple(terms),
-                    tuple(relations), ordinal=ordinal, span=self.span(start))
+        inputs, rels = tuple(chains), tuple(relations)
+        if not any(chain.quantity for chain in inputs):
+            inputs = hold(inputs, inputs)
+        return Rule(label, hold(outputs, outputs), inputs, tuple(terms),
+                    hold(rels, rels), ordinal=ordinal, span=self.span(start))
 
     def parse_chain(self) -> Chain:
         texts = self.texts
@@ -325,7 +334,8 @@ class _Parser:
         if texts[self.pos] == "(":
             span = self.span(self.pos)
             return Chain(tuple(elements), Quantity(self.parse_qty(), span))
-        return Chain(tuple(elements))
+        chain = Chain(tuple(elements))
+        return self.hold(chain, chain)
 
     def parse_term(self) -> ResultTerm:
         texts = self.texts
@@ -338,12 +348,10 @@ class _Parser:
             qtys.append(self.parse_qty() if texts[self.pos] == "(" else None)
         if len(concepts) < 2:
             self.report("a result term needs at least two entities", first)
-        if any(qtys):
-            return ResultTerm(tuple(concepts), tuple(qtys))
-        blank = self.blanks.get(len(qtys))
-        if blank is None:
-            blank = self.blanks[len(qtys)] = (None,) * len(qtys)
-        return ResultTerm(tuple(concepts), blank)
+        amounts = tuple(qtys)
+        if not any(amounts):
+            amounts = self.hold(amounts, amounts)
+        return ResultTerm(tuple(concepts), amounts)
 
     def parse_qty(self) -> Amount:
         self.pos += 1  # the "(" its callers found
@@ -389,7 +397,8 @@ class _Parser:
                 self.report(
                     f"concept {left!r} cannot relate to itself", op_pos)
             else:
-                relations.append(normalize_relation(left, op, right))
+                relation = normalize_relation(left, op, right)
+                relations.append(self.hold(relation, relation))
             left = right
 
 

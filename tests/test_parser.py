@@ -345,6 +345,56 @@ def test_parse_is_deterministic():
     assert first.scene == second.scene
 
 
+HELD = """
+scene Held {
+  entities { Pot as P; Kitchen as K; Cupboard as D; Egg; }
+  rules {
+    r1: P + K.D -> P.D.K where D < K, D - P;
+    r2: P + K.D -> P.D.K where D < K, D - P;
+    r3: Egg + K.D(3) -> Egg.D(n).K;
+    r4: Egg + K.D(3) -> Egg.D(n).K;
+  }
+}
+"""
+
+
+def test_equal_token_texts_are_one_object():
+    texts = _Parser(HELD).texts
+    first = {}
+    assert all(first.setdefault(text, text) is text for text in texts)
+    assert texts.count("K") == 11
+
+
+def test_equal_values_in_one_parse_are_one_object():
+    r1, r2, r3, r4 = parsed(HELD).rules
+    assert r1.outputs is r2.outputs
+    assert r1.inputs is r2.inputs
+    assert r1.relations is r2.relations
+    assert r1.relations[0] is r2.relations[0]
+    assert r3.relations is r1.relations[2:]  # both are the empty tuple
+    assert r1.declared_results[0].qtys is r2.declared_results[0].qtys
+    # Symbolic amounts are token texts.
+    assert (r3.declared_results[0].qtys[1].first
+            is r4.declared_results[0].qtys[1].first)
+
+
+def test_chains_with_a_quantity_keep_their_own_span():
+    r1, r2, r3, r4 = parsed(HELD).rules
+    assert r3.inputs == r4.inputs
+    assert r3.inputs[0] is not r4.inputs[0]
+    spans = [rule.inputs[0].quantity.span for rule in (r3, r4)]
+    assert [span.line for span in spans] == [7, 8]
+    assert r1.inputs[0] is r2.inputs[0]
+
+
+def test_a_second_parse_shares_no_chain_with_the_first():
+    first, second = parsed(HELD), parsed(HELD)
+    assert first == second
+    chains = {id(chain) for rule in first.rules for chain in rule.inputs}
+    assert not chains & {id(chain) for rule in second.rules
+                         for chain in rule.inputs}
+
+
 def test_cooking_round_trip(cooking_scene):
     text = format_scene(cooking_scene)
     again = parsed(text)
