@@ -15,6 +15,10 @@ elsewhere (rule outputs, chain elements, result terms, relation ends and
 the scene root) is the declared name, a plain ``str``, whether the script
 wrote the name or the alias.
 
+A relation's kind is the operator the script wrote, a plain ``str``:
+``<`` nests, ``-`` associates and ``in`` contains, and a written ``>`` is
+flipped into ``<``.  The operator table lives here alone.
+
 Everything here is immutable after construction, and every record is a
 NamedTuple.  Only the records that diagnostics place carry a source span:
 a rule, with its ordinal, and a quantity.  Those fields are left out of
@@ -24,7 +28,6 @@ fields before them.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 
@@ -78,27 +81,20 @@ class ConceptId(NamedTuple):
     abbrev: str | None = None
 
 
-class RelationKind(Enum):
-    SUB_CONCEPT = "sub_concept"
-    ASSOCIATION = "association"
-    CONTAINED_IN = "contained_in"
+SUB_CONCEPT = "<"  # x < y nests x inside y
+ASSOCIATION = "-"  # x - y relates the two while keeping them apart
+CONTAINED_IN = "in"  # x in y places x inside y at first
+OPERATORS = frozenset({SUB_CONCEPT, ">", ASSOCIATION, CONTAINED_IN})
 
 
 class Relation(NamedTuple):
-    """A normalized binary relation between two distinct concepts.
+    """A normalized binary relation between two distinct concepts; ``kind``
+    is one of the three operators above.  An association is symmetric: its
+    written orientation is kept for formatting only."""
 
-    SUB_CONCEPT(x, y) nests x inside y.  ASSOCIATION(x, y) relates the two
-    while keeping them separate; it is symmetric, the written orientation is
-    preserved for formatting only.  CONTAINED_IN(x, y) records an initial
-    placement of x inside y.
-    """
-
-    kind: RelationKind
+    kind: str
     left: str
     right: str
-
-    def pair(self) -> frozenset[str]:
-        return frozenset((self.left, self.right))
 
 
 class Amount(NamedTuple):
@@ -222,20 +218,16 @@ def normalize_relation(left: str, op: str, right: str) -> Relation:
     """Map a written relation to its normalized form.
 
     ``x > y`` is the written reverse of ``y < x`` and is flipped here;
-    ``<``, ``-`` and ``in`` map directly.  Relating a concept to itself is
-    invalid.
+    every other operator is the relation's kind as written.  Relating a
+    concept to itself is invalid.
     """
     if left == right:
         raise ValueError(f"concept {left!r} cannot relate to itself")
-    if op == "<":
-        return Relation(RelationKind.SUB_CONCEPT, left, right)
+    if op not in OPERATORS:
+        raise ValueError(f"unknown relation operator {op!r}")
     if op == ">":
-        return Relation(RelationKind.SUB_CONCEPT, right, left)
-    if op == "-":
-        return Relation(RelationKind.ASSOCIATION, left, right)
-    if op == "in":
-        return Relation(RelationKind.CONTAINED_IN, left, right)
-    raise ValueError(f"unknown relation operator {op!r}")
+        return Relation(SUB_CONCEPT, right, left)
+    return Relation(op, left, right)
 
 
 def derive_result(outputs: tuple[str, ...] | list[str],

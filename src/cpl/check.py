@@ -13,10 +13,11 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .ast import (
+    ASSOCIATION,
+    SUB_CONCEPT,
     Amount,
     Chain,
     Diagnostic,
-    RelationKind,
     Rule,
     Scene,
     derive_result,
@@ -153,16 +154,17 @@ def scene_contradictions(scene: Scene) -> list[Contradiction]:
     """Cross-rule violations as structured records, deterministically ordered."""
     # Each relation with the rules declaring it; duplicates are legal.
     sub_edges: dict[tuple[str, str], list[Rule]] = {}
-    assoc_edges: dict[frozenset[str], list[Rule]] = {}
+    assoc_edges: dict[tuple[str, str], list[Rule]] = {}  # sorted pair
     contained_edges: dict[tuple[str, str], list[Rule]] = {}
     for rule in scene.rules:
         for rel in rule.relations:
-            if rel.kind is RelationKind.ASSOCIATION:
-                assoc_edges.setdefault(rel.pair(), []).append(rule)
+            left, right = rel.left, rel.right
+            if rel.kind == ASSOCIATION:
+                pair = (left, right) if left < right else (right, left)
+                assoc_edges.setdefault(pair, []).append(rule)
                 continue
-            edges = (sub_edges if rel.kind is RelationKind.SUB_CONCEPT
-                     else contained_edges)
-            edges.setdefault((rel.left, rel.right), []).append(rule)
+            edges = sub_edges if rel.kind == SUB_CONCEPT else contained_edges
+            edges.setdefault((left, right), []).append(rule)
     found: list[Contradiction] = []
 
     for (child, parent), rules in sorted(sub_edges.items()):
@@ -174,9 +176,7 @@ def scene_contradictions(scene: Scene) -> list[Contradiction]:
                 f"'{child} < {parent}' ({_cites(rules)[0]}) contradicts "
                 f"'{parent} < {child}' ({_cites(reverse)[0]})"))
 
-    for pair, assoc_rules in sorted(assoc_edges.items(),
-                                    key=lambda item: sorted(item[0])):
-        a, b = sorted(pair)
+    for (a, b), assoc_rules in sorted(assoc_edges.items()):
         for child, parent in ((a, b), (b, a)):
             sub_rules = sub_edges.get((child, parent))
             if sub_rules:

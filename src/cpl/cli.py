@@ -135,12 +135,13 @@ def _cmd_cycles(args):
 
 def _cmd_hierarchy(args) -> list[str]:
     scene = _checked_scene(args.file)
-    try:
-        ensemble = hierarchy.build_ensemble(scene)
+    ensemble = hierarchy.build_ensemble(scene)
+    if ensemble.concepts:
         build = hierarchy.build_hierarchy(scene, ensemble)
         diagnostics = build.diagnostics
-    except ValueError as exc:
-        diagnostics = [Diagnostic(str(exc), 1, 1)]
+    else:  # a scene without rules: no concept can root the hierarchy
+        diagnostics = [Diagnostic(
+            "cannot select a root from an empty ensemble", 1, 1)]
     if diagnostics:
         raise _Exit(EXIT_DIAGNOSTICS, _format_diagnostics(args.file, diagnostics))
     if args.dot:

@@ -25,7 +25,8 @@ from collections import deque
 from operator import attrgetter
 from typing import NamedTuple
 
-from .ast import Relation, RelationKind, Rule, Scene, reverse_pairs
+from .ast import (ASSOCIATION, CONTAINED_IN, SUB_CONCEPT, Relation, Rule,
+                  Scene, derive_result, reverse_pairs)
 # Unused here, but perfbench/tracing.py counts calls by rebinding this name.
 from .ast import is_reverse_pair  # noqa: F401
 from .graph import reachable, simple_cycles
@@ -76,17 +77,16 @@ def _collect_edges(scene: Scene) -> tuple[dict[tuple[str, str], str],
     for rule in scene.rules:
         for rel in rule.relations:
             left, right = rel.left, rel.right
-            if rel.kind is RelationKind.SUB_CONCEPT:
+            if rel.kind == SUB_CONCEPT:
                 sub.add((left, right))
                 add(right, left, False, rule.cite)
-            elif rel.kind is RelationKind.CONTAINED_IN:
+            elif rel.kind == CONTAINED_IN:
                 add(right, left, True, rule.cite)
             else:
                 assoc.update(((left, right), (right, left)))
     for rule in scene.rules:
         placed = {
-            rel.left for rel in rule.relations
-            if rel.kind is RelationKind.SUB_CONCEPT
+            rel.left for rel in rule.relations if rel.kind == SUB_CONCEPT
         }
         for output in rule.outputs:
             if output in placed:
@@ -262,13 +262,11 @@ class CycleReport(NamedTuple):
 
 
 def _rule_edges(rule: Rule):
-    """A rule's directed concept adjacencies, oriented source -> effector
-    -> output along each chain; a self-loop rule has none."""
-    for chain in rule.inputs:
-        names = chain.elements
-        yield from zip(names, names[1:])
-        for output in rule.outputs:
-            yield names[-1], output
+    """A rule's directed concept adjacencies: each derived result path
+    walked backwards, source -> effector -> output; a self-loop rule has
+    none."""
+    for path in derive_result(rule.outputs, rule.inputs):
+        yield from zip(path[1:], path)
 
 
 def _pair_cycles(pair: tuple[Rule, Rule], found: dict[tuple, Cycle]) -> None:
@@ -322,7 +320,7 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
         if not rule.inputs:
             loops.setdefault(rule.outputs[0], rule)
         for rel in rule.relations:
-            if rel.kind is RelationKind.ASSOCIATION:
+            if rel.kind == ASSOCIATION:
                 by_left.setdefault(rel.left, []).append(len(associations))
                 associations.append((rule, rel))
     # The occurrences strictly above an association's left end, marked

@@ -21,10 +21,11 @@ Identifiers are ASCII letters, digits and underscores, starting with a
 letter.  Spaces, tabs and carriage returns are blanks.  ``#`` starts a
 comment that runs to the end of the line.  Positions are 1-based lines and
 columns that count characters, so a tab is one column.  Relation chains
-(``A - B < C``) desugar left-associatively into pairwise relations.  Scripts
-may refer to a concept by its declared name or its alias; the parsed scene
-holds the declared name at every mention, and the formatter writes the
-alias back from ``Scene.entities``.
+(``A - B < C``) desugar left-associatively into pairwise relations, each
+of the kind its operator names, but ``A > B`` is flipped into ``B < A``.
+Scripts may refer to a concept by its declared name or its alias; the
+parsed scene holds the declared name at every mention, and the formatter
+writes the alias back from ``Scene.entities``.
 
 The token stream is a list and an array built by one regular expression:
 each token's text and its start offset in the source.  Blanks, newlines and
@@ -54,13 +55,13 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .ast import (
+    OPERATORS,
     Amount,
     Chain,
     ConceptId,
     Diagnostic,
     Quantity,
     Relation,
-    RelationKind,
     ResultTerm,
     Rule,
     Scene,
@@ -90,8 +91,6 @@ _TOKEN_RE = re.compile(
     r"(->|[{}();:,+\-<>^.]|[A-Za-z][A-Za-z0-9_]*|[0-9]+|)")
 
 _NEWLINE_RE = re.compile(r"\n")
-
-_REL_OPS = frozenset({"<", ">", "-", "in"})
 
 
 def _is_ident(text: str) -> bool:
@@ -385,7 +384,7 @@ class _Parser:
         while True:
             op_pos = self.pos
             op = self.texts[op_pos]
-            if op not in _REL_OPS:
+            if op not in OPERATORS:
                 if not relations:
                     raise _Abort(error(
                         f"expected a relation operator, found {op!r}",
@@ -422,13 +421,6 @@ def parse_scene(source: str) -> ParseResult:
     return ParseResult(scene, ())
 
 
-_SURFACE = {
-    RelationKind.SUB_CONCEPT: "<",
-    RelationKind.ASSOCIATION: "-",
-    RelationKind.CONTAINED_IN: "in",
-}
-
-
 def _format_chain(chain: Chain, short: dict[str, str]) -> str:
     text = ".".join(short[name] for name in chain.elements)
     if chain.quantity is not None:
@@ -458,7 +450,7 @@ def _format_rule(rule: Rule, short: dict[str, str]) -> str:
     text = f"{prefix}{outputs} + {chains} -> {terms}"
     if rule.relations:
         rels = ", ".join(
-            f"{short[rel.left]} {_SURFACE[rel.kind]} {short[rel.right]}"
+            f"{short[rel.left]} {rel.kind} {short[rel.right]}"
             for rel in rule.relations)
         text += f" where {rels}"
     return text + ";"

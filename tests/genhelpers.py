@@ -6,12 +6,14 @@ import random
 
 from cpl import graph
 from cpl.ast import (
+    ASSOCIATION,
+    CONTAINED_IN,
+    SUB_CONCEPT,
     Amount,
     Chain,
     ConceptId,
     Quantity,
     Relation,
-    RelationKind,
     ResultTerm,
     Rule,
     Scene,
@@ -105,7 +107,7 @@ def make_relations(rng: random.Random,
     relations = []
     for _ in range(rng.randint(0, 3)):
         left, right = rng.sample(names, 2)
-        kind = rng.choice(list(RelationKind))
+        kind = rng.choice((SUB_CONCEPT, ASSOCIATION, CONTAINED_IN))
         relations.append(Relation(kind, left, right))
     return tuple(relations)
 

@@ -60,7 +60,7 @@ borrow no private name from ``cpl.forest``.
 They recurse and rescan freely, so use them on small inputs only.
 
 The oracles borrow no code from ``cpl``: they import only the records
-they build and compare, ``RelationKind`` and the parser's ``KEYWORDS``
+they build and compare and the parser's ``KEYWORDS``
 (``tests/test_records.py`` reads the imports to hold this).  They keep
 their own copies of ``error``, ``normalize_relation``, ``derive_result``,
 ``split_result``, ``reachable`` and the parser's ``_Abort``, so a fault
@@ -87,7 +87,6 @@ from cpl.ast import (
     Diagnostic,
     Quantity,
     Relation,
-    RelationKind,
     ResultTerm,
     Rule,
     Scene,
@@ -119,18 +118,18 @@ def error(message: str, span: Span) -> Diagnostic:
 
 
 def normalize_relation(left: str, op: str, right: str) -> Relation:
-    """``x > y`` is flipped to ``y < x``; ``<``, ``-`` and ``in`` map
-    directly; relating a concept to itself is invalid."""
+    """``x > y`` is flipped to ``y < x``; ``<``, ``-`` and ``in`` are the
+    kind as written; relating a concept to itself is invalid."""
     if left == right:
         raise ValueError(f"concept {left!r} cannot relate to itself")
     if op == "<":
-        return Relation(RelationKind.SUB_CONCEPT, left, right)
+        return Relation("<", left, right)
     if op == ">":
-        return Relation(RelationKind.SUB_CONCEPT, right, left)
+        return Relation("<", right, left)
     if op == "-":
-        return Relation(RelationKind.ASSOCIATION, left, right)
+        return Relation("-", left, right)
     if op == "in":
-        return Relation(RelationKind.CONTAINED_IN, left, right)
+        return Relation("in", left, right)
     raise ValueError(f"unknown relation operator {op!r}")
 
 
@@ -899,10 +898,10 @@ def scene_contradictions(scene: Scene) -> list[Contradiction]:
     contained_edges: dict[tuple[str, str], list[Rule]] = {}
     for rule in scene.rules:
         for rel in rule.relations:
-            if rel.kind is RelationKind.ASSOCIATION:
+            if rel.kind == "-":
                 assoc_edges.setdefault(
                     frozenset((rel.left, rel.right)), []).append(rule)
-            elif rel.kind is RelationKind.SUB_CONCEPT:
+            elif rel.kind == "<":
                 sub_edges.setdefault((rel.left, rel.right), []).append(rule)
             else:
                 contained_edges.setdefault(
@@ -955,22 +954,23 @@ class _Edge(NamedTuple):
 def _collect_edges(scene: Scene) -> list[_Edge]:
     sub = {(rel.left, rel.right)
            for rule in scene.rules for rel in rule.relations
-           if rel.kind is RelationKind.SUB_CONCEPT}
-    assoc = {rel.pair() for rule in scene.rules for rel in rule.relations
-             if rel.kind is RelationKind.ASSOCIATION}
+           if rel.kind == "<"}
+    assoc = {frozenset((rel.left, rel.right))
+             for rule in scene.rules for rel in rule.relations
+             if rel.kind == "-"}
     edges: list[_Edge] = []
     for rule in scene.rules:
         for rel in rule.relations:
-            if rel.kind is RelationKind.SUB_CONCEPT:
+            if rel.kind == "<":
                 edges.append(_Edge(rel.right, rel.left, False, rule.cite))
-            elif rel.kind is RelationKind.CONTAINED_IN:
+            elif rel.kind == "in":
                 edges.append(_Edge(rel.right, rel.left, True, rule.cite))
     for rule in scene.rules:
         if not rule.inputs:
             continue
         placed = {
             rel.left for rel in rule.relations
-            if rel.kind is RelationKind.SUB_CONCEPT
+            if rel.kind == "<"
         }
         for output in rule.outputs:
             if output in placed:
@@ -1336,7 +1336,7 @@ def _loop_cycles(scene: Scene, forest: OccurrenceForest) -> list[Cycle]:
     seen: set[tuple[str, ...]] = set()
     associations = [
         (rule, rel) for rule in scene.rules for rel in rule.relations
-        if rel.kind is RelationKind.ASSOCIATION
+        if rel.kind == "-"
     ]
     for loop_rule in scene.rules:
         if loop_rule.inputs:

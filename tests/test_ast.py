@@ -11,7 +11,6 @@ from cpl.ast import (
     derive_result,
     is_reverse_pair,
     normalize_relation,
-    RelationKind,
     reverse_pairs,
 )
 
@@ -59,20 +58,26 @@ def test_derive_count_and_involution(seed):
 
 def test_normalize_directions():
     rel = normalize_relation(D, "<", K)
-    assert rel.kind is RelationKind.SUB_CONCEPT
+    assert rel.kind == "<"
     assert (rel.left, rel.right) == ("Cupboard", "Kitchen")
     flipped = normalize_relation(P, ">", D)
-    assert flipped.kind is RelationKind.SUB_CONCEPT
+    assert flipped.kind == "<"
     assert (flipped.left, flipped.right) == ("Cupboard", "Pot")
     assoc = normalize_relation(D, "-", P)
-    assert assoc.kind is RelationKind.ASSOCIATION
+    assert assoc.kind == "-"
     contained = normalize_relation(P, "in", D)
-    assert contained.kind is RelationKind.CONTAINED_IN
+    assert contained.kind == "in"
 
 
 def test_normalize_rejects_self_relation():
     with pytest.raises(ValueError):
         normalize_relation(P, "<", "Pot")
+
+
+@pytest.mark.parametrize("op", ["=", "<<", "IN", "contains", ""])
+def test_normalize_rejects_unknown_operator(op):
+    with pytest.raises(ValueError, match="unknown relation operator"):
+        normalize_relation(P, op, D)
 
 
 def test_normalize_idempotent():

@@ -3,8 +3,10 @@ import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
+from cpl import hierarchy
 from cpl.check import check_all
 from cpl.cli import main
 from cpl.parser import format_scene, parse_scene
@@ -275,6 +277,18 @@ def test_hierarchy_diagnostics_exit_1(capsys, tmp_path):
         path.write_text(source, encoding="utf-8")
         assert run(capsys, "hierarchy", str(path)) == (
             1, "", f"{path}:{message}\n")
+
+
+def test_hierarchy_lets_an_unexpected_value_error_through(monkeypatch,
+                                                         cooking_path):
+    """Only a scene without rules is reported as a hierarchy diagnostic; any
+    other ``ValueError`` is a fault, and it must not pass for bad input."""
+    def broken(scene, ensemble):
+        raise ValueError("a fault in the hierarchy")
+
+    monkeypatch.setattr(hierarchy, "build_hierarchy", broken)
+    with pytest.raises(ValueError, match="a fault in the hierarchy"):
+        main(["hierarchy", str(cooking_path)])
 
 
 def test_check_out_keeps_diagnostics_and_exit_code(tmp_path, capsys,

@@ -3,7 +3,9 @@ both example scripts' output, pinned as SHA-256 digests.
 
 The cases cover every scene form on the bundled scenes, one scene of each
 benchmark workload shape, generated and deep scenes, and ``predict`` on
-``scenes/memory_demo``.  Everything runs in process.  A change that means
+``scenes/memory_demo``.  Every scene form also writes ``scenes/cooking.cpl``
+through ``--out``, whose file joins the digest, and a few cases run with
+``CPL_COLOR=1``.  Everything runs in process.  A change that means
 to alter output regenerates the table with
 
     PYTHONPATH=src python tests/test_contract.py
@@ -64,6 +66,12 @@ GENERATED = {
     "cycles-300.cpl": lambda: cycle_source(300),
     "chains-30.cpl": lambda: many_chain_source(30),
     "wake-300.cpl": lambda: wake_source(300),
+    # The two scenes whose hierarchy reports a diagnostic: no rules, and a
+    # rule that shares no concept with the root's component.
+    "no-rules.cpl": lambda: "scene E {\n  entities { A; }\n  rules { }\n}\n",
+    "disjoint.cpl": lambda: (
+        "scene T {\n  entities { A; B; C; D; E; F; }\n  rules {\n"
+        "    r1: A + B.C -> A.C.B;\n    r2: D + E.F -> D.F.E;\n  }\n}\n"),
 }
 
 BUNDLED = sorted(path.name for path in (REPO_ROOT / "scenes").glob("*.cpl"))
@@ -85,9 +93,19 @@ SCRIPTS = (
     "scripts/memory_demo.py",
 )
 
+# Cases run with ``CPL_COLOR=1`` set, which colours the word "error".
+COLOR = "CPL_COLOR=1 "
+COLORED = (
+    "scenes/inconsistent.cpl: check",
+    "scenes/first_attempt.cpl: check",
+    "disjoint.cpl: hierarchy",
+)
+
 CASES = (
     [f"scenes/{name}: {form}" for name in BUNDLED for form in SCENE_FORMS]
     + [f"{name}: {form}" for name in GENERATED for form in SCENE_FORMS]
+    + [f"scenes/cooking.cpl: {form} --out" for form in SCENE_FORMS]
+    + [COLOR + case for case in COLORED]
     + [f"predict {args}" for args in PREDICT]
     + [f"python {args}" for args in SCRIPTS])
 
@@ -97,12 +115,17 @@ def write_generated(directory: Path) -> None:
         (directory / name).write_text(source(), encoding="utf-8")
 
 
-def run_case(case: str, directory: Path) -> tuple[int, str, str]:
-    """Run one case from the repository root; a generated scene's path in
-    the output reads as its file name."""
+def run_case(case: str, directory: Path) -> tuple:
+    """Run one case from the repository root: its exit code, stdout and
+    stderr, then the text of its ``--out`` file if it names one.  A
+    generated scene's path in the output reads as its file name."""
     out, err = io.StringIO(), io.StringIO()
     here = os.getcwd()
     saved_argv = sys.argv
+    target = directory / "out.txt"
+    if case.startswith(COLOR):
+        case = case[len(COLOR):]
+        os.environ["CPL_COLOR"] = "1"
     os.chdir(REPO_ROOT)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -119,17 +142,25 @@ def run_case(case: str, directory: Path) -> tuple[int, str, str]:
                 scene, form = case.split(": ")
                 if not scene.startswith("scenes/"):
                     scene = str(directory / scene)
-                code = main([*form.split()[:1], scene, *form.split()[1:]])
+                argv = [*form.split()[:1], scene, *form.split()[1:]]
+                if argv[-1] == "--out":
+                    argv.append(str(target))
+                code = main(argv)
     finally:
         os.chdir(here)
         sys.argv = saved_argv
+        os.environ.pop("CPL_COLOR", None)
     prefix = str(directory) + os.sep
-    return (code, out.getvalue().replace(prefix, ""),
-            err.getvalue().replace(prefix, ""))
+    result = (code, out.getvalue().replace(prefix, ""),
+              err.getvalue().replace(prefix, ""))
+    if case.endswith(" --out"):
+        result += (target.read_text(encoding="utf-8"),)
+        target.unlink()
+    return result
 
 
-def digest(code: int, out: str, err: str) -> str:
-    return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+def digest(code: int, *texts: str) -> str:
+    return hashlib.sha256("\0".join((str(code), *texts)).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +313,28 @@ DIGESTS = {
         '52fa1335fccb4a2fcafec61adc1b4b4b48c170046349cd9211dce6eb5cd0bd09',
     'scenes/inconsistent_cycle.cpl: hierarchy --dot':
         '52fa1335fccb4a2fcafec61adc1b4b4b48c170046349cd9211dce6eb5cd0bd09',
+    'scenes/operators.cpl: check':
+        '878837d13ebd216c476b4408f9145146443328a2d15a9dd7e65aaf4a5838afc8',
+    'scenes/operators.cpl: grid':
+        'd8ed1b01f6cbd646c03753d2a35d7930db891b19705a4fad5ea0229242da374d',
+    'scenes/operators.cpl: grid --format json':
+        '46e703ce906a0379beb814c388fc5e80e17b80afe31e6ff91aa3cdade32b1e53',
+    'scenes/operators.cpl: cluster':
+        '817ccad1b8fdd8516254b471480ed9a4ec04be69c5cf369a40bcacefa4903906',
+    'scenes/operators.cpl: trees':
+        'e43aee7d1a1d1e5797af3c7a7d06cd79016b668ef34f28588d424cb22aa679ca',
+    'scenes/operators.cpl: trees --sorted':
+        'f3eed562839e081e88e0428480050e58cedc9949a8345bb7407b8a56b93401ee',
+    'scenes/operators.cpl: trees --dot':
+        '9210a7f5d274161c6cf0b37d5d116122089b6466522f3454e9442ca4478c4ab2',
+    'scenes/operators.cpl: cycles':
+        '201696c48516c1d2bff9687a968778572625726f85af179edee44bc15a5fe3bf',
+    'scenes/operators.cpl: cycles --dot':
+        'd0cc74178477769264acb06fec8a6f744dbf9700ba5f37ebabb2f3b3a29ac802',
+    'scenes/operators.cpl: hierarchy':
+        '22dc4847815a10bce28f34544dfc2eafd17a210e7e98b3eea3f5aa3b1a30ada0',
+    'scenes/operators.cpl: hierarchy --dot':
+        '96f0d4433527f071c4c8a53cd2bf5b697be1769ec7b7fb38229a065d19642040',
     'scenes/quantities.cpl: check':
         '878837d13ebd216c476b4408f9145146443328a2d15a9dd7e65aaf4a5838afc8',
     'scenes/quantities.cpl: grid':
@@ -568,6 +621,78 @@ DIGESTS = {
         '8336cc760dfe89df6dca6bac9376962af75be6457ca63168e8bd4f632a7cff90',
     'wake-300.cpl: hierarchy --dot':
         '3b7a8c24c8d3dc5c44e57b90502bc09747b5c54be69feeeaa610cccb1d58c89a',
+    'no-rules.cpl: check':
+        '878837d13ebd216c476b4408f9145146443328a2d15a9dd7e65aaf4a5838afc8',
+    'no-rules.cpl: grid':
+        'd42a64d0505c20029fa8edd2a4195e2b4f929e9ad3d9106127534b086faf93b7',
+    'no-rules.cpl: grid --format json':
+        'c0993a2884fd4b94d921844fb121ab4874b0fa5d1e61c19085bd45e4b4f375c3',
+    'no-rules.cpl: cluster':
+        'd15324a4af6e9afb72427435a31d69a5cae24069c964f45cd42cab6b6af5d916',
+    'no-rules.cpl: trees':
+        '51d96e5b23f1f88ec9256e1f47bb7941e83d3b235b21e26780e61cda28e89417',
+    'no-rules.cpl: trees --sorted':
+        '51d96e5b23f1f88ec9256e1f47bb7941e83d3b235b21e26780e61cda28e89417',
+    'no-rules.cpl: trees --dot':
+        '7c1f3e967ee5c5175266a73b4aa8e0b8b8cd65e00ab7d18590b24fbcdbbb416c',
+    'no-rules.cpl: cycles':
+        'f288a31c436dc66e37c98c349f1d87ca3fce8b41fe2c916e51287f7afb5ef5c2',
+    'no-rules.cpl: cycles --dot':
+        '9767021ef034b74b74cf1da4cdb8c1027809d5bb5ccbb73ec63e607c439dad5e',
+    'no-rules.cpl: hierarchy':
+        'ab91be9204afb7b7fe18f3bef19f16e68efcb157c7cc6f0bcae1cca8186ac8f6',
+    'no-rules.cpl: hierarchy --dot':
+        'ab91be9204afb7b7fe18f3bef19f16e68efcb157c7cc6f0bcae1cca8186ac8f6',
+    'disjoint.cpl: check':
+        '878837d13ebd216c476b4408f9145146443328a2d15a9dd7e65aaf4a5838afc8',
+    'disjoint.cpl: grid':
+        '3c5e42e1d9711bfc5976ae82e89da61460ab06b397e9d47aef0eb5007e6ff3f2',
+    'disjoint.cpl: grid --format json':
+        'bbb955b2d358dbf862f73d7077c3a6820a876ae0d3942add452ee7e7ebda6cda',
+    'disjoint.cpl: cluster':
+        'd0701a6ebfd4c28fde991466b92162084d33b3e88ac2f5827ced9f45296523c0',
+    'disjoint.cpl: trees':
+        'c7ba5f83db9693904c92e8198f31ff86aa39a9a2c211d40655a657e78f4e1572',
+    'disjoint.cpl: trees --sorted':
+        'c7ba5f83db9693904c92e8198f31ff86aa39a9a2c211d40655a657e78f4e1572',
+    'disjoint.cpl: trees --dot':
+        '7a61632cef7761c9c5eb4bc7c2533c3cedf9bf36bb955b30781bbeeb674d46b6',
+    'disjoint.cpl: cycles':
+        'f288a31c436dc66e37c98c349f1d87ca3fce8b41fe2c916e51287f7afb5ef5c2',
+    'disjoint.cpl: cycles --dot':
+        '1744148766a91749b284dcacef4cf5ec3186168eb163821c2616642668f55de7',
+    'disjoint.cpl: hierarchy':
+        '4950a1f25e1b188e8ff2423530fc3df74a3c21506d8b36d0673d74e75faeeebc',
+    'disjoint.cpl: hierarchy --dot':
+        '4950a1f25e1b188e8ff2423530fc3df74a3c21506d8b36d0673d74e75faeeebc',
+    'scenes/cooking.cpl: check --out':
+        '5cd2e6292b13c58f4d35bdd5a6d62cfb8b81cfa7a7a8fea38fa63cdf71d949f3',
+    'scenes/cooking.cpl: grid --out':
+        'bdf8eee3a17475b19a481651208fd6899802d10f16b9f4b4d08582b2dc31d254',
+    'scenes/cooking.cpl: grid --format json --out':
+        '9df056067f558767850f30d68db682c746b98c450a440802f5c697ab010eede1',
+    'scenes/cooking.cpl: cluster --out':
+        '5c01d919e92bc6a51c0f8d10188e9bc2adcc241457b1f269481f6bf555ef8dfc',
+    'scenes/cooking.cpl: trees --out':
+        '4a17692d8a38043f8561fcaa385587a7b974e61c2479613ab080551bc2bd9333',
+    'scenes/cooking.cpl: trees --sorted --out':
+        '95abb9373fa63d31283e312709036300af376d75ff1b97e246ad1dcef7c3fd6a',
+    'scenes/cooking.cpl: trees --dot --out':
+        '2dab9d684dd402dc3009147005008d10784eac3ffac786be498b723dd66a1800',
+    'scenes/cooking.cpl: cycles --out':
+        'b46783e6ff4b321da44d45f6875d8327c24101e6818c125971a2c3879c328829',
+    'scenes/cooking.cpl: cycles --dot --out':
+        '545d7d0aa34b260b3740295210edffa0116a8d7b0abc98d8ce08f3f70d8cd0f2',
+    'scenes/cooking.cpl: hierarchy --out':
+        'ac632589cb93b8110cfca78e45acedbd9ab31bec2874a75819bcdf0e24c3a518',
+    'scenes/cooking.cpl: hierarchy --dot --out':
+        '9c24692e9340f4740e560721c3b9d338ff37f7ef10ec76c89c231253d8971708',
+    'CPL_COLOR=1 scenes/inconsistent.cpl: check':
+        'a6333a49a41f0ff09059c21fdf0b0638ffde9592089bd3973a63e113d26a41a4',
+    'CPL_COLOR=1 scenes/first_attempt.cpl: check':
+        '119f18f0f3be993ad6e28d47ed03e2cafafbaa5482c70ecb9cbea2700f056119',
+    'CPL_COLOR=1 disjoint.cpl: hierarchy':
+        '81e79a3b38f2b372ca06513c9d1f847d4c952065d92f3d9ffab7e9ac5757204a',
     'predict --memory scenes/memory_demo --input Pot,Water -k 3':
         '001aa483db4bfe20e5125874afc7ca3c92799c2446aa5c14b0be6cc7a9165396',
     'predict --memory scenes/memory_demo --input Pot,Water --legal Egg,Salt -k 2':

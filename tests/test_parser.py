@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpl.ast import Amount, ConceptId, Quantity, RelationKind, Rule, Scene
+from cpl.ast import Amount, ConceptId, Quantity, Rule, Scene
 from cpl.parser import _Abort, _Parser, format_scene, parse_scene
 
 import oracles
@@ -73,10 +73,23 @@ def test_relation_chain_desugars_pairwise():
     scene = parsed(MINI)
     r2 = scene.rules[1]
     kinds = [(rel.kind, rel.left, rel.right) for rel in r2.relations]
-    assert kinds == [
-        (RelationKind.ASSOCIATION, "Egg", "Heat"),
-        (RelationKind.SUB_CONCEPT, "Heat", "Pot"),
-    ]
+    assert kinds == [("-", "Egg", "Heat"), ("<", "Heat", "Pot")]
+
+
+def test_each_operator_parses_to_its_kind_and_formats_back():
+    """A relation's kind is its operator; ``>`` is flipped into ``<``."""
+    text = ("scene Ops {\n  entities { Pot as P; Heat as H; Egg; Water; }\n"
+            "  rules {\n"
+            "    r1: Egg + P.H -> Egg.H.P where P > H - Egg in P, Water < P;\n"
+            "  }\n}\n")
+    scene = parsed(text)
+    relations = scene.rules[0].relations
+    assert [(rel.kind, rel.left, rel.right) for rel in relations] == [
+        ("<", "Heat", "Pot"), ("-", "Heat", "Egg"), ("in", "Egg", "Pot"),
+        ("<", "Water", "Pot")]
+    formatted = format_scene(scene)
+    assert "where H < P, H - Egg, Egg in P, Water < P;" in formatted
+    assert parsed(formatted) == scene
 
 
 def test_references_resolve_through_aliases():

@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 
 from cpl.ast import (
+    ASSOCIATION,
+    SUB_CONCEPT,
     Amount,
     Chain,
     ConceptId,
     Diagnostic,
     Quantity,
     Relation,
-    RelationKind,
     ResultTerm,
     Rule,
     Scene,
@@ -66,7 +67,7 @@ RECORDS = [
     HierarchyBuild(HIERARCHY, (), (RULE,), ("r",), (1,)),
     RankedFeature("f", 2),
     ALPHA,
-    Relation(RelationKind.SUB_CONCEPT, A, B),
+    Relation(SUB_CONCEPT, A, B),
     Quantity(Amount(2)),
     RULE,
     Scene("S", (ALPHA, BETA), A, (RULE,)),
@@ -126,13 +127,13 @@ HERE, THERE = Span(1, 1), Span(7, 3)
 # out of equality, after those.
 COMPARED = [
     (ConceptId("Alpha", "A"), {"name": "Gamma", "abbrev": None}),
-    (Relation(RelationKind.ASSOCIATION, A, B),
-     {"kind": RelationKind.SUB_CONCEPT, "left": "Gamma", "right": "Gamma"}),
+    (Relation(ASSOCIATION, A, B),
+     {"kind": SUB_CONCEPT, "left": "Gamma", "right": "Gamma"}),
     (Quantity(Amount(2), HERE), {"total": Amount(3)}),
     (RULE._replace(ordinal=1, span=HERE),
      {"label": None, "outputs": (B,), "inputs": (Chain((A, B)),),
       "declared_results": (),
-      "relations": (Relation(RelationKind.SUB_CONCEPT, A, B),)}),
+      "relations": (Relation(SUB_CONCEPT, A, B),)}),
     (Scene("S", (ALPHA,), None, (RULE,)),
      {"name": "T", "entities": (ALPHA, BETA), "root": A, "rules": ()}),
 ]
@@ -232,7 +233,7 @@ def test_derivations_share_only_ast(module, absent):
 def test_oracles_import_only_records_from_cpl():
     """A differential oracle that calls the code under test cannot catch
     its faults, so ``tests/oracles.py`` takes from ``cpl`` only the
-    records it builds and compares, ``RelationKind`` and ``KEYWORDS``."""
+    records it builds and compares and ``KEYWORDS``."""
     path = Path(__file__).resolve().parent / "oracles.py"
     borrowed = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -249,5 +250,4 @@ def test_oracles_import_only_records_from_cpl():
         record = isinstance(value, type) and (
             issubclass(value, tuple) and hasattr(value, "_fields")
             or value is Occurrence)
-        assert record or value is RelationKind or value is KEYWORDS, \
-            (module, name)
+        assert record or value is KEYWORDS, (module, name)
