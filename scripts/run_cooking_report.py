@@ -40,7 +40,7 @@ def main() -> int:
     print(to_csv(freq), end="")
     print("\n== clusters ==")
     for cluster in ordered_clusters(clustering.clusters):
-        print("  " + ", ".join(sorted(cluster)))
+        print("  " + ", ".join(cluster))
     print("== secondary links ==")
     for a, b, count in clustering.secondary_links:
         print(f"  {a} - {b} ({count})")
@@ -62,6 +62,10 @@ def main() -> int:
     for name in sorted(ensemble.concepts,
                        key=lambda n: (-ensemble.strength(n), n)):
         print(f"  {name}: {ensemble.strength(name)}")
+    for diag in build.diagnostics:
+        print(f"  {path}:{diag}", file=sys.stderr)
+    if build.diagnostics:
+        return 1
     print(f"== hierarchy (root {build.hierarchy.root}) ==")
     for parent, child in build.hierarchy.edges:
         print(f"  {parent} -> {child}")

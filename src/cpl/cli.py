@@ -25,7 +25,6 @@ from itertools import chain
 from pathlib import Path
 
 from . import check, forest, grid, hierarchy, memory
-from .ast import Diagnostic
 from .parser import parse_scene
 
 EXIT_OK = 0
@@ -108,7 +107,7 @@ def _cmd_cluster(args) -> list[str]:
     freq, clustering = grid.cluster_scene(_checked_scene(args.file))
     lines = []
     for cluster in grid.ordered_clusters(clustering.clusters):
-        lines.append("cluster: " + ", ".join(sorted(cluster)))
+        lines.append("cluster: " + ", ".join(cluster))
     for a, b, count in clustering.secondary_links:
         lines.append(f"link: {a} - {b} ({count})")
     return ["\n".join(lines) + "\n"]
@@ -135,15 +134,10 @@ def _cmd_cycles(args):
 
 def _cmd_hierarchy(args) -> list[str]:
     scene = _checked_scene(args.file)
-    ensemble = hierarchy.build_ensemble(scene)
-    if ensemble.concepts:
-        build = hierarchy.build_hierarchy(scene, ensemble)
-        diagnostics = build.diagnostics
-    else:  # a scene without rules: no concept can root the hierarchy
-        diagnostics = [Diagnostic(
-            "cannot select a root from an empty ensemble", 1, 1)]
-    if diagnostics:
-        raise _Exit(EXIT_DIAGNOSTICS, _format_diagnostics(args.file, diagnostics))
+    build = hierarchy.build_hierarchy(scene, hierarchy.build_ensemble(scene))
+    if build.diagnostics:
+        raise _Exit(EXIT_DIAGNOSTICS,
+                    _format_diagnostics(args.file, build.diagnostics))
     if args.dot:
         return [hierarchy.hierarchy_to_dot(build)]
     lines = [f"root: {build.hierarchy.root}"]

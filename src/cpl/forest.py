@@ -277,7 +277,6 @@ def _pair_cycles(pair: tuple[Rule, Rule], found: dict[tuple, Cycle]) -> None:
     for rule in pair:
         for a, b in _rule_edges(rule):
             adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set())
     cites = tuple(sorted(rule.cite for rule in pair))
     for walk in simple_cycles(adjacency):
         if walk not in found:

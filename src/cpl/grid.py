@@ -218,8 +218,7 @@ def json_chunks(grid: FrequencyGrid, clustering: Clustering) -> Iterator[str]:
     column = {name: i for i, name in enumerate(names)}
     head = json.dumps({"format_version": 1, "concepts": list(names)}, indent=2)
     tail = json.dumps({
-        "clusters": [sorted(cluster)
-                     for cluster in ordered_clusters(clustering.clusters)],
+        "clusters": ordered_clusters(clustering.clusters),
         "secondary_links": [list(link) for link in clustering.secondary_links],
     }, indent=2)
     # Drop the head's closing "\n}" and the tail's opening "{\n".
@@ -231,6 +230,7 @@ def json_chunks(grid: FrequencyGrid, clustering: Clustering) -> Iterator[str]:
 
 
 def ordered_clusters(
-        clusters: tuple[tuple[str, ...], ...]) -> list[tuple[str, ...]]:
-    """Largest cluster first, ties by smallest member name."""
-    return sorted(clusters, key=lambda c: (-len(c), sorted(c)[0]))
+        clusters: tuple[tuple[str, ...], ...]) -> list[list[str]]:
+    """The clusters in printed order, each one's members by name: largest
+    cluster first, ties by smallest member name."""
+    return sorted(map(sorted, clusters), key=lambda c: (-len(c), c[0]))

@@ -4,7 +4,9 @@ The ensemble is the frequency grid taken over every concept the rules use:
 one node per concept, weighted by the co-occurrence counts.  The hierarchy
 is then grown from the rule paths, rooted at the strongest (most frequently
 used) concept: each rule's derived path is oriented so its end nearest the
-root comes first and is inserted link by link.  Because every concept
+root comes first and is inserted link by link.  A scene without rules has
+no concept to root it: ``select_root`` gives ``None``, and the build is
+an empty hierarchy with one diagnostic at 1:1.  Because every concept
 keeps a single node, shared links converge and the result is a DAG rather
 than a tree.  A rule that merely reverses an earlier one repeats a process
 and inserts nothing; it is known by its position in ``cpl.ast.reverse_pairs``,
@@ -61,7 +63,7 @@ class TraceEvent(NamedTuple):
 
 
 class Hierarchy(NamedTuple):
-    root: str
+    root: str | None  # None only for a scene without rules
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
@@ -113,11 +115,10 @@ def build_ensemble(scene: Scene) -> FrequencyGrid:
     return FrequencyGrid(concepts, grid.neighbours)
 
 
-def select_root(ensemble: FrequencyGrid) -> str:
-    """The strongest concept anchors the hierarchy; ties break by name."""
-    if not ensemble.concepts:
-        raise ValueError("cannot select a root from an empty ensemble")
-    return min(ensemble.concepts,
+def select_root(ensemble: FrequencyGrid) -> str | None:
+    """The strongest concept anchors the hierarchy; ties break by name.
+    An empty ensemble has no root."""
+    return min(ensemble.concepts, default=None,
                key=lambda name: (-ensemble.strength(name), name))
 
 
@@ -262,6 +263,10 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
     reported.
     """
     root = select_root(ensemble)
+    if root is None:
+        return HierarchyBuild(Hierarchy(None, (), ()), (Diagnostic(
+            "cannot select a root from an empty ensemble", 1, 1),),
+            scene.rules, (), ())
     repeats = _repeat_rules(scene)
     builder = _Builder(root)
     ends: list[int] = []
@@ -294,12 +299,10 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
 
 def hierarchy_to_dot(build: HierarchyBuild) -> str:
     """The root sits at the bottom; links point upward to less-used concepts."""
-    lines = [
-        "digraph process_hierarchy {",
-        "  rankdir=BT;",
-        "  node [shape=ellipse];",
-        f'  "{build.hierarchy.root}" [shape=doubleoctagon];',
-    ]
+    lines = ["digraph process_hierarchy {", "  rankdir=BT;",
+             "  node [shape=ellipse];"]
+    if build.hierarchy.root is not None:
+        lines.append(f'  "{build.hierarchy.root}" [shape=doubleoctagon];')
     for parent, child in build.hierarchy.edges:
         lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")

@@ -281,8 +281,9 @@ def test_hierarchy_diagnostics_exit_1(capsys, tmp_path):
 
 def test_hierarchy_lets_an_unexpected_value_error_through(monkeypatch,
                                                          cooking_path):
-    """Only a scene without rules is reported as a hierarchy diagnostic; any
-    other ``ValueError`` is a fault, and it must not pass for bad input."""
+    """The hierarchy stage reports a scene without rules itself and raises
+    nothing on a checked scene, so a ``ValueError`` is a fault, and it must
+    not pass for bad input."""
     def broken(scene, ensemble):
         raise ValueError("a fault in the hierarchy")
 

@@ -90,6 +90,12 @@ SCRIPTS = (
     "scripts/run_cooking_report.py",
     "scripts/run_cooking_report.py scenes/quantities.cpl",
     "scripts/run_cooking_report.py scenes/inconsistent.cpl",
+    # The one script case with a concept that no rule's left-hand side
+    # names (Garden), so its ensemble row counts 0.
+    "scripts/run_cooking_report.py scenes/operators.cpl",
+    # The two hierarchy diagnostics: the report exits 1 and says why.
+    "scripts/run_cooking_report.py no-rules.cpl",
+    "scripts/run_cooking_report.py disjoint.cpl",
     "scripts/memory_demo.py",
 )
 
@@ -130,7 +136,9 @@ def run_case(case: str, directory: Path) -> tuple:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             if case.startswith("python "):
-                sys.argv = case.split()[1:]
+                sys.argv = [
+                    str(directory / arg) if arg in GENERATED else arg
+                    for arg in case.split()[1:]]
                 try:
                     runpy.run_path(sys.argv[0], run_name="__main__")
                     code = 0
@@ -713,6 +721,12 @@ DIGESTS = {
         'dfcdf166551d8abaf18525973e09b2c9b635e3acf898b1c97a98ac4c4415914f',
     'python scripts/run_cooking_report.py scenes/inconsistent.cpl':
         '5f11739b0ddc67b4f92b168e2021caf8ac5cdfd95dbd8be915319ae56ed6b1d7',
+    'python scripts/run_cooking_report.py scenes/operators.cpl':
+        '13edcdb21a02e66c24f8c9eb5984893477deb2ad694f45a1a8b48405690e8542',
+    'python scripts/run_cooking_report.py no-rules.cpl':
+        '22b9a1a9d62f07dfbffd97e864badb9a3df5786b33884c626551ba40f2814f76',
+    'python scripts/run_cooking_report.py disjoint.cpl':
+        '44781a5feb8a7c14d9018fdeb7492576a9890cdd658eebe47cdab44472a9987e',
     'python scripts/memory_demo.py':
         'adf8a250ef0b7323f8e2bd18d06dc1f2387c3c515e97c41c4ecae5fe357dcd49',
 }

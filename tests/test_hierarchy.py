@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from cpl.ast import Scene
+from cpl.ast import Diagnostic, Scene
+from cpl.grid import build_grid
 from cpl.hierarchy import (
     TraceEvent,
     _repeat_rules,
@@ -68,8 +69,55 @@ def test_empty_scene_has_empty_ensemble():
     scene = scene_of("scene S { entities { A; } rules { } }")
     ensemble = build_ensemble(scene)
     assert ensemble.concepts == ()
-    with pytest.raises(ValueError):
-        select_root(ensemble)
+    assert select_root(ensemble) is None
+
+
+def test_scene_without_rules_builds_an_empty_hierarchy_with_a_diagnostic():
+    scene = scene_of("scene S { entities { A; } rules { } }")
+    build = build_hierarchy(scene, build_ensemble(scene))
+    assert build.diagnostics == (
+        Diagnostic("cannot select a root from an empty ensemble", 1, 1),)
+    assert build.hierarchy.root is None
+    assert build.hierarchy.nodes == build.hierarchy.edges == ()
+    assert build.cites == build.ends == build.trace == ()
+    assert hierarchy_to_dot(build) == (
+        "digraph process_hierarchy {\n  rankdir=BT;\n"
+        "  node [shape=ellipse];\n}\n")
+
+
+def assert_grid_and_ensemble_share_a_root(scene):
+    """The ensemble adds only concepts outside every rule's left-hand side,
+    such as relation-only ones; they count 0 and never win the root."""
+    assert select_root(build_grid(scene)) == select_root(build_ensemble(scene))
+
+
+def test_grid_and_ensemble_share_a_root_on_bundled_scenes(scenes_dir):
+    for path in sorted(scenes_dir.glob("*.cpl")):
+        scene = parse_scene(path.read_text(encoding="utf-8")).scene
+        if scene is not None and scene.rules:
+            assert_grid_and_ensemble_share_a_root(scene)
+    # Garden is named only in relations: the ensemble holds it at 0.
+    scene = scene_of((scenes_dir / "operators.cpl").read_text(encoding="utf-8"))
+    ensemble = build_ensemble(scene)
+    assert "Garden" not in build_grid(scene).concepts
+    assert "Garden" in ensemble.concepts and ensemble.strength("Garden") == 0
+    assert select_root(ensemble) == "Shed"
+
+
+@given(st.sampled_from([make_scene, make_reverse_scene]),
+       st.integers(0, 10**9))
+def test_grid_and_ensemble_share_a_root_on_generated_scenes(make, seed):
+    assert_grid_and_ensemble_share_a_root(make(random.Random(seed)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", [(64, 128, 0.10, 0.03), (24, 200, 0.30, 0.05)],
+                         ids=["concept-wide", "rule-dense"])
+def test_grid_and_ensemble_share_a_root_on_workload_scenes(shape, seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        assert_grid_and_ensemble_share_a_root(
+            scene_of(scenegen.generate(rng, *shape).text))
 
 
 def test_single_concept_root():
@@ -192,10 +240,7 @@ def test_trace_reads_the_same_twice(cooking_scene):
 @given(st.integers(0, 10**9))
 def test_generated_hierarchies_stay_sound(seed):
     scene = make_scene(random.Random(seed))
-    ensemble = build_ensemble(scene)
-    if not ensemble.concepts:
-        return
-    build = build_hierarchy(scene, ensemble)
+    build = build_hierarchy(scene, build_ensemble(scene))
     hierarchy = build.hierarchy
     assert is_acyclic(hierarchy)
     assert len(set(hierarchy.nodes)) == len(hierarchy.nodes)
@@ -269,10 +314,8 @@ def test_hierarchy_ignores_rule_ordinals(seed):
     scene = make_reverse_scene(random.Random(seed))
     zeroed = scene._replace(
         rules=tuple(rule._replace(ordinal=0) for rule in scene.rules))
-    ensemble = build_ensemble(scene)
-    if ensemble.concepts:
-        assert (build_hierarchy(zeroed, build_ensemble(zeroed)).hierarchy
-                == build_hierarchy(scene, ensemble).hierarchy)
+    assert (build_hierarchy(zeroed, build_ensemble(zeroed)).hierarchy
+            == build_hierarchy(scene, build_ensemble(scene)).hierarchy)
 
 
 def assert_same_build(build, oracle):

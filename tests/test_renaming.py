@@ -72,9 +72,8 @@ def derived(text: str) -> dict:
         trees=(nested_notation(forest), nested_notation(forest, True)),
         uni_links=[link.render() for link in report.uni_links],
         cycles=[cycle.render() for cycle in report.cycles])
-    if scene.rules:
-        hierarchy = build_hierarchy(scene, build_ensemble(scene)).hierarchy
-        out["hierarchy"] = (hierarchy.root, hierarchy.edges)
+    hierarchy = build_hierarchy(scene, build_ensemble(scene)).hierarchy
+    out["hierarchy"] = (hierarchy.root, hierarchy.edges)
     return out
 
 
