@@ -90,6 +90,8 @@ SCRIPTS = (
     "scripts/run_cooking_report.py",
     "scripts/run_cooking_report.py scenes/quantities.cpl",
     "scripts/run_cooking_report.py scenes/inconsistent.cpl",
+    # A parse failure: the report writes cpl's own diagnostic lines.
+    "scripts/run_cooking_report.py scenes/first_attempt.cpl",
     # The one script case with a concept that no rule's left-hand side
     # names (Garden), so its ensemble row counts 0.
     "scripts/run_cooking_report.py scenes/operators.cpl",
@@ -721,6 +723,8 @@ DIGESTS = {
         'dfcdf166551d8abaf18525973e09b2c9b635e3acf898b1c97a98ac4c4415914f',
     'python scripts/run_cooking_report.py scenes/inconsistent.cpl':
         '5f11739b0ddc67b4f92b168e2021caf8ac5cdfd95dbd8be915319ae56ed6b1d7',
+    'python scripts/run_cooking_report.py scenes/first_attempt.cpl':
+        'de74351c1da33058288f830daeb1409ebe07d57e3af97beca2daab39752f4c99',
     'python scripts/run_cooking_report.py scenes/operators.cpl':
         '13edcdb21a02e66c24f8c9eb5984893477deb2ad694f45a1a8b48405690e8542',
     'python scripts/run_cooking_report.py no-rules.cpl':
