@@ -5,7 +5,10 @@ legality constraint.
 Usage: python scripts/memory_demo.py [memory_dir]
 
 Without ``memory_dir`` the scenes go to a temporary directory that is
-removed before the script exits.
+removed before the script exits.  The scenes are read back as ``cpl
+predict`` reads its ``--memory`` directory.  Exit codes: 0 done; 2 a
+``memory_dir`` that cannot be created or written, or whose memory (the
+demo's scenes with any other ``*.json`` scene in it) cannot be loaded.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cpl.memory import cross_reference, load_memory_dir, predict, save_scene  # noqa: E402
+from cpl.cli import EXIT_FAILURE, Exit, load_memory  # noqa: E402
+from cpl.memory import cross_reference, predict, save_scene  # noqa: E402
 
 SCENES = {
     "breakfast": ["Egg", "Heat", "Pot", "Water"],
@@ -26,10 +30,19 @@ SCENES = {
 }
 
 
-def demo(directory: Path) -> None:
-    for scene_id, features in SCENES.items():
-        save_scene(directory, scene_id, features)
-    store = load_memory_dir(directory)
+def store_scenes(directory: str):
+    """Save every demo scene to ``directory`` and load its memory back."""
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        for scene_id, features in SCENES.items():
+            save_scene(directory, scene_id, features)
+    except OSError as exc:
+        raise Exit(EXIT_FAILURE, f"memory_demo: cannot use {directory}: "
+                   f"{exc.strerror}\n") from exc
+    return load_memory(directory)
+
+
+def demo(store) -> None:
     print(f"stored {len(store)} scenes")
 
     inputs = ["Pot", "Water"]
@@ -51,13 +64,16 @@ def demo(directory: Path) -> None:
 
 
 def main() -> int:
-    if len(sys.argv) > 1:
-        directory = Path(sys.argv[1])
-        directory.mkdir(parents=True, exist_ok=True)
-        demo(directory)
-    else:
-        with tempfile.TemporaryDirectory(prefix="cpl-memory-") as directory:
-            demo(Path(directory))
+    try:
+        if len(sys.argv) > 1:
+            store = store_scenes(sys.argv[1])
+        else:
+            with tempfile.TemporaryDirectory(prefix="cpl-memory-") as directory:
+                store = store_scenes(directory)
+    except Exit as exc:
+        sys.stderr.write(str(exc))
+        return exc.code
+    demo(store)
     return 0
 
 

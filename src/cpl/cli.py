@@ -2,7 +2,7 @@
 
 Exit codes: 0 clean, 1 diagnostics reported, 2 parse or usage failure
 (including ``-k`` below 1, a ``--memory`` directory with no ``*.json``
-scene and an ``--out`` file that cannot be written).
+scene, and an ``--out`` file or a stdout pipe that cannot be written).
 Identical inputs produce byte-identical output; diagnostics go to stderr,
 results to stdout or to the file named by --out.
 
@@ -10,10 +10,15 @@ Each subcommand's handler takes the parsed arguments, does its work and
 returns its result as text chunks (the grid a row at a time, as CSV or
 JSON, and the cycle report a line at a time, its uni-links built one
 concept at a time); ``main`` writes them to stdout or ``--out`` and exits 0.
-A handler that cannot produce a result raises ``_Exit`` with the exit code
+A handler that cannot produce a result raises ``Exit`` with the exit code
 and the text for stderr, diagnostics included.  ``check`` alone also writes
 its own result: when it reports diagnostics it writes the count line and
-then raises ``_Exit`` with code 1.
+then raises ``Exit`` with code 1.
+
+``load_scene``, ``load_memory`` and ``format_diagnostics`` are the one
+place where a path becomes a scene or a memory store and where a
+diagnostic line is spelled; the bundled scripts call them too, and write
+an ``Exit``'s message and return its code as ``main`` does.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ EXIT_DIAGNOSTICS = 1
 EXIT_FAILURE = 2
 
 
-class _Exit(Exception):
+class Exit(Exception):
     """Ends the command: main writes the message to stderr and returns
     ``code``."""
 
@@ -44,56 +49,85 @@ class _Exit(Exception):
 _RED_ERROR = "\x1b[31merror\x1b[0m"
 
 
-def _format_diagnostics(path: str, diagnostics) -> str:
+def format_diagnostics(path: str, diagnostics) -> str:
+    """One ``PATH:LINE:COL: error: MESSAGE`` line per diagnostic, the word
+    ``error`` in red when ``CPL_COLOR=1``."""
     label = _RED_ERROR if os.environ.get("CPL_COLOR", "0") == "1" else "error"
     return "".join(f"{path}:{diag.line}:{diag.column}: {label}: {diag.message}\n"
                    for diag in diagnostics)
 
 
-def _load_scene(path: str):
+def load_scene(path: str):
+    """The scene parsed from the file at ``path``; raises ``Exit`` with
+    code 2 when the file cannot be read or does not parse."""
     try:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _Exit(EXIT_FAILURE,
-                    f"cpl: cannot read {path}: {exc.strerror}\n") from exc
+        raise Exit(EXIT_FAILURE,
+                   f"cpl: cannot read {path}: {exc.strerror}\n") from exc
     except UnicodeDecodeError as exc:
-        raise _Exit(EXIT_FAILURE, f"cpl: cannot read {path}: {exc}\n") from exc
+        raise Exit(EXIT_FAILURE, f"cpl: cannot read {path}: {exc}\n") from exc
     result = parse_scene(source)
     if result.scene is None:
-        raise _Exit(EXIT_FAILURE, _format_diagnostics(path, result.diagnostics))
+        raise Exit(EXIT_FAILURE, format_diagnostics(path, result.diagnostics))
     return result.scene
 
 
 def _checked_scene(path: str):
-    scene = _load_scene(path)
+    scene = load_scene(path)
     diagnostics = check.check_all(scene)
     if diagnostics:
-        raise _Exit(EXIT_DIAGNOSTICS, _format_diagnostics(path, diagnostics))
+        raise Exit(EXIT_DIAGNOSTICS, format_diagnostics(path, diagnostics))
     return scene
+
+
+def load_memory(directory: str) -> memory.MemoryStore:
+    """The memory stored in ``directory``'s ``*.json`` scenes; raises
+    ``Exit`` with code 2 when it is not a directory, a scene cannot be
+    loaded or none is stored."""
+    if not Path(directory).is_dir():
+        raise Exit(EXIT_FAILURE, f"cpl: {directory} is not a directory\n")
+    try:
+        store = memory.load_memory_dir(directory)
+    except (OSError, ValueError, KeyError) as exc:
+        raise Exit(EXIT_FAILURE, f"cpl: cannot load memory from "
+                   f"{directory}: {exc}\n") from exc
+    if not store:
+        raise Exit(EXIT_FAILURE, f"cpl: {directory} holds no memory scene "
+                   "(*.json)\n")
+    return store
 
 
 def _write_output(chunks, out: str | None) -> None:
     if out is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # The reader closed the pipe.  What is still buffered goes to
+            # os.devnull, so the interpreter's final flush fails no more.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise Exit(EXIT_FAILURE,
+                       f"cpl: cannot write stdout: {exc.strerror}\n") from exc
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
     except OSError as exc:
-        raise _Exit(EXIT_FAILURE,
-                    f"cpl: cannot write {out}: {exc.strerror}\n") from exc
+        raise Exit(EXIT_FAILURE,
+                   f"cpl: cannot write {out}: {exc.strerror}\n") from exc
 
 
 def _cmd_check(args) -> list[str]:
-    scene = _load_scene(args.file)
+    scene = load_scene(args.file)
     diagnostics = check.check_all(scene)
     plural = "" if len(diagnostics) == 1 else "s"
     count = [f"{len(diagnostics)} error{plural}\n"]
     if not diagnostics:
         return count
-    sys.stderr.write(_format_diagnostics(args.file, diagnostics))
+    sys.stderr.write(format_diagnostics(args.file, diagnostics))
     _write_output(count, args.out)
-    raise _Exit(EXIT_DIAGNOSTICS)
+    raise Exit(EXIT_DIAGNOSTICS)
 
 
 def _cmd_grid(args):
@@ -136,8 +170,8 @@ def _cmd_hierarchy(args) -> list[str]:
     scene = _checked_scene(args.file)
     build = hierarchy.build_hierarchy(scene, hierarchy.build_ensemble(scene))
     if build.diagnostics:
-        raise _Exit(EXIT_DIAGNOSTICS,
-                    _format_diagnostics(args.file, build.diagnostics))
+        raise Exit(EXIT_DIAGNOSTICS,
+                   format_diagnostics(args.file, build.diagnostics))
     if args.dot:
         return [hierarchy.hierarchy_to_dot(build)]
     lines = [f"root: {build.hierarchy.root}"]
@@ -151,17 +185,8 @@ def _parse_feature_list(raw: str) -> list[str]:
 
 def _cmd_predict(args) -> list[str]:
     if args.k < 1:
-        raise _Exit(EXIT_FAILURE, f"cpl: -k must be at least 1, got {args.k}\n")
-    if not Path(args.memory).is_dir():
-        raise _Exit(EXIT_FAILURE, f"cpl: {args.memory} is not a directory\n")
-    try:
-        store = memory.load_memory_dir(args.memory)
-    except (OSError, ValueError, KeyError) as exc:
-        raise _Exit(EXIT_FAILURE, f"cpl: cannot load memory from "
-                    f"{args.memory}: {exc}\n") from exc
-    if not store:
-        raise _Exit(EXIT_FAILURE, f"cpl: {args.memory} holds no memory scene "
-                    "(*.json)\n")
+        raise Exit(EXIT_FAILURE, f"cpl: -k must be at least 1, got {args.k}\n")
+    store = load_memory(args.memory)
     inputs = _parse_feature_list(args.input)
     legal = _parse_feature_list(args.legal) if args.legal is not None else None
     return [f"{item.feature} {item.votes}\n"
@@ -212,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAILURE if exc.code not in (0, None) else 0
     try:
         _write_output(args.handler(args), args.out)
-    except _Exit as exc:
+    except Exit as exc:
         sys.stderr.write(str(exc))
         return exc.code
     return EXIT_OK

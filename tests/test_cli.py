@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from cpl.cli import main
 from cpl.parser import format_scene, parse_scene
 
 from genhelpers import make_scene
+from test_depth import deep_chain_source, deep_loop_source
 
 
 def run(capsys, *argv):
@@ -380,3 +384,28 @@ def test_color_toggle(capsys, scenes_dir, monkeypatch):
     monkeypatch.setenv("CPL_COLOR", "0")
     code, _, err = run(capsys, "check", str(scenes_dir / "inconsistent.cpl"))
     assert "\x1b[31m" not in err
+
+
+@pytest.mark.parametrize("form, source", [
+    ("grid", lambda: deep_chain_source(3000)),
+    ("grid --format json", lambda: deep_chain_source(3000)),
+    ("cycles", lambda: deep_loop_source(1500)),
+], ids=("grid", "grid-json", "cycles"))
+def test_a_reader_that_closes_the_pipe_early_gets_exit_2(form, source,
+                                                          tmp_path):
+    """Each output runs to megabytes, far past a pipe's buffer: the write
+    after the reader has gone fails, and cpl says so as for an --out file
+    it cannot write, with no traceback at the write or at exit."""
+    path = tmp_path / "deep.cpl"
+    path.write_text(source(), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cpl", *form.split(), str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert child.stdout.read(1)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert err == "cpl: cannot write stdout: Broken pipe\n"

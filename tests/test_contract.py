@@ -98,6 +98,9 @@ SCRIPTS = (
     # The two hierarchy diagnostics: the report exits 1 and says why.
     "scripts/run_cooking_report.py no-rules.cpl",
     "scripts/run_cooking_report.py disjoint.cpl",
+    # Paths that cannot be read: the report writes cpl check's line.
+    "scripts/run_cooking_report.py scenes/missing.cpl",
+    "scripts/run_cooking_report.py scenes",
     "scripts/memory_demo.py",
 )
 
@@ -107,6 +110,7 @@ COLORED = (
     "scenes/inconsistent.cpl: check",
     "scenes/first_attempt.cpl: check",
     "disjoint.cpl: hierarchy",
+    "python scripts/run_cooking_report.py scenes/inconsistent.cpl",
 )
 
 CASES = (
@@ -129,7 +133,7 @@ def run_case(case: str, directory: Path) -> tuple:
     generated scene's path in the output reads as its file name."""
     out, err = io.StringIO(), io.StringIO()
     here = os.getcwd()
-    saved_argv = sys.argv
+    saved_argv, saved_path = sys.argv, sys.path[:]
     target = directory / "out.txt"
     if case.startswith(COLOR):
         case = case[len(COLOR):]
@@ -159,6 +163,7 @@ def run_case(case: str, directory: Path) -> tuple:
     finally:
         os.chdir(here)
         sys.argv = saved_argv
+        sys.path[:] = saved_path
         os.environ.pop("CPL_COLOR", None)
     prefix = str(directory) + os.sep
     result = (code, out.getvalue().replace(prefix, ""),
@@ -703,6 +708,8 @@ DIGESTS = {
         '119f18f0f3be993ad6e28d47ed03e2cafafbaa5482c70ecb9cbea2700f056119',
     'CPL_COLOR=1 disjoint.cpl: hierarchy':
         '81e79a3b38f2b372ca06513c9d1f847d4c952065d92f3d9ffab7e9ac5757204a',
+    'CPL_COLOR=1 python scripts/run_cooking_report.py scenes/inconsistent.cpl':
+        '4f19f0660d18cfb649cbc05e0bcf21030826bda7e72fec6a2fe5d03e0a1cb137',
     'predict --memory scenes/memory_demo --input Pot,Water -k 3':
         '001aa483db4bfe20e5125874afc7ca3c92799c2446aa5c14b0be6cc7a9165396',
     'predict --memory scenes/memory_demo --input Pot,Water --legal Egg,Salt -k 2':
@@ -731,6 +738,10 @@ DIGESTS = {
         '22b9a1a9d62f07dfbffd97e864badb9a3df5786b33884c626551ba40f2814f76',
     'python scripts/run_cooking_report.py disjoint.cpl':
         '44781a5feb8a7c14d9018fdeb7492576a9890cdd658eebe47cdab44472a9987e',
+    'python scripts/run_cooking_report.py scenes/missing.cpl':
+        '08a72f50b8fb81764fcc759d3811a2bae94d1ad2b78183ecb7d22de9f8ade130',
+    'python scripts/run_cooking_report.py scenes':
+        'e4d67a064864a10276eaa53de258714a2493f2685db7936e420aeb4f62c05512',
     'python scripts/memory_demo.py':
         'adf8a250ef0b7323f8e2bd18d06dc1f2387c3c515e97c41c4ecae5fe357dcd49',
 }

@@ -6,8 +6,9 @@ consistent, so that every derivation sees it: a concept renamed to another
 throughout one rule, two concepts swapped throughout one rule, or a rule
 dropped or repeated.  The rest rename a single mention, or delete, insert
 or replace a token anywhere.  Every scene form runs on every mutant
-in process, and ``predict`` on a feature list drawn from it.  None may
-raise, and each exits 0, 1 or 2.
+in process, ``predict`` on a feature list drawn from it, and the cooking
+report through ``runpy`` as the byte contract runs it.  None may raise,
+and each exits 0, 1 or 2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import pytest
 from cpl.cli import main
 from cpl.parser import KEYWORDS, parse_scene
 
-from test_contract import GENERATED, REPO_ROOT, SCENE_FORMS
+from test_contract import GENERATED, REPO_ROOT, SCENE_FORMS, run_case
 from test_depth import deep_loop_source, fan_source, mixed_source
 
 MUTANTS = 20  # per base scene
@@ -144,6 +145,9 @@ def test_no_mutant_raises_and_every_exit_code_is_known(base, tmp_path,
             code = run(argv)
             assert code in (0, 1, 2), (argv, path.read_text())
             codes.append(code)
+        code = run_case(f"python scripts/run_cooking_report.py {path}",
+                        tmp_path)[0]
+        assert code in (0, 1, 2), ("report", path.read_text())
     if parse_scene(BASES[base]).scene is not None:
         # Most mutants of a clean scene parse: the fuzz reaches past the
         # parser.
