@@ -8,7 +8,8 @@ Without ``memory_dir`` the scenes go to a temporary directory that is
 removed before the script exits.  The scenes are read back as ``cpl
 predict`` reads its ``--memory`` directory.  Exit codes: 0 done; 2 a
 ``memory_dir`` that cannot be created or written, or whose memory (the
-demo's scenes with any other ``*.json`` scene in it) cannot be loaded.
+demo's scenes with any other ``*.json`` scene in it) cannot be loaded, or
+a stdout that cannot be written.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cpl.cli import EXIT_FAILURE, Exit, load_memory  # noqa: E402
+from cpl.cli import (  # noqa: E402
+    EXIT_FAILURE, Exit, load_memory, write_output)
 from cpl.memory import cross_reference, predict, save_scene  # noqa: E402
 
 SCENES = {
@@ -42,25 +44,26 @@ def store_scenes(directory: str):
     return load_memory(directory)
 
 
-def demo(store) -> None:
-    print(f"stored {len(store)} scenes")
+def demo(store):
+    """The votes and predictions for the demo's query, as text chunks."""
+    yield f"stored {len(store)} scenes\n"
 
     inputs = ["Pot", "Water"]
     votes = cross_reference(store, inputs)
-    print(f"votes for input {inputs}:")
+    yield f"votes for input {inputs}:\n"
     for feature in sorted(votes, key=lambda f: (-votes[f], f)):
-        print(f"  {feature}: {votes[feature]}")
+        yield f"  {feature}: {votes[feature]}\n"
 
     unconstrained = predict(store, inputs, k=3)
-    print("top predictions:")
+    yield "top predictions:\n"
     for item in unconstrained:
-        print(f"  {item.feature} ({item.votes} votes)")
+        yield f"  {item.feature} ({item.votes} votes)\n"
 
     legal = {"Egg", "Pasta"}
     constrained = predict(store, inputs, legal=legal, k=3)
-    print(f"predictions constrained to {sorted(legal)}:")
+    yield f"predictions constrained to {sorted(legal)}:\n"
     for item in constrained:
-        print(f"  {item.feature} ({item.votes} votes)")
+        yield f"  {item.feature} ({item.votes} votes)\n"
 
 
 def main() -> int:
@@ -70,10 +73,10 @@ def main() -> int:
         else:
             with tempfile.TemporaryDirectory(prefix="cpl-memory-") as directory:
                 store = store_scenes(directory)
+        write_output(demo(store), None)
     except Exit as exc:
         sys.stderr.write(str(exc))
         return exc.code
-    demo(store)
     return 0
 
 

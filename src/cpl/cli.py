@@ -15,10 +15,11 @@ and the text for stderr, diagnostics included.  ``check`` alone also writes
 its own result: when it reports diagnostics it writes the count line and
 then raises ``Exit`` with code 1.
 
-``load_scene``, ``load_memory`` and ``format_diagnostics`` are the one
-place where a path becomes a scene or a memory store and where a
-diagnostic line is spelled; the bundled scripts call them too, and write
-an ``Exit``'s message and return its code as ``main`` does.
+``load_scene``, ``load_memory``, ``format_diagnostics`` and
+``write_output`` are the one place where a path becomes a scene or a
+memory store, where a diagnostic line is spelled and where a result is
+written; the bundled scripts call them too, and write an ``Exit``'s
+message and return its code as ``main`` does.
 """
 
 from __future__ import annotations
@@ -98,11 +99,17 @@ def load_memory(directory: str) -> memory.MemoryStore:
     return store
 
 
-def _write_output(chunks, out: str | None) -> None:
+def write_output(chunks, out: str | None) -> None:
+    """Write the text chunks to stdout, or to the file ``out``; raises
+    ``Exit`` with code 2 when they cannot be written.  Stdout is flushed
+    even when the chunks raise, so a closed pipe is reported here and not
+    at the interpreter's exit."""
     if out is None:
         try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
+            try:
+                sys.stdout.writelines(chunks)
+            finally:
+                sys.stdout.flush()
         except BrokenPipeError as exc:
             # The reader closed the pipe.  What is still buffered goes to
             # os.devnull, so the interpreter's final flush fails no more.
@@ -126,7 +133,7 @@ def _cmd_check(args) -> list[str]:
     if not diagnostics:
         return count
     sys.stderr.write(format_diagnostics(args.file, diagnostics))
-    _write_output(count, args.out)
+    write_output(count, args.out)
     raise Exit(EXIT_DIAGNOSTICS)
 
 
@@ -236,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_FAILURE if exc.code not in (0, None) else 0
     try:
-        _write_output(args.handler(args), args.out)
+        write_output(args.handler(args), args.out)
     except Exit as exc:
         sys.stderr.write(str(exc))
         return exc.code

@@ -20,18 +20,19 @@ when ``trace`` is read, the weight updates are recounted from the rules'
 left-hand sides, and each new node is logged just before the first link
 into it, which is where the builder adds it.
 
-The builder keeps a rank for every node such that every link runs from a
-lower to a higher rank; a new child takes the next rank.  A link whose
-parent ranks below its child therefore closes no cycle and is accepted at
-once.  Otherwise a path from the child back to the parent could only pass
-through nodes ranked between the two, so only those are searched: the ones
-that reach the parent, where meeting the child refuses the link, then the
-ones the child reaches.  The first set then takes the lowest of the two
-sets' pooled ranks, each set keeping its own order (Pearce and Kelly, "A
-dynamic topological sort algorithm for directed acyclic graphs", JEA 2006).
-The builder drops this search state (the ranks, the child and parent maps
-and the waiting paths) before it builds the result tuples, so at its peak
-it holds no more than its result.
+The builder keeps the nodes in an order where every link runs from a
+lower to a higher place, or rank; a new child goes to the end.  A link
+whose parent ranks below its child therefore closes no cycle and is
+accepted at once.  Otherwise a path from the child back to the parent
+could only pass through nodes ranked between the two, so one search
+forward from the child enters only those, and meeting the parent refuses
+the link.  Else that stretch of the order becomes the nodes the search
+did not reach, then those it did, each group in its old order
+(Marchetti-Spaccamela, Nanni and Rohnert, "Maintaining a topological
+order under edge insertions", IPL 1996).  The builder drops this search
+state (the order, the ranks, the child maps and the waiting paths) before
+it builds the result tuples, so at its peak it holds no more than its
+result.
 
 A path that shares no concept with the hierarchy waits under a number,
 indexed by each concept it names, and only a new node it names wakes it.
@@ -134,16 +135,16 @@ def _repeat_rules(scene: Scene) -> set[int]:
 
 
 class _Builder:
-    __slots__ = ("depth", "rank", "children", "parents", "edges", "cites",
+    __slots__ = ("depth", "order", "rank", "children", "edges", "cites",
                  "pending", "waiting", "woken", "inserting", "numbers")
 
     def __init__(self, root: str):
         self.depth = {root: 0}  # insertion order is the node order
-        self.rank = {root: 0}  # every link runs from a lower to a higher rank
+        self.order = [root]  # every link runs from a lower to a higher place
+        self.rank = {root: 0}  # each node's place in the order
         # Only a node with a child has a child map; a dict, so that the
         # duplicate-link test is one lookup.
         self.children: dict[str, dict[str, None]] = {}
-        self.parents: dict[str, list[str]] = {root: []}
         self.edges: list[tuple[str, str]] = []
         self.cites: list[str] = []  # the rule placing each edge
         # Waiting paths by number and the numbers under each concept they
@@ -163,8 +164,8 @@ class _Builder:
         if child not in self.depth:
             # A new child has no descendants, so the link closes no cycle.
             self.depth[child] = self.depth[parent] + 1
-            self.rank[child] = len(self.rank)
-            self.parents[child] = []
+            self.rank[child] = len(self.order)
+            self.order.append(child)
             now, inserting = self.inserting
             for number in self.waiting.pop(child, ()):
                 if number in self.pending:
@@ -177,7 +178,6 @@ class _Builder:
         if kids is None:
             kids = self.children[parent] = {}
         kids[child] = None
-        self.parents[child].append(parent)
         self.edges.append((parent, child))
         self.cites.append(cite)
 
@@ -191,28 +191,22 @@ class _Builder:
         if child == parent:
             return False
         # Every node on a path from the child to the parent ranks between
-        # the two, so the searches need not leave that range.
-        behind = {parent}
-        stack = [parent]
-        while stack:
-            for prev in self.parents[stack.pop()]:
-                if rank[prev] >= low and prev not in behind:
-                    if prev == child:
-                        return False
-                    behind.add(prev)
-                    stack.append(prev)
-        ahead = {child}
+        # the two, so the search need not leave that stretch of the order.
+        reached = {child}
         stack = [child]
         while stack:
             for nxt in self.children.get(stack.pop(), ()):
-                if rank[nxt] < high and nxt not in ahead:
-                    ahead.add(nxt)
+                if rank[nxt] <= high and nxt not in reached:
+                    if nxt == parent:
+                        return False
+                    reached.add(nxt)
                     stack.append(nxt)
-        # The nodes reaching the parent take the lowest of the pooled
-        # ranks, each side keeping its own order.
-        moved = sorted(behind, key=rank.get) + sorted(ahead, key=rank.get)
-        for name, place in zip(moved, sorted(map(rank.get, moved))):
-            rank[name] = place
+        # The reached nodes move above the rest, each group in its order.
+        stretch = self.order[low:high + 1]
+        stretch = ([name for name in stretch if name not in reached]
+                   + [name for name in stretch if name in reached])
+        self.order[low:high + 1] = stretch
+        rank.update(zip(stretch, range(low, high + 1)))
         return True
 
     def insert_path(self, path: tuple[str, ...], cite: str) -> bool:
@@ -289,7 +283,7 @@ def build_hierarchy(scene: Scene, ensemble: FrequencyGrid) -> HierarchyBuild:
             + ", ".join(stranded), first.span))
     # The search state goes before the result is built, so the peak holds
     # no more than the result.
-    del (builder.rank, builder.children, builder.parents, builder.pending,
+    del (builder.order, builder.rank, builder.children, builder.pending,
          builder.waiting)
 
     hierarchy = Hierarchy(root, tuple(builder.depth), tuple(builder.edges))

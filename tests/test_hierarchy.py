@@ -11,6 +11,7 @@ from cpl.ast import Diagnostic, Scene
 from cpl.grid import build_grid
 from cpl.hierarchy import (
     TraceEvent,
+    _Builder,
     _repeat_rules,
     build_ensemble,
     build_hierarchy,
@@ -356,6 +357,33 @@ def test_build_matches_oracle_on_workload_scenes(shape, seed):
        st.integers(0, 10**9))
 def test_build_matches_oracle_on_generated_scenes(make, seed):
     assert_build_matches_oracle(make(random.Random(seed)))
+
+
+@given(st.lists(st.tuples(st.sampled_from(("new", "back", "back", "any")),
+                          st.integers(0, 63), st.integers(0, 63)),
+                max_size=80))
+def test_cycle_guard_adds_a_link_exactly_when_it_closes_no_cycle(steps):
+    """The builder's links driven directly: a new child under a known node,
+    or a link between known nodes, most often one whose child ranks before
+    its parent.  A link is added exactly when it is no duplicate and closes
+    no cycle, and every link runs from a lower to a higher rank."""
+    builder = _Builder("n0")
+    for kind, i, j in steps:
+        nodes = list(builder.depth)
+        parent = nodes[i % len(nodes)]
+        if kind == "new":
+            child = f"n{len(nodes)}"
+        else:
+            child = nodes[j % len(nodes)]
+            if kind == "back" and builder.rank[parent] < builder.rank[child]:
+                parent, child = child, parent
+        before = list(builder.edges)
+        builder.link(parent, child, "r")
+        added = ((parent, child) not in before
+                 and not oracles.creates_cycle(before, parent, child))
+        assert builder.edges == before + [(parent, child)] * added
+        assert all(builder.rank[a] < builder.rank[b]
+                   for a, b in builder.edges)
 
 
 def test_cycle_guard_refuses_link_between_known_nodes():

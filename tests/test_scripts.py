@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_acceptance import GOLDEN_CSV
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -139,3 +141,23 @@ def test_memory_demo_stores_in_a_new_directory(tmp_path):
     assert done.stdout.startswith("stored 4 scenes\n")
     assert sorted(path.name for path in directory.iterdir()) == [
         "breakfast.json", "pasta.json", "soup.json", "tea.json"]
+
+
+
+@pytest.mark.parametrize(
+    "script", ["scripts/run_cooking_report.py", "scripts/memory_demo.py"])
+def test_script_into_a_closed_pipe_exits_2(script, tmp_path):
+    """Stdout is a pipe whose read end is already closed, so the script's
+    first flush fails with EPIPE."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, script], cwd=REPO_ROOT, stdout=write,
+            stderr=subprocess.PIPE, env=dict(os.environ, TMPDIR=str(tmp_path)),
+            text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (
+        2, "cpl: cannot write stdout: Broken pipe\n")
+    assert list(tmp_path.iterdir()) == []
